@@ -1,5 +1,8 @@
 """Frame and matrix scaling with combinatorial updates and certificates."""
 
+# The one version string; pyproject.toml carries the same value.
+__version__ = "0.1.0"
+
 from .errors import (
     DegenerateMargin,
     DerivativeVanished,
@@ -55,8 +58,6 @@ from .update import (
     det_local_opt,
     newton_dinkelbach,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Frame", "GramContext", "gram_context", "leverage_scores", "logdet_psd",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__
 
 
 def _parse_float(token: str) -> float:
@@ -74,7 +74,7 @@ def result_document(result, kind: str, config_echo: dict,
         "iterations": result.iterations,
         "final_error_sq": result.final_error_sq,
         "config": config_echo,
-        "version": VERSION,
+        "version": __version__,
     }
     if result.scaling is not None:
         key = "z" if kind == "frame" else "y"

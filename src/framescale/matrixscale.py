@@ -6,11 +6,18 @@ scales up the margin-maximizing column prefix; the step size solves a
 piecewise-linear surrogate g with g/2 <= h - h(1) <= g exactly at its
 breakpoints, so no root finding is needed. Feasibility is the Hall-type
 condition c(T) <= r(N(T)).
+
+An iteration makes a few whole-array passes over A, O(mn), plus two sorts.
+The regularizer takes the rho values of all n - 1 column prefixes from one
+cumulative sum over the reordered columns, also O(mn), and visits only the
+gaps where a shrink fires. The row products Ay and the per-row T-mass
+fractions are each computed once per iteration and shared by the steps that
+need them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +31,14 @@ HALL_TOL_REL = 1e-9
 
 @dataclass(frozen=True)
 class NonnegMatrix:
-    """Nonnegative m x n matrix with no all-zero row or column."""
+    """Nonnegative m x n matrix with no all-zero row or column.
+
+    ``support`` is the mask ``matrix > 0``, built once here; the matrix is
+    treated as immutable after construction.
+    """
 
     matrix: np.ndarray
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
@@ -37,9 +49,11 @@ class NonnegMatrix:
             raise ValueError("matrix entries must be finite")
         if np.any(a < 0.0):
             raise ValueError("matrix entries must be nonnegative")
-        if np.any((a > 0).sum(axis=1) == 0):
+        support = a > 0
+        object.__setattr__(self, "support", support)
+        if not support.any(axis=1).all():
             raise ValueError("matrix has an all-zero row")
-        if np.any((a > 0).sum(axis=0) == 0):
+        if not support.any(axis=0).all():
             raise ValueError("matrix has an all-zero column")
 
     @property
@@ -75,15 +89,20 @@ class MatrixMarginals:
         return float(self.r.sum())
 
 
-def column_sums(matrix: NonnegMatrix, r, y) -> np.ndarray:
-    """Column sums of X A Y where X matches the row sums r exactly."""
-    a = matrix.matrix
-    y = np.asarray(y, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
+def _scaled_sums(a: np.ndarray, r: np.ndarray, y: np.ndarray):
+    """Column sums of X A Y, with the row products Ay and the row scaling x."""
     row = a @ y
     if np.any(row <= 0.0):
         raise ZeroRowSum("a row has zero weighted sum under this scaling")
-    return y * (a.T @ (r / row))
+    x = r / row
+    return y * (a.T @ x), row, x
+
+
+def column_sums(matrix: NonnegMatrix, r, y) -> np.ndarray:
+    """Column sums of X A Y where X matches the row sums r exactly."""
+    y = np.asarray(y, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    return _scaled_sums(matrix.matrix, r, y)[0]
 
 
 def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
@@ -91,7 +110,7 @@ def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
     T = np.asarray(T, dtype=np.intp)
     if T.size == 0:
         return np.empty(0, dtype=np.intp)
-    return np.flatnonzero((matrix.matrix[:, T] > 0).any(axis=1))
+    return np.flatnonzero(matrix.support[:, T].any(axis=1))
 
 
 def _mu_weights(matrix: NonnegMatrix, r, y, T):
@@ -113,7 +132,11 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> float:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     T = np.asarray(T, dtype=np.intp)
-    mu, w = _mu_weights(matrix, r, y, T)
+    return _surrogate_step(*_mu_weights(matrix, r, y, T), gamma)
+
+
+def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
+    """matrix_update on precomputed mu weights."""
     mass = w * (1.0 - mu)
     keep = mass > 0.0  # rows fully inside T contribute nothing
     mu, mass = mu[keep], mass[keep]
@@ -145,7 +168,11 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> float:
 
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
     """h(alpha) - h(1) for the column-sum proxy, in closed form."""
-    mu, w = _mu_weights(matrix, r, y, T)
+    return _proxy_gain(*_mu_weights(matrix, r, y, T), alpha)
+
+
+def _proxy_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
+    """matrix_proxy_gain on precomputed mu weights."""
     t = (alpha - 1.0) * mu
     return float(np.sum(w * t * (1.0 - mu) / (1.0 + t)))
 
@@ -153,36 +180,39 @@ def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
 def matrix_rho_prefixes(matrix: NonnegMatrix, order: np.ndarray) -> np.ndarray:
     """rho_T(A) for every proper prefix of the given column order.
 
-    One pass over columns: accumulate per-row in-prefix sums and take the
-    max out/in ratio over rows already touched (the neighborhoods form a
-    chain under prefix growth).
+    One vectorized pass, O(mn): a cumulative sum over the reordered columns
+    gives every row's in-prefix mass for all n - 1 prefixes at once, and a
+    column max of the out/in ratio over touched rows gives each rho (the
+    neighborhoods form a chain under prefix growth). The cumulative sum adds
+    columns in prefix order, so each value is exactly what adding the
+    columns one at a time gives.
     """
     a = matrix.matrix
     total = a.sum(axis=1)
-    inter = np.zeros(matrix.m)
-    out = np.empty(order.size - 1)
-    for k, col in enumerate(order[:-1]):
-        inter += a[:, col]
-        touched = inter > 0.0
-        out[k] = float(((total[touched] - inter[touched]) / inter[touched]).max(initial=0.0))
-    return out
+    inter = np.cumsum(a[:, order[:-1]], axis=1)
+    touched = inter > 0.0
+    ratio = (total[:, None] - inter) / np.where(touched, inter, 1.0)
+    return np.where(touched, ratio, 0.0).max(axis=0, initial=0.0)
 
 
 def matrix_regularize(matrix: NonnegMatrix, y, delta: float) -> np.ndarray:
-    """Prefix-gap shrinking for column scalings, mirroring the frame case."""
+    """Prefix-gap shrinking for column scalings, mirroring the frame case.
+
+    A shrink at gap k scales the k largest entries together, so it leaves
+    the ratio at every later gap unchanged: all gap ratios can be taken up
+    front, and only the gaps where a shrink fires are visited, in order.
+    """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
     y = np.asarray(y, dtype=np.float64)
     order = np.argsort(-y, kind="stable")
-    ys = y[order].copy()
+    ys = y[order]
     ys /= ys[-1]
-    rhos = matrix_rho_prefixes(matrix, order)
+    ratios = ys[:-1] / ys[1:]
+    thresholds = np.maximum(matrix_rho_prefixes(matrix, order), delta) / delta
     headroom = 1.0 + 2.0 * delta
-    for k in range(1, y.size):
-        ratio = ys[k - 1] / ys[k]
-        threshold = max(rhos[k - 1], delta) / delta
-        if ratio > threshold * headroom:
-            ys[:k] *= threshold / ratio
+    for k in np.flatnonzero(ratios > thresholds * headroom):
+        ys[:k + 1] *= thresholds[k] / ratios[k]
     ys = np.maximum(np.floor(ys / delta + 0.5) * delta, delta)
     ys /= ys[-1]
     out = np.empty_like(ys)
@@ -212,9 +242,7 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     cap = config.iteration_cap(n, eps)
 
     def combined_error_sq(y):
-        cs = column_sums(matrix, r, y)
-        row = a @ y
-        x = r / row
+        cs, row, x = _scaled_sums(a, r, y)
         row_err = x * row - r
         return float((row_err**2).sum() + ((cs - c) ** 2).sum()), cs
 
@@ -237,8 +265,9 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
                 status=INFEASIBLE, scaling=None, certificate=np.sort(T),
                 iterations=it, final_error_sq=err_sq, trace=trace,
             )
+        mu, w = _mu_weights(matrix, r, y, T)
         try:
-            alpha = matrix_update(matrix, r, y, T, ms.gamma)
+            alpha = _surrogate_step(mu, w, ms.gamma)
         except InfeasibleSegment:
             # Hairline Hall violation below the comparison guard: the
             # surrogate supremum proves c(T) > r(N(T)), so certify.
@@ -248,7 +277,7 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
                     iterations=it, final_error_sq=err_sq, trace=trace,
                 )
             raise
-        gain = matrix_proxy_gain(matrix, r, y, T, alpha)
+        gain = _proxy_gain(mu, w, alpha)
         y = y.copy()
         y[T] *= alpha
         if config.regularize:

@@ -1,18 +1,23 @@
 """Exact rational arithmetic for small-instance certificate verification.
 
-Decimal text parses to Fraction without rounding, so rank and mass
-comparisons here are exact; this is the independent oracle behind the
-verify command, deliberately sharing no code with the float solver.
+Each decimal token is read as the binary64 value the solver reads, then
+taken as the exact Fraction of that float, so rank and mass comparisons
+here are exact for the very matrix that was solved; this is the
+independent oracle behind the verify command, deliberately sharing no code
+with the float solver.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
+import math
 from fractions import Fraction
 
 
 def to_fraction(token: str) -> Fraction:
-    return Fraction(Decimal(token))
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {token!r} in input")
+    return Fraction(x)
 
 
 def parse_matrix_tokens(path) -> list[list[Fraction]]:

@@ -11,7 +11,7 @@ eps^2 or stops with a subset T certifying infeasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -200,14 +200,12 @@ class IterationRecord:
     log_z_inf: float = float("nan")
 
     def as_dict(self) -> dict:
-        return {
-            "error_sq": self.error_sq,
-            "gamma": self.gamma,
-            "alpha_hat": self.alpha_hat,
-            "progress": self.progress,
-            "nd_iters": self.nd_iters,
-            "regularized": self.regularized,
-        }
+        """Every field, with NaN (a value the solver did not compute) as None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = None if isinstance(value, float) and math.isnan(value) else value
+        return out
 
 
 @dataclass

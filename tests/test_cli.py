@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,8 +90,11 @@ class TestFrameCommand:
         doc = fio.read_result(out)
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert len(lines) == doc["iterations"] == len(doc["trace"])
-        assert set(lines[0]) == {"error_sq", "gamma", "alpha_hat", "progress",
-                                 "nd_iters", "regularized"}
+        assert set(lines[0]) == {"error_sq", "gamma", "alpha_hat", "h_gain", "progress",
+                                 "nd_iters", "regularized", "hp_one", "log_z_inf"}
+        # the step-size band can be re-checked from the file alone
+        for rec in lines:
+            assert rec["gamma"] / 5.0 <= rec["h_gain"] <= rec["gamma"]
 
 
 class TestMatrixCommand:
@@ -112,6 +117,21 @@ class TestMatrixCommand:
         assert run_cli(["verify", "--result", out, "--input", tmp_path / "A.txt",
                         "--rows", tmp_path / "r.txt", "--cols", tmp_path / "c.txt"]) == 0
 
+    def test_trace_is_strict_json(self, tmp_path):
+        base = gen(tmp_path, "bipartite", m=5, n=5, seed=2)
+        trace = tmp_path / "trace.jsonl"
+        assert run_cli(["matrix", "--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
+                        "--cols", f"{base}.c.txt", "--eps", "1e-8", "--trace", trace]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        records = [json.loads(line, parse_constant=reject)
+                   for line in trace.read_text().splitlines()]
+        assert records
+        # the matrix solver computes no hp_one or log_z_inf
+        assert all(rec["hp_one"] is None and rec["log_z_inf"] is None for rec in records)
+
     def test_zero_column_rejected(self, tmp_path):
         fio.write_matrix_file(tmp_path / "A.txt", np.array([[1.0, 0.0], [1.0, 0.0]]))
         fio.write_vector_file(tmp_path / "r.txt", np.ones(2))
@@ -121,6 +141,21 @@ class TestMatrixCommand:
 
 
 class TestVerify:
+    def test_certificate_checked_on_parsed_floats(self, tmp_path):
+        # Column 1 is exactly -2 times column 0 in binary64, but the 17-digit
+        # texts of 0.1 and -0.2 are not exactly proportional as decimals.
+        x = np.array([0.1, 0.7])
+        assert Fraction(Decimal(f"{-2 * x[0]:.17g}")) != -2 * Fraction(Decimal(f"{x[0]:.17g}"))
+        fio.write_matrix_file(tmp_path / "U.txt", np.array([[x[0], -2 * x[0], 0.0],
+                                                            [x[1], -2 * x[1], 1.0]]))
+        fio.write_vector_file(tmp_path / "c.txt", np.array([0.8, 0.8, 0.4]))
+        out = tmp_path / "res.json"
+        assert run_cli(["frame", "--input", tmp_path / "U.txt", "--marginals", tmp_path / "c.txt",
+                        "--eps", "1e-8", "--out", out]) == 3
+        assert fio.read_result(out)["certificate"] == [0, 1]
+        assert run_cli(["verify", "--result", out, "--input", tmp_path / "U.txt",
+                        "--marginals", tmp_path / "c.txt"]) == 0
+
     def test_fresh_result_passes(self, tmp_path):
         base = gen(tmp_path, "gaussian", d=3, n=9, seed=5)
         out = tmp_path / "res.json"

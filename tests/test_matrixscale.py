@@ -15,6 +15,7 @@ from framescale import (
     neighborhood,
     scale_matrix,
 )
+from framescale.generate import gen_bipartite
 from framescale.matrixscale import matrix_proxy_gain, matrix_rho_prefixes
 
 from conftest import sinkhorn_column_scaling
@@ -33,6 +34,49 @@ def brute_rho(A):
             if touched.any():
                 best = max(best, float((out / inter[touched]).max(initial=0.0)))
     return best
+
+
+def sequential_rho_prefixes(matrix, order):
+    """Reference: adds the prefix columns one at a time."""
+    a = matrix.matrix
+    total = a.sum(axis=1)
+    inter = np.zeros(matrix.m)
+    out = np.empty(order.size - 1)
+    for k, col in enumerate(order[:-1]):
+        inter += a[:, col]
+        touched = inter > 0.0
+        out[k] = float(((total[touched] - inter[touched]) / inter[touched]).max(initial=0.0))
+    return out
+
+
+def sequential_regularize(matrix, y, delta):
+    """Reference: visits every gap in order; also counts the shrinks that fire."""
+    y = np.asarray(y, dtype=np.float64)
+    order = np.argsort(-y, kind="stable")
+    ys = y[order].copy()
+    ys /= ys[-1]
+    rhos = sequential_rho_prefixes(matrix, order)
+    headroom = 1.0 + 2.0 * delta
+    shrinks = 0
+    for k in range(1, y.size):
+        ratio = ys[k - 1] / ys[k]
+        threshold = max(rhos[k - 1], delta) / delta
+        if ratio > threshold * headroom:
+            ys[:k] *= threshold / ratio
+            shrinks += 1
+    ys = np.maximum(np.floor(ys / delta + 0.5) * delta, delta)
+    ys /= ys[-1]
+    out = np.empty_like(ys)
+    out[order] = ys
+    return out, shrinks
+
+
+def sparse_matrix(rng, m, n):
+    """Random real entries with about half zeros and no all-zero row or column."""
+    a = (rng.random((m, n)) < 0.5) * (rng.random((m, n)) + 0.01)
+    a[np.arange(m), rng.integers(n, size=m)] += rng.random(m) + 0.01
+    a[rng.integers(m, size=n), np.arange(n)] += rng.random(n) + 0.01
+    return NonnegMatrix(a)
 
 
 class TestColumnSums:
@@ -199,6 +243,12 @@ class TestScaleMatrix:
             assert rec.progress >= 2.0 * rec.gamma * rec.h_gain - rec.gamma**2 / 5.0 - 1e-8
             assert rec.gamma**2 >= rec.error_sq / (2.0 * 5**3) - 1e-12
 
+    def test_bipartite_baseline_iterations(self):
+        A, r, c = gen_bipartite(20, 20, 1)
+        res = scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
+        assert res.scaled
+        assert res.iterations == 1542
+
     def test_marginal_validation(self):
         with pytest.raises(ValueError):
             MatrixMarginals(np.ones(2), np.array([1.0, 2.0]))
@@ -218,6 +268,33 @@ class TestMatrixRegularize:
                 touched = inter > 0
                 expected = float(((A.matrix.sum(axis=1) - inter)[touched] / inter[touched]).max())
                 assert rhos[k - 1] == pytest.approx(expected)
+
+    def test_prefix_rho_equals_sequential(self, rng):
+        cases = [sparse_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(2, 12)))
+                 for _ in range(200)]
+        # rows 0 and 1 lie inside the prefix {0, 1, 2}, whose rho is 0; row 2
+        # meets only the last column, so no proper prefix touches it.
+        cases.append(NonnegMatrix(np.array([[0.25, 0.75, 0.0, 0.0],
+                                            [0.125, 0.0, 0.5, 0.0],
+                                            [0.0, 0.0, 0.0, 0.5]])))
+        for A in cases:
+            for order in (rng.permutation(A.n), np.arange(A.n)):
+                got = matrix_rho_prefixes(A, order)
+                assert np.array_equal(got, sequential_rho_prefixes(A, order))
+        assert list(matrix_rho_prefixes(cases[-1], np.arange(4))) == [4.0, 4.0, 0.0]
+
+    @pytest.mark.parametrize("decades", [20.0, 1e-3])
+    def test_regularize_equals_sequential(self, rng, decades):
+        fired = 0
+        for _ in range(100):
+            A = sparse_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(2, 12)))
+            y = 10.0 ** rng.uniform(-decades, 0.0, size=A.n)
+            for delta in (1e-5, 0.01, 0.3):
+                expected, shrinks = sequential_regularize(A, y, delta)
+                assert np.array_equal(matrix_regularize(A, y, delta), expected)
+                fired += shrinks
+        # y spread over 20 decades makes shrinks fire; y near 1 makes none.
+        assert (fired > 0) == (decades > 1.0)
 
     def test_column_sum_error_bound(self, rng):
         for _ in range(20):
