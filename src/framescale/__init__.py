@@ -23,6 +23,7 @@ from .linalg import (
     leverage_scores,
     logdet_psd,
     numerical_rank,
+    orthonormal_factor,
     pinv_trace,
 )
 from .matrixscale import (
@@ -61,7 +62,7 @@ from .update import (
 
 __all__ = [
     "Frame", "GramContext", "gram_context", "leverage_scores", "logdet_psd",
-    "numerical_rank", "pinv_trace",
+    "numerical_rank", "orthonormal_factor", "pinv_trace",
     "Marginals", "MarginSet", "ProxyContext", "ScalingResult", "SolverConfig",
     "IterationRecord", "SCALED", "INFEASIBLE",
     "infeasibility_certificate", "scale_frame", "select_margin_set",

@@ -95,21 +95,40 @@ def gram_context(frame: Frame, z) -> GramContext:
     return GramContext(gram=gram, chol=chol, frame=frame, z=z)
 
 
-def leverage_scores(frame: Frame, z) -> np.ndarray:
-    """Leverage scores l_j = z_j u_j^T (UZU^T)^{-1} u_j.
-
-    The vector sums to d and each entry lies in [0, 1] up to roundoff.
-    Computed as the squared row norms of the orthonormal QR factor of
-    sqrt(Z) U^T: identical to the Gram-inverse formula in exact arithmetic,
-    but accurate even when the scaling spans enough decades that forming
-    UZU^T would wipe out its small eigenvalues.
-    """
-    z = validate_scaling(z, frame.n)
+def _thin_q(frame: Frame, z: np.ndarray) -> np.ndarray:
+    """``orthonormal_factor`` on a z the caller has already validated."""
     b = (frame.matrix * np.sqrt(z)).T
     q, r = np.linalg.qr(b, mode="reduced")
     rdiag = np.abs(np.diag(r))
     if rdiag.min(initial=np.inf) <= frame.d * _EPS * rdiag.max(initial=0.0):
         raise FactorizationFailure("scaled frame numerically rank-deficient")
+    return q
+
+
+def orthonormal_factor(frame: Frame, z) -> np.ndarray:
+    """Thin orthonormal factor Q (n x d) of sqrt(Z) U^T.
+
+    Row j of Q is the whitened, scaled column sqrt(z_j) (UZU^T)^{-1/2} u_j
+    up to a right rotation, so Q carries the leverage scores (its squared
+    row norms) and, on the rows of a set T, the step-size proxy at alpha =
+    1. Raises FactorizationFailure when a diagonal entry of R falls below
+    ``d * eps`` times the largest, i.e. the scaled frame is numerically
+    rank-deficient.
+    """
+    return _thin_q(frame, validate_scaling(z, frame.n))
+
+
+def leverage_scores(frame: Frame, z) -> np.ndarray:
+    """Leverage scores l_j = z_j u_j^T (UZU^T)^{-1} u_j.
+
+    The vector sums to d and each entry lies in [0, 1] up to roundoff.
+    Computed as the squared row norms of ``orthonormal_factor(frame, z)``:
+    identical to the Gram-inverse formula in exact arithmetic, but accurate
+    even when the scaling spans enough decades that forming UZU^T would
+    wipe out its small eigenvalues. The frame solver reads them off the
+    factor it keeps for each iterate instead of calling this.
+    """
+    q = orthonormal_factor(frame, z)
     return np.einsum("ij,ij->i", q, q)
 
 

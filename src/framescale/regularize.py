@@ -62,6 +62,13 @@ def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> 
     Gaps must overshoot the threshold by a (1 + 2 delta) factor before a
     shrink fires; grid rounding perturbs ratios by less than that, which
     makes a second application change nothing beyond one grid step.
+
+    All gap ratios are taken at once. rho_hat >= 1 for any prefix holding
+    a nonzero column, so only gaps whose ratio exceeds (1 + 2 delta)/delta
+    can fire; the scan visits just those, in ascending order, and computes
+    their rho lazily through the cache. A shrink at gap k scales only the
+    first k entries, which changes no later gap's ratio, so the result is
+    the one a gap-by-gap walk gives.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
@@ -75,14 +82,10 @@ def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> 
     zs = z[order].copy()
     zs /= zs[-1]
     headroom = 1.0 + 2.0 * delta
-    for k in range(1, n):
-        ratio = zs[k - 1] / zs[k]
-        # rho_hat >= 1 for any prefix containing a nonzero column, so gaps
-        # below 1/delta can never violate; skip the rho computation there.
-        if ratio * delta <= headroom:
-            continue
-        rho = max(cache.rho(order[:k]), 1.0)
-        threshold = rho / delta
+    ratios = zs[:-1] / zs[1:]
+    for k in np.flatnonzero(ratios * delta > headroom) + 1:
+        ratio = ratios[k - 1]
+        threshold = max(cache.rho(order[:k]), 1.0) / delta
         if ratio > threshold * headroom:
             zs[:k] *= threshold / ratio
     zs = np.maximum(np.floor(zs / delta + 0.5) * delta, delta)

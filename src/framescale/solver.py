@@ -15,8 +15,17 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateMargin, FactorizationFailure, IterationCapExceeded
-from .linalg import _EPS, Frame, leverage_scores, numerical_rank, validate_scaling
+from .errors import DegenerateMargin, IterationCapExceeded
+# leverage_scores stays a module attribute here for callers that look it up
+# on this module; the loop reads leverage off the iterate's factor instead.
+from .linalg import (  # noqa: F401
+    Frame,
+    _thin_q,
+    leverage_scores,
+    numerical_rank,
+    orthonormal_factor,
+    validate_scaling,
+)
 
 SCALED = "scaled"
 INFEASIBLE = "infeasible"
@@ -105,28 +114,41 @@ class ProxyContext:
 
     h(alpha) is the total leverage mass of T after multiplying z on T by
     alpha; it is increasing and concave with h(1) the current mass and
-    lim h = rk(U_T). Both h and h' come from one QR of the alpha-scaled
-    frame: with P the Gram of the T-rows of the orthonormal factor,
+    lim h = rk(U_T). Both h and h' come from the thin orthonormal factor Q
+    of the alpha-scaled frame: with P the Gram of the T-rows of Q,
     h = tr P and h' = (tr P - ||P||_F^2) / alpha. The QR route stays
     accurate out to extreme alpha where forming the shifted Gram directly
     loses the small subspace.
+
+    At alpha = 1 the scaled frame is the iterate itself, so a caller that
+    already holds ``q = orthonormal_factor(frame, z)`` passes it and h(1),
+    h'(1) are read off it with no further QR. Without q, every alpha
+    (1 included) is factored on demand. Each evaluation is cached for the
+    last alpha asked.
     """
 
-    def __init__(self, frame: Frame, z, T):
+    def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
         z = validate_scaling(z, frame.n)
         self.frame = frame
         self.z = z
         self.T = np.asarray(T, dtype=np.intp)
         if self.T.size == 0 or self.T.size >= frame.n:
             raise ValueError("T must be a nonempty proper subset of the columns")
-        U = frame.matrix
         mask = np.zeros(frame.n, dtype=bool)
         mask[self.T] = True
         self._mask = mask
-        self.m_t = (U[:, mask] * z[mask]) @ U[:, mask].T
-        self.m_tbar = (U[:, ~mask] * z[~mask]) @ U[:, ~mask].T
         self._cache_alpha = None
         self._cache_vals = None
+        if q is not None:
+            self._cache_alpha = 1.0
+            self._cache_vals = self._values(q, 1.0)
+
+    def _values(self, q: np.ndarray, alpha: float) -> tuple[float, float]:
+        qt = q[self._mask, :]
+        p = qt.T @ qt
+        h = float(np.trace(p))
+        hp = (h - float((p * p).sum())) / alpha
+        return h, max(hp, 0.0)
 
     def _evaluate(self, alpha: float) -> tuple[float, float]:
         if alpha < 1.0:
@@ -135,17 +157,8 @@ class ProxyContext:
             return self._cache_vals
         w = self.z.copy()
         w[self._mask] *= alpha
-        B = (self.frame.matrix * np.sqrt(w)).T  # n x d, rows sqrt(w_j) u_j
-        q, r = np.linalg.qr(B, mode="reduced")
-        rdiag = np.abs(np.diag(r))
-        if rdiag.min(initial=np.inf) <= self.frame.d * _EPS * rdiag.max(initial=0.0):
-            raise FactorizationFailure("shifted Gram numerically singular in proxy evaluation")
-        qt = q[self._mask, :]
-        p = qt.T @ qt
-        h = float(np.trace(p))
-        hp = (h - float((p * p).sum())) / alpha
+        self._cache_vals = self._values(_thin_q(self.frame, w), alpha)
         self._cache_alpha = alpha
-        self._cache_vals = (h, max(hp, 0.0))
         return self._cache_vals
 
     def h(self, alpha: float) -> float:
@@ -155,15 +168,45 @@ class ProxyContext:
         return self._evaluate(alpha)[1]
 
 
-def infeasibility_certificate(frame: Frame, c, T,
-                              rank_tol: float | None = None) -> np.ndarray | None:
-    """Return T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance."""
+class RankCache:
+    """Memoizes rk(U_T) per index set within one solve.
+
+    The rank depends on the frame and the set, not on the scaling, and the
+    margin sets of a solve recur. A miss computes the rank on the columns
+    in sorted order.
+    """
+
+    def __init__(self, frame: Frame, tol: float | None = None):
+        self.frame = frame
+        self.tol = tol
+        self._values: dict[bytes, int] = {}
+
+    def rank(self, T) -> int:
+        T = np.sort(np.asarray(T, dtype=np.intp))
+        key = T.astype(np.int64).tobytes()
+        val = self._values.get(key)
+        if val is None:
+            val = numerical_rank(self.frame.columns(T), tol=self.tol)
+            self._values[key] = val
+        return val
+
+
+def infeasibility_certificate(frame: Frame, c, T, rank_tol: float | None = None,
+                              ranks: RankCache | None = None) -> np.ndarray | None:
+    """Return T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
+
+    With ``ranks`` the rank comes from that cache (whose own tolerance
+    then applies); otherwise it is computed on the columns of T as given.
+    """
     T = np.asarray(T, dtype=np.intp)
     if T.size == 0 or T.size > frame.n:
         raise ValueError("T must be a nonempty subset")
     c = np.asarray(c, dtype=np.float64)
     mass = float(c[T].sum())
-    rank = numerical_rank(frame.columns(T), tol=rank_tol)
+    if ranks is None:
+        rank = numerical_rank(frame.columns(T), tol=rank_tol)
+    else:
+        rank = ranks.rank(T)
     if rank < mass - CERTIFICATE_TOL:
         return np.sort(T)
     return None
@@ -264,9 +307,13 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     eps_sq = eps * eps
     cap = config.iteration_cap(n, eps)
     rho_cache = RhoCache(frame, eig_tol=config.eig_tol) if config.regularize else None
+    ranks = RankCache(frame, tol=config.rank_tol)
 
+    # q is the iterate's thin orthonormal factor: it gives the leverage
+    # scores here and h(1), h'(1) to the step-size proxy.
     z = np.ones(n)
-    lev = leverage_scores(frame, z)
+    q = orthonormal_factor(frame, z)
+    lev = np.einsum("ij,ij->i", q, q)
     err_sq = float(((lev - c) ** 2).sum())
     trace: list[IterationRecord] = []
     it = 0
@@ -279,20 +326,21 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         it += 1
         ms = select_margin_set(lev, c)
         T = ms.indices
-        cert = infeasibility_certificate(frame, c, T, rank_tol=config.rank_tol)
+        cert = infeasibility_certificate(frame, c, T, ranks=ranks)
         if cert is not None:
             return ScalingResult(
                 status=INFEASIBLE, scaling=None, certificate=cert,
                 iterations=it, final_error_sq=err_sq, trace=trace,
             )
-        upd = compute_update(frame, z, T, ms.gamma)
+        upd = compute_update(frame, z, T, ms.gamma, q=q)
         z = z.copy()
         z[T] *= upd.alpha
         if config.regularize:
             delta = ms.gamma / (15.0 * n**2.5 * frame.d)
             z = regularize(frame, z, delta, cache=rho_cache)
         z = z / z.min()
-        lev = leverage_scores(frame, z)
+        q = orthonormal_factor(frame, z)
+        lev = np.einsum("ij,ij->i", q, q)
         new_err_sq = float(((lev - c) ** 2).sum())
         if config.collect_trace:
             trace.append(IterationRecord(

@@ -126,14 +126,17 @@ def _kernel_matrix(frame: Frame, z, T, ctx=None):
     return k * np.outer(root, root), ctx
 
 
-def approx_small_eigen_sum(frame: Frame, z, T) -> EigenSumEstimate:
+def approx_small_eigen_sum(frame: Frame, z, T,
+                           q: np.ndarray | None = None) -> EigenSumEstimate:
     """Estimate the small-eigenvalue sum of U_T Z_T U_T^T (UZU^T)^{-1}.
 
     Requires the gapped regime sum mu_i (1 - mu_i) < 1/4, under which the
     nearest integer to the trace equals the number of eigenvalues >= 1/2.
+    ``q`` is the optional ``orthonormal_factor(frame, z)``, as in
+    ``compute_update``.
     """
     T = np.asarray(T, dtype=np.intp)
-    ctx = ProxyContext(frame, z, T)
+    ctx = ProxyContext(frame, z, T, q=q)
     if ctx.h_prime(1.0) >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
     trace = ctx.h(1.0)
@@ -236,16 +239,19 @@ class UpdateResult:
     seeded: bool  # True when the eigen-sum guess supplied the start point
 
 
-def compute_update(frame: Frame, z, T, gamma: float) -> UpdateResult:
+def compute_update(frame: Frame, z, T, gamma: float,
+                   q: np.ndarray | None = None) -> UpdateResult:
     """Find alpha >= 1 with gamma/5 <= h(alpha) - h(1) <= gamma.
 
     Assumes the rank check already ruled T out as a certificate, so the
     band is reachable. Seeds at 1 when h'(1) >= gamma/4 (one Newton step
-    then suffices); otherwise at 1 + gamma / (2 mu_tilde).
+    then suffices); otherwise at 1 + gamma / (2 mu_tilde). ``q`` is the
+    iterate's ``orthonormal_factor(frame, z)`` when the caller has it; the
+    proxy then reads h(1) and h'(1) off it instead of factoring again.
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-    ctx = ProxyContext(frame, z, T)
+    ctx = ProxyContext(frame, z, T, q=q)
     h1 = ctx.h(1.0)
     hp1 = ctx.h_prime(1.0)
     seeded = False
@@ -256,7 +262,7 @@ def compute_update(frame: Frame, z, T, gamma: float) -> UpdateResult:
             raise GuessPreconditionViolated(
                 f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
             )
-        est = approx_small_eigen_sum(frame, z, T)
+        est = approx_small_eigen_sum(frame, z, T, q=q)
         if est.mu_tilde <= 0.0:
             raise GuessPreconditionViolated(
                 "small-eigenvalue sum estimate is 0; T should have certified infeasibility"

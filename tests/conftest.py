@@ -65,6 +65,57 @@ def sinkhorn_column_scaling(A, r, c, iters=200000, tol=1e-14):
     return y
 
 
+def fuzz_recipe(seed):
+    """The ROADMAP fuzz recipe; returns (U, c), or None when a marginal exceeds 1.
+
+    Kind seed % 4: 0 generic, 1 parallel columns, 2 column norms spread over
+    14 decades, 3 a near-deficient last row.
+    """
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 5)
+    n = rng.integers(d + 1, 10)
+    U = rng.standard_normal((d, n))
+    kind = seed % 4
+    if kind == 1:
+        U[:, 1] = U[:, 0] * rng.choice([1, -2, 1e-6])
+    elif kind == 2:
+        U *= 10 ** rng.uniform(-7, 7, size=n)
+    elif kind == 3:
+        U[-1, :n // 2] *= 1e-9
+    c = rng.uniform(0.05, 1, size=n)
+    c = c / c.sum() * d
+    if np.any(c > 1):
+        return None
+    return U, c
+
+
+def sequential_regularize(frame, z, delta, cache):
+    """Reference: the gap-by-gap prefix shrink, visiting every gap in order.
+
+    Returns the regularized scaling and the number of shrinks that fired.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    order = np.argsort(-z, kind="stable")
+    zs = z[order].copy()
+    zs /= zs[-1]
+    headroom = 1.0 + 2.0 * delta
+    shrinks = 0
+    for k in range(1, frame.n):
+        ratio = zs[k - 1] / zs[k]
+        if ratio * delta <= headroom:
+            continue
+        rho = max(cache.rho(order[:k]), 1.0)
+        threshold = rho / delta
+        if ratio > threshold * headroom:
+            zs[:k] *= threshold / ratio
+            shrinks += 1
+    zs = np.maximum(np.floor(zs / delta + 0.5) * delta, delta)
+    zs /= zs[-1]
+    out = np.empty_like(zs)
+    out[order] = zs
+    return out, shrinks
+
+
 def gapped_instance(rng, d, n, big_exp=(4.0, 6.0), small_exp=(-4.0, -2.0)):
     """(frame, z, T) whose T-spectrum splits around 1/2 with a wide gap.
 

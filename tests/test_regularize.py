@@ -6,7 +6,7 @@ import pytest
 from framescale import Frame, Marginals, leverage_scores, regularize, rho_overestimate, scale_frame
 from framescale.regularize import RhoCache
 
-from conftest import gram_inv_half, random_frame
+from conftest import gram_inv_half, random_frame, sequential_regularize
 
 
 def true_one_plus_rho(U, T):
@@ -129,6 +129,47 @@ class TestRegularize:
         for delta in (0.0, 0.5, 1.0, -0.1):
             with pytest.raises(ValueError):
                 regularize(frame, np.ones(5), delta)
+
+
+class CountingRhoCache(RhoCache):
+    """RhoCache that counts rho requests, hits included."""
+
+    def __init__(self, frame, eig_tol=None):
+        super().__init__(frame, eig_tol=eig_tol)
+        self.calls = 0
+
+    def rho(self, T):
+        self.calls += 1
+        return super().rho(T)
+
+
+class TestRegularizeOracle:
+    @pytest.mark.parametrize("decades", [10.0, 0.0])
+    def test_equals_sequential(self, rng, decades):
+        # decades=10: z spread over 20 decades, so shrinks fire and rho is
+        # evaluated; decades=0: z within [1, 1.5), so no gap is ever visited.
+        shrinks = visited = 0
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(d + 1, 14))
+            frame = random_frame(rng, d, n)
+            if decades:
+                z = 10.0 ** rng.uniform(-decades, decades, size=n)
+            else:
+                z = 1.0 + 0.5 * rng.random(n)
+            delta = float(10.0 ** rng.uniform(-4, np.log10(0.4)))
+            fast = CountingRhoCache(frame, eig_tol=1e-18)
+            slow = CountingRhoCache(frame, eig_tol=1e-18)
+            want, fired = sequential_regularize(frame, z, delta, slow)
+            got = regularize(frame, z, delta, cache=fast)
+            assert np.array_equal(got, want)
+            assert fast.calls == slow.calls
+            shrinks += fired
+            visited += slow.calls
+        if decades:
+            assert shrinks > 0 and visited > shrinks
+        else:
+            assert shrinks == 0 and visited == 0
 
 
 class TestGrowthBound:
