@@ -2,7 +2,15 @@
 
 
 class ScalingError(Exception):
-    """Base class for all framescale errors."""
+    """Base class for all framescale errors.
+
+    ``trace`` holds the iteration records a solve collected before the
+    error, when the error left a solve loop; otherwise it is None.
+    """
+
+    def __init__(self, *args, trace=None):
+        super().__init__(*args)
+        self.trace = trace
 
 
 class FactorizationFailure(ScalingError):
@@ -20,13 +28,8 @@ class DegenerateMargin(ScalingError):
 class IterationCapExceeded(ScalingError):
     """An iterative loop ran past its safety cap.
 
-    Signals numerical breakdown rather than a slow instance; the trace
-    collected so far is attached when available.
+    Signals numerical breakdown rather than a slow instance.
     """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class DerivativeVanished(ScalingError):

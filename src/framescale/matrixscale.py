@@ -1,28 +1,34 @@
 """Matrix scaling with row sums matched implicitly and exact step solves.
 
 The column scaling y is the only state; the row scaling x_i = r_i / (Ay)_i
-is recomputed on demand, so row sums are always exact. Each iteration
-scales up the margin-maximizing column prefix; the step size solves a
-piecewise-linear surrogate g with g/2 <= h - h(1) <= g exactly at its
-breakpoints, so no root finding is needed. Feasibility is the Hall-type
-condition c(T) <= r(N(T)).
+is recomputed on demand, so row sums are always exact and the error is the
+column part alone. ``scale_matrix`` runs the margin loop of ``solver`` with
+the matrix operations: the certificate is the Hall-type condition
+c(T) <= r(N(T)), and the step size solves a piecewise-linear surrogate g
+with g/2 <= h - h(1) <= g exactly at its breakpoints, so no root finding
+is needed.
 
 An iteration makes a few whole-array passes over A, O(mn), plus two sorts.
-The regularizer takes the rho values of all n - 1 column prefixes from one
-cumulative sum over the reordered columns, also O(mn), and visits only the
-gaps where a shrink fires. The row products Ay and the per-row T-mass
-fractions are each computed once per iteration and shared by the steps that
-need them.
+The regularizer is the prefix-gap shrink of ``regularize`` with clamp floor
+delta; when some gap is a candidate it takes the rho values of all n - 1
+column prefixes from one cumulative sum over the reordered columns, also
+O(mn). The per-row T-mass fractions are computed once per iteration and
+shared by the step solve and the gain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleSegment, IterationCapExceeded, ZeroRowSum
-from .solver import INFEASIBLE, SCALED, IterationRecord, ScalingResult, SolverConfig, select_margin_set
+from .errors import InfeasibleSegment, ZeroRowSum
+from .regularize import prefix_gap_shrink
+# select_margin_set stays a module attribute here for callers that look it
+# up on this module; the shared loop calls it on ``solver``.
+from .solver import ScalingResult, SolverConfig, _margin_loop, select_margin_set  # noqa: F401
+from .update import UpdateResult
 
 # Guards the Hall comparison against roundoff in the marginal sums; genuine
 # violations found by the margin loop are macroscopic.
@@ -89,20 +95,14 @@ class MatrixMarginals:
         return float(self.r.sum())
 
 
-def _scaled_sums(a: np.ndarray, r: np.ndarray, y: np.ndarray):
-    """Column sums of X A Y, with the row products Ay and the row scaling x."""
-    row = a @ y
-    if np.any(row <= 0.0):
-        raise ZeroRowSum("a row has zero weighted sum under this scaling")
-    x = r / row
-    return y * (a.T @ x), row, x
-
-
 def column_sums(matrix: NonnegMatrix, r, y) -> np.ndarray:
     """Column sums of X A Y where X matches the row sums r exactly."""
     y = np.asarray(y, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    return _scaled_sums(matrix.matrix, r, y)[0]
+    a = matrix.matrix
+    row = a @ y
+    if np.any(row <= 0.0):
+        raise ZeroRowSum("a row has zero weighted sum under this scaling")
+    return y * (a.T @ (np.asarray(r, dtype=np.float64) / row))
 
 
 def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
@@ -196,28 +196,14 @@ def matrix_rho_prefixes(matrix: NonnegMatrix, order: np.ndarray) -> np.ndarray:
 
 
 def matrix_regularize(matrix: NonnegMatrix, y, delta: float) -> np.ndarray:
-    """Prefix-gap shrinking for column scalings, mirroring the frame case.
+    """The prefix-gap shrink for a column scaling, mirroring the frame case.
 
-    A shrink at gap k scales the k largest entries together, so it leaves
-    the ratio at every later gap unchanged: all gap ratios can be taken up
-    front, and only the gaps where a shrink fires are visited, in order.
+    The clamp floor is delta, since prefix rhos below 1 occur; the rho
+    values of all prefixes come from one ``matrix_rho_prefixes`` pass, taken
+    only when some gap is a candidate for a shrink.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
-    y = np.asarray(y, dtype=np.float64)
-    order = np.argsort(-y, kind="stable")
-    ys = y[order]
-    ys /= ys[-1]
-    ratios = ys[:-1] / ys[1:]
-    thresholds = np.maximum(matrix_rho_prefixes(matrix, order), delta) / delta
-    headroom = 1.0 + 2.0 * delta
-    for k in np.flatnonzero(ratios > thresholds * headroom):
-        ys[:k + 1] *= thresholds[k] / ratios[k]
-    ys = np.maximum(np.floor(ys / delta + 0.5) * delta, delta)
-    ys /= ys[-1]
-    out = np.empty_like(ys)
-    out[order] = ys
-    return out
+    return prefix_gap_shrink(np.asarray(y, dtype=np.float64), delta,
+                             lambda order, _: matrix_rho_prefixes(matrix, order), delta)
 
 
 def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
@@ -225,74 +211,44 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     """Scale A to eps-approximate (r, c) marginals or certify via Hall.
 
     Returns a ScalingResult whose scaling field is the column vector y;
-    the row scaling r_i / (Ay)_i is implicit. The combined squared error
-    ||r(B) - r||^2 + ||c(B) - c||^2 is compared against eps^2 even though
-    the row part vanishes by construction.
+    the row scaling r_i / (Ay)_i is implicit, so the row sums are met by
+    construction and the error compared against eps^2 is ||c(B) - c||^2.
+    Runs the shared margin loop of ``solver``: the certificate is the Hall
+    check c(T) > r(N(T)), the step solves the surrogate, and the shrink is
+    ``matrix_regularize``.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    a = matrix.matrix
-    m, n = a.shape
+    m, n = matrix.matrix.shape
     r, c = marginals.r, marginals.c
     if r.shape != (m,) or c.shape != (n,):
         raise ValueError("marginals do not match matrix dimensions")
-    config = config or SolverConfig()
     s = marginals.s
-    eps_sq = eps * eps
-    cap = config.iteration_cap(n, eps)
 
-    def combined_error_sq(y):
-        cs, row, x = _scaled_sums(a, r, y)
-        row_err = x * row - r
-        return float((row_err**2).sum() + ((cs - c) ** 2).sum()), cs
+    def measure(y):
+        cs = column_sums(matrix, r, y)
+        return cs, float(((cs - c) ** 2).sum())
 
-    y = np.ones(n)
-    err_sq, cs = combined_error_sq(y)
-    trace: list[IterationRecord] = []
-    it = 0
-    while err_sq > eps_sq:
-        if it >= cap:
-            raise IterationCapExceeded(
-                f"no convergence after {cap} iterations (error^2 {err_sq:g})",
-                trace=trace,
-            )
-        it += 1
-        ms = select_margin_set(cs, c)
-        T = ms.indices
-        nbr = neighborhood(matrix, T)
-        if float(c[T].sum()) > float(r[nbr].sum()) + HALL_TOL_REL * s:
-            return ScalingResult(
-                status=INFEASIBLE, scaling=None, certificate=np.sort(T),
-                iterations=it, final_error_sq=err_sq, trace=trace,
-            )
+    def hall_violated(T, tol):
+        return float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol
+
+    def certificate(T):
+        return np.sort(T) if hall_violated(T, HALL_TOL_REL * s) else None
+
+    def step(y, T, gamma):
         mu, w = _mu_weights(matrix, r, y, T)
         try:
-            alpha = _surrogate_step(mu, w, ms.gamma)
+            alpha = _surrogate_step(mu, w, gamma)
         except InfeasibleSegment:
             # Hairline Hall violation below the comparison guard: the
             # surrogate supremum proves c(T) > r(N(T)), so certify.
-            if float(c[T].sum()) > float(r[nbr].sum()):
-                return ScalingResult(
-                    status=INFEASIBLE, scaling=None, certificate=np.sort(T),
-                    iterations=it, final_error_sq=err_sq, trace=trace,
-                )
+            if hall_violated(T, 0.0):
+                return None
             raise
-        gain = _proxy_gain(mu, w, alpha)
-        y = y.copy()
-        y[T] *= alpha
-        if config.regularize:
-            delta = ms.gamma / (15.0 * s * n**3)
-            y = matrix_regularize(matrix, y, delta)
-        y = y / y.min()
-        new_err_sq, cs = combined_error_sq(y)
-        if config.collect_trace:
-            trace.append(IterationRecord(
-                error_sq=err_sq, gamma=ms.gamma, alpha_hat=alpha, h_gain=gain,
-                progress=err_sq - new_err_sq, nd_iters=0,
-                regularized=config.regularize,
-            ))
-        err_sq = new_err_sq
-    return ScalingResult(
-        status=SCALED, scaling=y, certificate=None,
-        iterations=it, final_error_sq=err_sq, trace=trace,
-    )
+        return UpdateResult(alpha=alpha, h_gain=_proxy_gain(mu, w, alpha), nd_iters=0,
+                            hp_one=math.nan, seeded=False)
+
+    def shrink(y, gamma):
+        return matrix_regularize(matrix, y, gamma / (15.0 * s * n**3))
+
+    return _margin_loop(c, eps, config or SolverConfig(), measure, certificate, step, shrink)

@@ -4,7 +4,9 @@ Sorting z and capping each prefix gap at rho_hat/delta bounds the
 multiplicative range by a function of the frame's condition measure while
 moving every leverage score by O(d delta) per shrink. rho_hat is the
 computable pseudo-inverse-trace overestimate of 1 + rho_T; the exact
-condition measures are NP-hard and never needed.
+condition measures are NP-hard and never needed. ``prefix_gap_shrink`` is
+the one shrink body: ``regularize`` runs it for frames and
+``matrixscale.matrix_regularize`` for matrices, each with its own rho.
 """
 
 from __future__ import annotations
@@ -49,50 +51,54 @@ class RhoCache:
         return val
 
 
-def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> np.ndarray:
-    """Shrink sorted prefix gaps of z to at most rho_hat/delta, then snap.
+def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.ndarray:
+    """Cap each sorted prefix gap of z at max(rho, floor)/delta, then snap.
 
-    Entries are sorted descending, normalized so the smallest is 1, each
-    violating prefix is multiplied down until its gap equals the threshold,
-    every entry is rounded to the nearest multiple of delta (clamped to
-    stay >= delta), and the result is renormalized to min 1. Sorted order
-    is preserved, so the map is the identity (up to the grid) when all
-    gaps are already small.
+    Entries are sorted descending and normalized so the smallest is 1. A gap
+    k whose ratio overshoots its threshold max(rho_k, floor)/delta by more
+    than a (1 + 2 delta) factor, more than grid rounding perturbs it, has
+    the prefix ``order[:k]`` multiplied down until the gap equals the
+    threshold. Entries are then rounded to the nearest multiple of delta
+    (clamped to stay >= delta) and renormalized to min 1; order is kept.
 
-    Gaps must overshoot the threshold by a (1 + 2 delta) factor before a
-    shrink fires; grid rounding perturbs ratios by less than that, which
-    makes a second application change nothing beyond one grid step.
-
-    All gap ratios are taken at once. rho_hat >= 1 for any prefix holding
-    a nonzero column, so only gaps whose ratio exceeds (1 + 2 delta)/delta
-    can fire; the scan visits just those, in ascending order, and computes
-    their rho lazily through the cache. A shrink at gap k scales only the
-    first k entries, which changes no later gap's ratio, so the result is
-    the one a gap-by-gap walk gives.
+    A shrink at gap k scales only the first k entries, so no later ratio
+    changes and all ratios are taken up front. Thresholds are at least
+    floor/delta, so only gaps with ratio * (delta/floor) above the headroom
+    are candidates. ``rhos(order, candidates)``, called only when there is
+    one, maps that mask over the n - 1 gaps to an array whose entry k - 1
+    is the rho of ``order[:k]`` at each candidate gap k.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
-    z = np.asarray(z, dtype=np.float64)
-    n = frame.n
-    if z.shape != (n,):
-        raise ValueError("scaling length does not match frame")
-    if cache is None:
-        cache = RhoCache(frame)
     order = np.argsort(-z, kind="stable")
-    zs = z[order].copy()
+    zs = z[order]
     zs /= zs[-1]
     headroom = 1.0 + 2.0 * delta
     ratios = zs[:-1] / zs[1:]
-    for k in np.flatnonzero(ratios * delta > headroom) + 1:
-        ratio = ratios[k - 1]
-        threshold = max(cache.rho(order[:k]), 1.0) / delta
-        if ratio > threshold * headroom:
-            zs[:k] *= threshold / ratio
+    candidates = ratios * (delta / floor) > headroom
+    if candidates.any():
+        thresholds = np.maximum(rhos(order, candidates), floor) / delta
+        for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
+            zs[:k + 1] *= thresholds[k] / ratios[k]
     zs = np.maximum(np.floor(zs / delta + 0.5) * delta, delta)
     zs /= zs[-1]
     out = np.empty_like(zs)
     out[order] = zs
     return out
 
-# TODO: evaluate rho only at the <= d prefixes where the rank increases; the
-# chain structure makes the remaining prefixes redundant overestimates.
+
+def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> np.ndarray:
+    """The prefix-gap shrink for a frame scaling, with rho_hat from ``cache``.
+
+    rho_hat >= 1 for any prefix holding a nonzero column: the clamp floor is 1.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (frame.n,):
+        raise ValueError("scaling length does not match frame")
+    if cache is None:
+        cache = RhoCache(frame)
+
+    def rhos(order, candidates):
+        return np.array([cache.rho(order[:k]) if c else 0.0 for k, c in enumerate(candidates, 1)])
+
+    return prefix_gap_shrink(z, delta, rhos, 1.0)

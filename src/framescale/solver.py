@@ -1,11 +1,13 @@
-"""Iterative frame scaling: margin sets, step-size proxy, main loop.
+"""Iterative frame scaling: margin sets, step-size proxy, the margin loop.
 
 The solver keeps the square of the right scaling as a positive vector z and
 leaves the isotropizing left scaling (UZU^T)^{-1/2} implicit. Each iteration
 scales up the prefix set with the largest sorted-error gap, with the step
 size chosen so that the leverage mass moved into the set lands in a band
 proportional to the margin. The loop either drives ||lev(z) - c||^2 below
-eps^2 or stops with a subset T certifying infeasibility.
+eps^2 or stops with a subset T certifying infeasibility. The same loop
+drives the matrix solver in ``matrixscale``, which supplies its own
+marginals, certificate, step and shrink.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateMargin, IterationCapExceeded
+from .errors import DegenerateMargin, IterationCapExceeded, ScalingError
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
 from .linalg import (  # noqa: F401
@@ -191,7 +193,7 @@ class RankCache:
         return val
 
 
-def infeasibility_certificate(frame: Frame, c, T, rank_tol: float | None = None,
+def infeasibility_certificate(frame: Frame, c, T,
                               ranks: RankCache | None = None) -> np.ndarray | None:
     """Return T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
 
@@ -204,7 +206,7 @@ def infeasibility_certificate(frame: Frame, c, T, rank_tol: float | None = None,
     c = np.asarray(c, dtype=np.float64)
     mass = float(c[T].sum())
     if ranks is None:
-        rank = numerical_rank(frame.columns(T), tol=rank_tol)
+        rank = numerical_rank(frame.columns(T))
     else:
         rank = ranks.rank(T)
     if rank < mass - CERTIFICATE_TOL:
@@ -219,8 +221,6 @@ class SolverConfig:
     max_iters: int | None = None
     regularize: bool = True
     collect_trace: bool = True
-    rank_tol: float | None = None
-    eig_tol: float | None = None
 
     def iteration_cap(self, n: int, eps: float) -> int:
         if self.max_iters is not None:
@@ -239,8 +239,8 @@ class IterationRecord:
     progress: float
     nd_iters: int
     regularized: bool
-    hp_one: float = float("nan")
-    log_z_inf: float = float("nan")
+    hp_one: float = math.nan
+    log_z_inf: float = math.nan
 
     def as_dict(self) -> dict:
         """Every field, with NaN (a value the solver did not compute) as None."""
@@ -265,6 +265,66 @@ class ScalingResult:
     @property
     def scaled(self) -> bool:
         return self.status == SCALED
+
+
+def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,
+                 step, shrink, log_range: bool = False) -> ScalingResult:
+    """The margin loop shared by the frame and the matrix solver.
+
+    ``measure(z)`` gives the marginals of z and their squared error against
+    c, ``certificate(T)`` a certificate or None, ``step(z, T, gamma)`` an
+    ``UpdateResult`` or None when the step itself proves T infeasible, and
+    ``shrink(z, gamma)`` the regularized z. With ``log_range`` the trace
+    records ||log z||_inf. A ScalingError leaving the loop carries the trace.
+    """
+    n = c.shape[0]
+    eps_sq = eps * eps
+    cap = config.iteration_cap(n, eps)
+    z = np.ones(n)
+    marginals, err_sq = measure(z)
+    trace: list[IterationRecord] = []
+    it = 0
+    try:
+        while err_sq > eps_sq:
+            if it >= cap:
+                raise IterationCapExceeded(
+                    f"no convergence after {cap} iterations (error^2 {err_sq:g})"
+                )
+            it += 1
+            ms = select_margin_set(marginals, c)
+            T = ms.indices
+            cert = certificate(T)
+            if cert is None:
+                upd = step(z, T, ms.gamma)
+                if upd is None:
+                    cert = np.sort(T)
+            if cert is not None:
+                return ScalingResult(
+                    status=INFEASIBLE, scaling=None, certificate=cert,
+                    iterations=it, final_error_sq=err_sq, trace=trace,
+                )
+            z = z.copy()
+            z[T] *= upd.alpha
+            if config.regularize:
+                z = shrink(z, ms.gamma)
+            z = z / z.min()
+            marginals, new_err_sq = measure(z)
+            if config.collect_trace:
+                trace.append(IterationRecord(
+                    error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
+                    progress=err_sq - new_err_sq, nd_iters=upd.nd_iters,
+                    regularized=config.regularize, hp_one=upd.hp_one,
+                    log_z_inf=float(np.abs(np.log(z)).max()) if log_range else math.nan,
+                ))
+            err_sq = new_err_sq
+    except ScalingError as exc:
+        if exc.trace is None:
+            exc.trace = trace
+        raise
+    return ScalingResult(
+        status=SCALED, scaling=z, certificate=None,
+        iterations=it, final_error_sq=err_sq, trace=trace,
+    )
 
 
 def scale_frame(frame: Frame, marginals: Marginals, eps: float,
@@ -292,7 +352,8 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     Raises
     ------
     IterationCapExceeded
-        If the cap is hit; signals numerical breakdown, trace attached.
+        If the cap is hit; signals numerical breakdown. Like every
+        ScalingError raised inside the loop, it carries the trace so far.
     """
     from .regularize import RhoCache, regularize
     from .update import compute_update
@@ -304,58 +365,25 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     config = config or SolverConfig()
     n = frame.n
     c = marginals.values
-    eps_sq = eps * eps
-    cap = config.iteration_cap(n, eps)
-    rho_cache = RhoCache(frame, eig_tol=config.eig_tol) if config.regularize else None
-    ranks = RankCache(frame, tol=config.rank_tol)
+    rho_cache = RhoCache(frame) if config.regularize else None
+    ranks = RankCache(frame)
+    q = None
 
-    # q is the iterate's thin orthonormal factor: it gives the leverage
-    # scores here and h(1), h'(1) to the step-size proxy.
-    z = np.ones(n)
-    q = orthonormal_factor(frame, z)
-    lev = np.einsum("ij,ij->i", q, q)
-    err_sq = float(((lev - c) ** 2).sum())
-    trace: list[IterationRecord] = []
-    it = 0
-    while err_sq > eps_sq:
-        if it >= cap:
-            raise IterationCapExceeded(
-                f"no convergence after {cap} iterations (error^2 {err_sq:g})",
-                trace=trace,
-            )
-        it += 1
-        ms = select_margin_set(lev, c)
-        T = ms.indices
-        cert = infeasibility_certificate(frame, c, T, ranks=ranks)
-        if cert is not None:
-            return ScalingResult(
-                status=INFEASIBLE, scaling=None, certificate=cert,
-                iterations=it, final_error_sq=err_sq, trace=trace,
-            )
-        upd = compute_update(frame, z, T, ms.gamma, q=q)
-        z = z.copy()
-        z[T] *= upd.alpha
-        if config.regularize:
-            delta = ms.gamma / (15.0 * n**2.5 * frame.d)
-            z = regularize(frame, z, delta, cache=rho_cache)
-        z = z / z.min()
+    # q is the current iterate's thin orthonormal factor: it gives the
+    # leverage scores here and h(1), h'(1) to the step-size proxy.
+    def measure(z):
+        nonlocal q
         q = orthonormal_factor(frame, z)
         lev = np.einsum("ij,ij->i", q, q)
-        new_err_sq = float(((lev - c) ** 2).sum())
-        if config.collect_trace:
-            trace.append(IterationRecord(
-                error_sq=err_sq,
-                gamma=ms.gamma,
-                alpha_hat=upd.alpha,
-                h_gain=upd.h_gain,
-                progress=err_sq - new_err_sq,
-                nd_iters=upd.nd_iters,
-                regularized=config.regularize,
-                hp_one=upd.hp_one,
-                log_z_inf=float(np.abs(np.log(z)).max()),
-            ))
-        err_sq = new_err_sq
-    return ScalingResult(
-        status=SCALED, scaling=z, certificate=None,
-        iterations=it, final_error_sq=err_sq, trace=trace,
-    )
+        return lev, float(((lev - c) ** 2).sum())
+
+    def certificate(T):
+        return infeasibility_certificate(frame, c, T, ranks=ranks)
+
+    def step(z, T, gamma):
+        return compute_update(frame, z, T, gamma, q=q)
+
+    def shrink(z, gamma):
+        return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)
+
+    return _margin_loop(c, eps, config, measure, certificate, step, shrink, log_range=True)

@@ -25,7 +25,7 @@ from .errors import (
     IterationCapExceeded,
     PreconditionViolated,
 )
-from .linalg import Frame, gram_context, logdet_psd, numerical_rank
+from .linalg import Frame, GramContext, gram_context, logdet_psd, numerical_rank
 from .solver import ProxyContext
 
 DERIVATIVE_FLOOR = 1e-14
@@ -123,7 +123,7 @@ def _kernel_matrix(frame: Frame, z, T, ctx=None):
     k = ut.T @ s
     k = 0.5 * (k + k.T)
     root = np.sqrt(ctx.z[T])
-    return k * np.outer(root, root), ctx
+    return k * np.outer(root, root)
 
 
 def approx_small_eigen_sum(frame: Frame, z, T,
@@ -148,8 +148,8 @@ def approx_small_eigen_sum(frame: Frame, z, T,
         return EigenSumEstimate(mu_tilde=0.0, p=p)
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
-    D = det_local_opt(frame, z, T, p)
     gctx = gram_context(frame, z)
+    D = det_local_opt(frame, z, T, p, rank_t=rank_t, ctx=gctx)
     ud = frame.columns(D) * np.sqrt(gctx.z[D])
     s = gctx.solve(ud)                    # (UZU^T)^{-1} U_D sqrt(Z_D)
     k = ud.T @ s                          # p x p Gram of projected columns
@@ -170,18 +170,21 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     return EigenSumEstimate(mu_tilde=max(total - projected, 0.0), p=p, D=D)
 
 
-def det_local_opt(frame: Frame, z, T, p: int) -> np.ndarray:
+def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
+                  ctx: GramContext | None = None) -> np.ndarray:
     """Greedy-then-swap search for a 2-approximate determinant maximizer.
 
     Works on principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
     U sqrt(Z); all comparisons run in log space. Ties go to the smallest
-    index (pair) so reruns are reproducible.
+    index (pair) so reruns are reproducible. Callers that hold rk(U_T) or
+    ``gram_context(frame, z)`` pass them as ``rank_t`` and ``ctx``.
     """
     T = np.asarray(T, dtype=np.intp)
-    rank_t = numerical_rank(frame.columns(T))
+    if rank_t is None:
+        rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
-    kernel, _ = _kernel_matrix(frame, z, T)
+    kernel = _kernel_matrix(frame, z, T, ctx)
     trace = float(np.trace(kernel))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")

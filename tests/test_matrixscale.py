@@ -4,19 +4,27 @@ import math
 import numpy as np
 import pytest
 
+import framescale.matrixscale
 from framescale import (
+    INFEASIBLE,
+    SCALED,
     InfeasibleSegment,
+    IterationCapExceeded,
+    IterationRecord,
     MatrixMarginals,
     NonnegMatrix,
+    ScalingResult,
+    SolverConfig,
     ZeroRowSum,
     column_sums,
     matrix_regularize,
     matrix_update,
     neighborhood,
     scale_matrix,
+    select_margin_set,
 )
 from framescale.generate import gen_bipartite
-from framescale.matrixscale import matrix_proxy_gain, matrix_rho_prefixes
+from framescale.matrixscale import HALL_TOL_REL, matrix_proxy_gain, matrix_rho_prefixes
 
 from conftest import sinkhorn_column_scaling
 
@@ -284,15 +292,30 @@ class TestMatrixRegularize:
         assert list(matrix_rho_prefixes(cases[-1], np.arange(4))) == [4.0, 4.0, 0.0]
 
     @pytest.mark.parametrize("decades", [20.0, 1e-3])
-    def test_regularize_equals_sequential(self, rng, decades):
+    def test_regularize_equals_sequential(self, rng, decades, monkeypatch):
+        passes = []
+        original = framescale.matrixscale.matrix_rho_prefixes
+
+        def counting(*args):
+            passes.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(framescale.matrixscale, "matrix_rho_prefixes", counting)
         fired = 0
         for _ in range(100):
             A = sparse_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(2, 12)))
             y = 10.0 ** rng.uniform(-decades, 0.0, size=A.n)
             for delta in (1e-5, 0.01, 0.3):
                 expected, shrinks = sequential_regularize(A, y, delta)
+                before = len(passes)
                 assert np.array_equal(matrix_regularize(A, y, delta), expected)
                 fired += shrinks
+                # One rho pass, taken only when some sorted gap exceeds the
+                # headroom (1 + 2 delta), the least threshold a rho allows.
+                ys = y[np.argsort(-y, kind="stable")]
+                ys = ys / ys[-1]
+                candidate = bool(np.any(ys[:-1] / ys[1:] > 1.0 + 2.0 * delta))
+                assert len(passes) - before == int(candidate)
         # y spread over 20 decades makes shrinks fire; y near 1 makes none.
         assert (fired > 0) == (decades > 1.0)
 
@@ -323,3 +346,122 @@ class TestMatrixRegularize:
         yhat = matrix_regularize(A, y, 0.02)
         order = np.argsort(y, kind="stable")
         assert np.all(np.diff(yhat[order]) >= -1e-15)
+
+
+def reference_scale_matrix(matrix, marginals, eps, config=None):
+    """The matrix loop with its own cap, Hall exit, step and trace.
+
+    Built from public pieces with the gap-by-gap regularizer above, and it
+    still adds the row error ||x * Ay - r||^2, which vanishes by
+    construction; scale_matrix must match it exactly.
+    """
+    config = config or SolverConfig()
+    a = matrix.matrix
+    r, c = marginals.r, marginals.c
+    n = a.shape[1]
+    s = marginals.s
+    cap = config.iteration_cap(n, eps)
+
+    def combined_error_sq(y):
+        cs = column_sums(matrix, r, y)
+        row = a @ y
+        row_err = (r / row) * row - r
+        return float((row_err**2).sum() + ((cs - c) ** 2).sum()), cs
+
+    def certified(T, it, err_sq, trace):
+        return ScalingResult(status=INFEASIBLE, scaling=None, certificate=np.sort(T),
+                             iterations=it, final_error_sq=err_sq, trace=trace)
+
+    y = np.ones(n)
+    err_sq, cs = combined_error_sq(y)
+    trace = []
+    it = 0
+    while err_sq > eps * eps:
+        if it >= cap:
+            raise IterationCapExceeded(
+                f"no convergence after {cap} iterations (error^2 {err_sq:g})", trace=trace)
+        it += 1
+        ms = select_margin_set(cs, c)
+        T = ms.indices
+        nbr = neighborhood(matrix, T)
+        if float(c[T].sum()) > float(r[nbr].sum()) + HALL_TOL_REL * s:
+            return certified(T, it, err_sq, trace)
+        try:
+            alpha = matrix_update(matrix, r, y, T, ms.gamma)
+        except InfeasibleSegment:
+            if float(c[T].sum()) > float(r[nbr].sum()):
+                return certified(T, it, err_sq, trace)
+            raise
+        gain = matrix_proxy_gain(matrix, r, y, T, alpha)
+        y = y.copy()
+        y[T] *= alpha
+        if config.regularize:
+            y, _ = sequential_regularize(matrix, y, ms.gamma / (15.0 * s * n**3))
+        y = y / y.min()
+        new_err_sq, cs = combined_error_sq(y)
+        trace.append(IterationRecord(
+            error_sq=err_sq, gamma=ms.gamma, alpha_hat=alpha, h_gain=gain,
+            progress=err_sq - new_err_sq, nd_iters=0, regularized=config.regularize,
+        ))
+        err_sq = new_err_sq
+    return ScalingResult(status=SCALED, scaling=y, certificate=None,
+                         iterations=it, final_error_sq=err_sq, trace=trace)
+
+
+def planted_hall(n, seed):
+    """gen_bipartite(n, n, seed) with three columns confined to two rows."""
+    A, r, c = gen_bipartite(n, n, seed)
+    A[:, :3] = 0.0
+    A[:2, :3] = 1.0
+    A[2:, 3] = 1.0  # keeps every row nonzero
+    return NonnegMatrix(A), MatrixMarginals(r, c)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("case", ["bipartite", "planted-hall", "hairline"])
+    def test_matches_reference_loop(self, case):
+        eps = 1e-6
+        if case == "bipartite":
+            A, r, c = gen_bipartite(20, 20, 1)
+            matrix, marginals = NonnegMatrix(A), MatrixMarginals(r, c)
+        elif case == "planted-hall":
+            matrix, marginals = planted_hall(12, 5)
+        else:
+            # T = {0} is a Hall violation of 3e-9, below the comparison
+            # guard; the surrogate step then finds no finite solution and
+            # the solve certifies through the step.
+            matrix = NonnegMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            marginals = MatrixMarginals(np.array([1.0 - 1.5e-9, 1.0 + 1.5e-9]), np.ones(2))
+            eps = 1e-8
+            ms = select_margin_set(column_sums(matrix, marginals.r, np.ones(2)), marginals.c)
+            assert list(ms.indices) == [0]
+            with pytest.raises(InfeasibleSegment):
+                matrix_update(matrix, marginals.r, np.ones(2), [0], ms.gamma)
+        got = scale_matrix(matrix, marginals, eps)
+        want = reference_scale_matrix(matrix, marginals, eps)
+        assert got.status == want.status
+        assert got.iterations == want.iterations
+        assert got.final_error_sq == want.final_error_sq
+        assert got.trace == want.trace
+        if case == "bipartite":
+            assert got.status == SCALED and got.iterations == 1542
+            assert np.array_equal(got.scaling, want.scaling)
+        else:
+            assert got.status == INFEASIBLE
+            assert np.array_equal(got.certificate, want.certificate)
+        if case == "planted-hall":
+            assert got.iterations > 1 and list(got.certificate) == [0, 1, 2]
+        if case == "hairline":
+            assert got.iterations == 1 and list(got.certificate) == [0]
+
+    def test_cap_hit_keeps_trace(self):
+        A, r, c = gen_bipartite(20, 20, 1)
+        matrix, marginals = NonnegMatrix(A), MatrixMarginals(r, c)
+        config = SolverConfig(max_iters=25)
+        with pytest.raises(IterationCapExceeded) as got:
+            scale_matrix(matrix, marginals, 1e-6, config)
+        with pytest.raises(IterationCapExceeded) as want:
+            reference_scale_matrix(matrix, marginals, 1e-6, config)
+        assert str(got.value) == str(want.value)
+        assert len(got.value.trace) == 25
+        assert got.value.trace == want.value.trace

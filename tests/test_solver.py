@@ -4,6 +4,7 @@ import pytest
 from framescale import (
     INFEASIBLE,
     SCALED,
+    DerivativeVanished,
     Frame,
     IterationCapExceeded,
     IterationRecord,
@@ -320,6 +321,25 @@ class TestScaleFrame:
             scale_frame(frame, Marginals(np.full(9, 1 / 3), d=3), 1e-10, config)
         assert info.value.trace is not None
 
+    def test_numeric_failure_keeps_trace(self, rng, monkeypatch):
+        import framescale.update
+
+        calls = []
+        original = framescale.update.compute_update
+
+        def failing_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise DerivativeVanished("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(framescale.update, "compute_update", failing_third)
+        frame = random_frame(rng, 3, 9)
+        with pytest.raises(DerivativeVanished) as info:
+            scale_frame(frame, Marginals(np.full(9, 1 / 3), d=3), 1e-10)
+        assert len(info.value.trace) == 2
+        assert all(isinstance(rec, IterationRecord) for rec in info.value.trace)
+
     def test_dimension_mismatch(self):
         frame = Frame(np.eye(2))
         with pytest.raises(ValueError):
@@ -380,7 +400,7 @@ def reference_scale_frame(frame, marginals, eps, config=None):
     n = frame.n
     c = marginals.values
     cap = config.iteration_cap(n, eps)
-    rho_cache = RhoCache(frame, eig_tol=config.eig_tol) if config.regularize else None
+    rho_cache = RhoCache(frame) if config.regularize else None
     z = np.ones(n)
     lev = leverage_scores(frame, z)
     err_sq = float(((lev - c) ** 2).sum())
@@ -392,7 +412,7 @@ def reference_scale_frame(frame, marginals, eps, config=None):
         it += 1
         ms = select_margin_set(lev, c)
         T = ms.indices
-        cert = infeasibility_certificate(frame, c, T, rank_tol=config.rank_tol)
+        cert = infeasibility_certificate(frame, c, T)
         if cert is not None:
             return ScalingResult(status=INFEASIBLE, scaling=None, certificate=cert,
                                  iterations=it, final_error_sq=err_sq, trace=trace)
