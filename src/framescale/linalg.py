@@ -1,8 +1,10 @@
-"""Dense linear-algebra primitives: Gram contexts, leverage scores, rank.
+"""Dense linear-algebra primitives: thin orthonormal factors, leverage, rank.
 
-Everything here is deterministic and pure; binary64 throughout. Rank and
-eigenvalue cutoffs follow the usual machine-epsilon scaling and can be
-overridden per call.
+Solve paths read leverage, proxy values, kernels and condition estimates
+off thin orthonormal factors; the Gram context (a Cholesky of UZU^T)
+serves only ``perceptron.QMetric``. Everything here is deterministic and
+pure; binary64 throughout. Rank and eigenvalue cutoffs follow the usual
+machine-epsilon scaling and can be overridden per call.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Sorting z and capping each prefix gap at rho_hat/delta bounds the
 multiplicative range by a function of the frame's condition measure while
 moving every leverage score by O(d delta) per shrink. rho_hat is the
-computable pseudo-inverse-trace overestimate of 1 + rho_T; the exact
+computable pseudo-inverse-trace overestimate of 1 + rho_T, read off the
+singular values of the unscaled frame's thin orthonormal factor; the exact
 condition measures are NP-hard and never needed. ``prefix_gap_shrink`` is
 the one shrink body: ``regularize`` runs it for frames and
 ``matrixscale.matrix_regularize`` for matrices, each with its own rho.
@@ -13,40 +14,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Frame, GramContext, gram_context, pinv_trace
+# gram_context and pinv_trace stay module attributes: perfbench/spans.py wraps them here.
+from .linalg import _EPS, Frame, gram_context, orthonormal_factor, pinv_trace  # noqa: F401
 
 
-def rho_overestimate(frame: Frame, T, base: GramContext | None = None,
-                     eig_tol: float | None = None) -> float:
+def rho_overestimate(frame: Frame, T, q0: np.ndarray | None = None) -> float:
     """Pseudo-inverse trace of U_T^T (UU^T)^{-1} U_T.
 
     Sandwiched between 1 + rho_T(U) and d (1 + rho_T(U)); equals 0 only
-    when every column in T is zero.
+    when every column in T is zero. With ``q0 = orthonormal_factor(frame,
+    ones)`` (factored here when None), that matrix is q0[T] q0[T]^T, so the
+    trace is the sum of 1/s^2 over the singular values s of q0[T] above
+    ``max(|T|, d) * eps * s_max``. Eigenvalues far below eps times the
+    largest are resolved, which forming the matrix itself would round away.
     """
     T = np.asarray(T, dtype=np.intp)
     if T.size == 0:
         raise ValueError("T must be nonempty")
-    if base is None:
-        base = gram_context(frame, np.ones(frame.n))
-    ut = frame.columns(T)
-    m = ut.T @ base.solve(ut)
-    return pinv_trace(m, tol=eig_tol)
+    if q0 is None:
+        q0 = orthonormal_factor(frame, np.ones(frame.n))
+    s = np.linalg.svd(q0[T], compute_uv=False)
+    keep = s > max(T.size, frame.d) * _EPS * s.max(initial=0.0)
+    return float(np.sum(1.0 / s[keep] ** 2))
 
 
 class RhoCache:
     """Memoizes rho_overestimate per index set; prefixes recur across iterations."""
 
-    def __init__(self, frame: Frame, eig_tol: float | None = None):
+    def __init__(self, frame: Frame):
         self.frame = frame
-        self.eig_tol = eig_tol
-        self._base = gram_context(frame, np.ones(frame.n))
+        self._q0 = orthonormal_factor(frame, np.ones(frame.n))
         self._values: dict[bytes, float] = {}
 
     def rho(self, T: np.ndarray) -> float:
         key = np.sort(T).astype(np.int64).tobytes()
         val = self._values.get(key)
         if val is None:
-            val = rho_overestimate(self.frame, T, base=self._base, eig_tol=self.eig_tol)
+            val = rho_overestimate(self.frame, T, q0=self._q0)
             self._values[key] = val
         return val
 

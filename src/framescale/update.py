@@ -6,7 +6,8 @@ Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 that sum is estimated without any eigendecomposition: round the trace to
 count the large eigenvalues, pick a representative column subset by a
 greedy-plus-swaps determinant search, and measure the leverage mass left
-outside its span.
+outside its span. Kernel and projection come from the iterate's thin
+orthonormal factor Q, which also gives the leverage scores and h(1).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DerivativeVanished,
@@ -25,7 +25,9 @@ from .errors import (
     IterationCapExceeded,
     PreconditionViolated,
 )
-from .linalg import Frame, GramContext, gram_context, logdet_psd, numerical_rank
+# gram_context stays a module attribute: perfbench/spans.py wraps it here.
+from .linalg import (_EPS, Frame, gram_context, logdet_psd,  # noqa: F401
+                     numerical_rank, orthonormal_factor)
 from .solver import ProxyContext
 
 DERIVATIVE_FLOOR = 1e-14
@@ -114,28 +116,21 @@ def _round_half_away(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _kernel_matrix(frame: Frame, z, T, ctx=None):
-    """K[i, j] = sqrt(z_i z_j) u_i^T (UZU^T)^{-1} u_j over i, j in T."""
-    if ctx is None:
-        ctx = gram_context(frame, z)
-    ut = frame.columns(T)
-    s = ctx.solve(ut)
-    k = ut.T @ s
-    k = 0.5 * (k + k.T)
-    root = np.sqrt(ctx.z[T])
-    return k * np.outer(root, root)
-
-
 def approx_small_eigen_sum(frame: Frame, z, T,
                            q: np.ndarray | None = None) -> EigenSumEstimate:
     """Estimate the small-eigenvalue sum of U_T Z_T U_T^T (UZU^T)^{-1}.
 
     Requires the gapped regime sum mu_i (1 - mu_i) < 1/4, under which the
     nearest integer to the trace equals the number of eigenvalues >= 1/2.
-    ``q`` is the optional ``orthonormal_factor(frame, z)``, as in
-    ``compute_update``.
+    ``q`` is ``orthonormal_factor(frame, z)``, factored here when None.
+    mu_tilde is ||Q_T (I - W W^T)||_F^2 with W the thin Q of Q_D^T: the
+    leverage mass of T outside the span of the chosen columns D, summed
+    directly rather than as a difference. Raises FactorizationFailure when
+    Q_D is numerically rank-deficient.
     """
     T = np.asarray(T, dtype=np.intp)
+    if q is None:
+        q = orthonormal_factor(frame, z)
     ctx = ProxyContext(frame, z, T, q=q)
     if ctx.h_prime(1.0) >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
@@ -148,43 +143,35 @@ def approx_small_eigen_sum(frame: Frame, z, T,
         return EigenSumEstimate(mu_tilde=0.0, p=p)
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
-    gctx = gram_context(frame, z)
-    D = det_local_opt(frame, z, T, p, rank_t=rank_t, ctx=gctx)
-    ud = frame.columns(D) * np.sqrt(gctx.z[D])
-    s = gctx.solve(ud)                    # (UZU^T)^{-1} U_D sqrt(Z_D)
-    k = ud.T @ s                          # p x p Gram of projected columns
-    k = 0.5 * (k + k.T)
-    mask = np.zeros(frame.n, dtype=bool)
-    mask[T] = True
-    um = frame.columns(mask) * np.sqrt(gctx.z[mask])
-    st = gctx.solve(um)
-    # tr[P M_T G^{-1}] with P the oblique projector onto span(U_D):
-    # reduces to tr[K^{-1} (S^T M_T S)] over the D block.
-    b = (s.T @ um) @ (um.T @ s)
-    try:
-        chol = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure("projector block singular in eigen-sum guess") from exc
-    projected = float(np.trace(scipy.linalg.cho_solve(chol, b, check_finite=False)))
-    total = float(np.einsum("ij,ij->", um, st))
-    return EigenSumEstimate(mu_tilde=max(total - projected, 0.0), p=p, D=D)
+    D = det_local_opt(frame, z, T, p, rank_t=rank_t, q=q)
+    w, r = np.linalg.qr(q[D].T)
+    rdiag = np.abs(np.diag(r))
+    if rdiag.min() <= p * _EPS * rdiag.max():
+        raise FactorizationFailure("projector block singular in eigen-sum guess")
+    rest = q[T] - (q[T] @ w) @ w.T
+    return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p, D=D)
 
 
 def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
-                  ctx: GramContext | None = None) -> np.ndarray:
+                  q: np.ndarray | None = None) -> np.ndarray:
     """Greedy-then-swap search for a 2-approximate determinant maximizer.
 
     Works on principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
-    U sqrt(Z); all comparisons run in log space. Ties go to the smallest
-    index (pair) so reruns are reproducible. Callers that hold rk(U_T) or
-    ``gram_context(frame, z)`` pass them as ``rank_t`` and ``ctx``.
+    U sqrt(Z), formed as Q_T Q_T^T from the thin orthonormal factor
+    ``q = orthonormal_factor(frame, z)`` (factored here when None); its
+    trace is h(1). All comparisons run in log space. Ties go to the
+    smallest index (pair) so reruns are reproducible. A caller that holds
+    rk(U_T) passes it as ``rank_t``.
     """
     T = np.asarray(T, dtype=np.intp)
     if rank_t is None:
         rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
-    kernel = _kernel_matrix(frame, z, T, ctx)
+    if q is None:
+        q = orthonormal_factor(frame, z)
+    qt = q[T]
+    kernel = qt @ qt.T
     trace = float(np.trace(kernel))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")

@@ -4,6 +4,8 @@ Oracles deliberately use eigendecompositions, matrix square roots, brute
 force, and exact rationals, none of which the library's solve paths touch.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ def oracle_h(mu, alpha):
 
 def oracle_h_prime(mu, alpha):
     return float(np.sum(mu * (1.0 - mu) / (1.0 + (alpha - 1.0) * mu) ** 2))
+
+
+def fraction_inverse(rows):
+    """Exact inverse of a nonsingular square matrix of Fractions (Gauss-Jordan)."""
+    k = len(rows)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(rows)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(k):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[k:] for row in m]
 
 
 def sinkhorn_column_scaling(A, r, c, iters=200000, tol=1e-14):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from framescale import Frame, Marginals, leverage_scores, regularize, rho_overestimate, scale_frame
 from framescale.regularize import RhoCache
 
-from conftest import gram_inv_half, random_frame, sequential_regularize
+from conftest import (
+    fraction_inverse,
+    fuzz_recipe,
+    gram_inv_half,
+    random_frame,
+    sequential_regularize,
+)
 
 
 def true_one_plus_rho(U, T):
@@ -40,6 +47,24 @@ class TestRhoOverestimate:
             rho_hat = rho_overestimate(frame, T)
             lower = true_one_plus_rho(frame.matrix, T)
             assert lower * (1 - 1e-8) <= rho_hat <= d * lower * (1 + 1e-8)
+
+    def test_exact_on_tiny_eigenvalue(self):
+        # Recipe seed 43 (near-deficient last row): M = U_T^T (UU^T)^{-1} U_T
+        # for T = {0, 1, 2} has an eigenvalue near 2.5e-20, so tr(M^{-1}) is
+        # about 4.06e19; a cutoff at eps times the largest eigenvalue of M
+        # drops it and reports 33.5.
+        U, _ = fuzz_recipe(43)
+        T = [0, 1, 2]
+        F = [[Fraction(float(v)) for v in row] for row in U]
+        d, n = U.shape
+        g_inv = fraction_inverse([[sum(F[i][k] * F[j][k] for k in range(n)) for j in range(d)]
+                                  for i in range(d)])
+        m = [[sum(F[a][i] * g_inv[a][b] * F[b][j] for a in range(d) for b in range(d))
+              for j in T] for i in T]
+        m_inv = fraction_inverse(m)
+        exact = float(sum(m_inv[i][i] for i in range(len(T))))
+        assert exact == pytest.approx(4.0646e19, rel=1e-4)
+        assert rho_overestimate(Frame(U), T) == pytest.approx(exact, rel=1e-4)
 
     def test_cache_consistent(self, rng):
         frame = random_frame(rng, 3, 8)
@@ -134,8 +159,8 @@ class TestRegularize:
 class CountingRhoCache(RhoCache):
     """RhoCache that counts rho requests, hits included."""
 
-    def __init__(self, frame, eig_tol=None):
-        super().__init__(frame, eig_tol=eig_tol)
+    def __init__(self, frame):
+        super().__init__(frame)
         self.calls = 0
 
     def rho(self, T):
@@ -158,8 +183,8 @@ class TestRegularizeOracle:
             else:
                 z = 1.0 + 0.5 * rng.random(n)
             delta = float(10.0 ** rng.uniform(-4, np.log10(0.4)))
-            fast = CountingRhoCache(frame, eig_tol=1e-18)
-            slow = CountingRhoCache(frame, eig_tol=1e-18)
+            fast = CountingRhoCache(frame)
+            slow = CountingRhoCache(frame)
             want, fired = sequential_regularize(frame, z, delta, slow)
             got = regularize(frame, z, delta, cache=fast)
             assert np.array_equal(got, want)

@@ -32,6 +32,7 @@ from conftest import (
     random_frame,
     random_scaling,
     sequential_regularize,
+    whitened,
 )
 
 
@@ -344,6 +345,22 @@ class TestScaleFrame:
         frame = Frame(np.eye(2))
         with pytest.raises(ValueError):
             scale_frame(frame, Marginals(np.ones(3), d=3), 1e-6)
+
+
+class TestFuzzRegressions:
+    # Recipe seeds that failed or stalled while the eigen-sum kernel, its
+    # projection and rho_hat came from a Gram Cholesky: NotSymmetric,
+    # FactorizationFailure, PreconditionViolated, GuessPreconditionViolated,
+    # DerivativeVanished, or no convergence within 1000 iterations.
+    @pytest.mark.parametrize("seed", [2, 43, 50, 51, 66, 90, 122, 134, 146, 203, 242,
+                                      359, 658, 959])
+    def test_scales(self, seed):
+        U, c = fuzz_recipe(seed)
+        eps = 1e-6
+        res = scale_frame(Frame(U), Marginals(c, d=U.shape[0]), eps, SolverConfig(max_iters=1000))
+        assert res.scaled
+        V = whitened(U, res.scaling)
+        assert np.linalg.norm((V * V).sum(axis=0) - c) <= eps
 
 
 class TestMarginals:
