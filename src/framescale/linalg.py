@@ -1,10 +1,11 @@
 """Dense linear-algebra primitives: thin orthonormal factors, leverage, rank.
 
 Solve paths read leverage, proxy values, kernels and condition estimates
-off thin orthonormal factors; the Gram context (a Cholesky of UZU^T)
-serves only ``perceptron.QMetric``. Everything here is deterministic and
-pure; binary64 throughout. Rank and eigenvalue cutoffs follow the usual
-machine-epsilon scaling and can be overridden per call.
+off thin orthonormal factors, and no solve path factors a Cholesky any
+more: the Gram context (a Cholesky of UZU^T) serves only
+``perceptron.QMetric``, and ``logdet_psd`` is kept as a public helper.
+Everything here is deterministic and pure; binary64 throughout. Rank and
+eigenvalue cutoffs follow the usual machine-epsilon scaling.
 """
 
 from __future__ import annotations
@@ -134,11 +135,11 @@ def leverage_scores(frame: Frame, z) -> np.ndarray:
     return np.einsum("ij,ij->i", q, q)
 
 
-def numerical_rank(columns, tol: float | None = None) -> int:
+def numerical_rank(columns) -> int:
     """Rank of a d x k matrix via column-pivoted QR.
 
     A pivot counts iff its residual column norm exceeds
-    ``tol = max(d, k) * eps * (largest column norm)``.
+    ``max(d, k) * eps * (largest column norm)``.
     """
     m = _as_matrix(columns)
     d, k = m.shape
@@ -148,11 +149,9 @@ def numerical_rank(columns, tol: float | None = None) -> int:
     max_norm = float(col_norms.max(initial=0.0))
     if max_norm == 0.0:
         return 0
-    if tol is None:
-        tol = max(d, k) * _EPS * max_norm
     r = scipy.linalg.qr(m, mode="r", pivoting=True, check_finite=False)[0]
     diag = np.abs(np.diag(r))
-    return int(np.count_nonzero(diag > tol))
+    return int(np.count_nonzero(diag > max(d, k) * _EPS * max_norm))
 
 
 def _check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

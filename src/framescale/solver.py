@@ -178,9 +178,8 @@ class RankCache:
     in sorted order.
     """
 
-    def __init__(self, frame: Frame, tol: float | None = None):
+    def __init__(self, frame: Frame):
         self.frame = frame
-        self.tol = tol
         self._values: dict[bytes, int] = {}
 
     def rank(self, T) -> int:
@@ -188,7 +187,7 @@ class RankCache:
         key = T.astype(np.int64).tobytes()
         val = self._values.get(key)
         if val is None:
-            val = numerical_rank(self.frame.columns(T), tol=self.tol)
+            val = numerical_rank(self.frame.columns(T))
             self._values[key] = val
         return val
 
@@ -197,8 +196,8 @@ def infeasibility_certificate(frame: Frame, c, T,
                               ranks: RankCache | None = None) -> np.ndarray | None:
     """Return T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
 
-    With ``ranks`` the rank comes from that cache (whose own tolerance
-    then applies); otherwise it is computed on the columns of T as given.
+    With ``ranks`` the rank comes from that cache (computed on the columns
+    in sorted order); otherwise it is computed on the columns of T as given.
     """
     T = np.asarray(T, dtype=np.intp)
     if T.size == 0 or T.size > frame.n:

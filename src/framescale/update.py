@@ -4,10 +4,13 @@ The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. When the
 proxy is already steep at 1 a single Newton step lands in the band.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 that sum is estimated without any eigendecomposition: round the trace to
-count the large eigenvalues, pick a representative column subset by a
-greedy-plus-swaps determinant search, and measure the leverage mass left
-outside its span. Kernel and projection come from the iterate's thin
-orthonormal factor Q, which also gives the leverage scores and h(1).
+count the large eigenvalues, pick a representative column subset D, and
+measure the leverage mass left outside its span. D is a 2-approximate
+local maximizer of the kernel determinant: a column-pivoted QR gives the
+greedy start, and swaps are priced in closed form off a thin QR of the
+chosen columns. Everything is read off the iterate's thin orthonormal
+factor Q, which also gives the leverage scores and h(1); no Cholesky and
+no kernel matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DerivativeVanished,
@@ -25,14 +29,15 @@ from .errors import (
     IterationCapExceeded,
     PreconditionViolated,
 )
-# gram_context stays a module attribute: perfbench/spans.py wraps it here.
+# gram_context and logdet_psd stay module attributes: perfbench/spans.py
+# wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, gram_context, logdet_psd,  # noqa: F401
                      numerical_rank, orthonormal_factor)
 from .solver import ProxyContext
 
 DERIVATIVE_FLOOR = 1e-14
-LOG_SWAP_GAIN = math.log(2.0)
-LOG_SWAP_SLACK = 1e-12
+# A swap must at least double det X_D^T X_D, less a log-space slack of 1e-12.
+SWAP_GAIN = math.exp(math.log(2.0) - 1e-12)
 
 
 @dataclass
@@ -154,14 +159,14 @@ def approx_small_eigen_sum(frame: Frame, z, T,
 
 def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
                   q: np.ndarray | None = None) -> np.ndarray:
-    """Greedy-then-swap search for a 2-approximate determinant maximizer.
+    """Pivoted-QR greedy, then swaps: a 2-approximate determinant maximizer.
 
-    Works on principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
-    U sqrt(Z), formed as Q_T Q_T^T from the thin orthonormal factor
-    ``q = orthonormal_factor(frame, z)`` (factored here when None); its
-    trace is h(1). All comparisons run in log space. Ties go to the
-    smallest index (pair) so reruns are reproducible. A caller that holds
-    rk(U_T) passes it as ``rank_t``.
+    Maximizes principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
+    U sqrt(Z) = X^T X, with X = Q_T^T read off the thin orthonormal factor
+    ``q = orthonormal_factor(frame, z)`` (factored here when None); the
+    kernel's trace is h(1) and the kernel itself is never formed. Ties go
+    to the smallest index (pair) so reruns are reproducible. A caller that
+    holds rk(U_T) passes it as ``rank_t``.
     """
     T = np.asarray(T, dtype=np.intp)
     if rank_t is None:
@@ -170,54 +175,42 @@ def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
     if q is None:
         q = orthonormal_factor(frame, z)
-    qt = q[T]
-    kernel = qt @ qt.T
-    trace = float(np.trace(kernel))
+    x = q[T].T
+    trace = float(np.einsum("ij,ij->", x, x))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")
-    chosen, _ = _det_local_opt_kernel(kernel, p)
-    return np.sort(T[np.asarray(chosen, dtype=np.intp)])
+    chosen, _ = _det_local_opt_columns(x, p)
+    return np.sort(T[chosen])
 
 
-def _det_local_opt_kernel(kernel: np.ndarray, p: int) -> tuple[list[int], int]:
-    """Core search on a PSD kernel; returns (indices, swap count)."""
-    t_size = kernel.shape[0]
+def _det_local_opt_columns(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Search over p-subsets D of the columns of x; returns (sorted D, swap count).
 
-    def logdet_of(sel: list[int]) -> float:
-        return logdet_psd(kernel[np.ix_(sel, sel)])
-
-    chosen: list[int] = []
-    remaining = list(range(t_size))
-    for _ in range(p):
-        best_i, best_val = None, -math.inf
-        for i in remaining:
-            val = logdet_of(chosen + [i])
-            if val > best_val:
-                best_i, best_val = i, val
-        if best_i is None:
-            raise FactorizationFailure("all greedy extensions are singular")
-        chosen.append(best_i)
-        remaining.remove(best_i)
-        chosen.sort()
-    current = logdet_of(chosen)
-
-    swaps = 0
+    The greedy is column-pivoted QR: each pivot is the column farthest from
+    the span of the earlier ones, i.e. the one that grows det X_D^T X_D the
+    most. With x_j = X_D a_j + r_j and r_j orthogonal to span X_D, swapping
+    chosen i for outside j multiplies that determinant by a_ij^2 +
+    ((X_D^T X_D)^{-1})_ii ||r_j||^2, so one thin QR of X_D prices every
+    swap; the row-major argmax takes the smallest (i, j) among ties.
+    """
+    r, piv = scipy.linalg.qr(x, mode="r", pivoting=True, check_finite=False)
+    if abs(r[p - 1, p - 1]) <= p * _EPS * abs(r[0, 0]):
+        raise FactorizationFailure("greedy pivot vanished in determinant search")
+    chosen, swaps = np.sort(piv[:p]), 0
     while True:
-        best_pair, best_val = None, -math.inf
-        outside = [j for j in range(t_size) if j not in chosen]
-        for i in chosen:
-            for j in outside:
-                cand = sorted(set(chosen) - {i} | {j})
-                val = logdet_of(cand)
-                if val > best_val:
-                    best_pair, best_val = (i, j), val
-        if best_pair is None or best_val <= current + LOG_SWAP_GAIN - LOG_SWAP_SLACK:
-            break
-        i, j = best_pair
-        chosen = sorted(set(chosen) - {i} | {j})
-        current = best_val
+        outside = np.setdiff1d(np.arange(x.shape[1]), chosen)
+        w, rd = np.linalg.qr(x[:, chosen])
+        proj = w.T @ x[:, outside]
+        a = scipy.linalg.solve_triangular(rd, proj)
+        rd_inv = scipy.linalg.solve_triangular(rd, np.eye(p))
+        resid = x[:, outside] - w @ proj
+        gain = a * a + np.outer(np.einsum("ij,ij->i", rd_inv, rd_inv),
+                                np.einsum("ij,ij->j", resid, resid))
+        i, j = np.unravel_index(np.argmax(gain), gain.shape)
+        if not gain[i, j] > SWAP_GAIN:
+            return chosen, swaps
+        chosen = np.sort(np.append(np.delete(chosen, i), outside[j]))
         swaps += 1
-    return chosen, swaps
 
 
 @dataclass(frozen=True)

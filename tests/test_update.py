@@ -6,6 +6,7 @@ import pytest
 
 from framescale import (
     DerivativeVanished,
+    FactorizationFailure,
     Frame,
     IterationCapExceeded,
     NDProblem,
@@ -17,10 +18,12 @@ from framescale import (
     leverage_scores,
     newton_dinkelbach,
     numerical_rank,
+    orthonormal_factor,
 )
-from framescale.update import nd_iteration_cap
+from framescale.update import _det_local_opt_columns, nd_iteration_cap
 
-from conftest import gapped_instance, mu_spectrum, random_frame, random_scaling, whitened
+from conftest import (det_local_opt_oracle, gapped_instance, mu_spectrum, random_frame,
+                      random_scaling, whitened)
 
 
 class TestNewtonDinkelbach:
@@ -314,8 +317,6 @@ class TestDetLocalOpt:
             det_local_opt(frame, z, T, 3)  # p == rank
 
     def test_swap_count_bound(self, rng):
-        from framescale.update import _det_local_opt_kernel
-
         checked = 0
         while checked < 30:
             d = int(rng.integers(3, 6))
@@ -328,6 +329,80 @@ class TestDetLocalOpt:
             if not (0 < p < rank and trace >= p - 0.5):
                 continue
             checked += 1
-            _, swaps = _det_local_opt_kernel(kernel, p)
+            _, swaps = _det_local_opt_columns(whitened(frame.matrix, z)[:, T], p)
             bound = math.ceil(math.log2(2 * p * math.comb(len(T), p))) + 1
             assert swaps <= bound
+
+
+def clustered_instance(rng):
+    """(frame, z, T, p) with the columns of U bunched around a few random directions.
+
+    p is None when no p satisfies 0 < p < rk(U_T) and trace >= p - 1/2.
+    """
+    d = int(rng.integers(2, 6))
+    n = int(rng.integers(d + 2, 11))
+    dirs = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+    U = dirs[:, rng.integers(0, dirs.shape[1], size=n)] * rng.choice([-1.0, 1.0], size=n)
+    U += 10.0 ** rng.uniform(-3.0, 0.0) * rng.standard_normal((d, n))
+    frame = random_frame(rng, d, n) if numerical_rank(U) < d else Frame(U)
+    z = random_scaling(rng, n)
+    T = np.sort(rng.permutation(n)[: int(rng.integers(2, n + 1))])
+    q = orthonormal_factor(frame, z)
+    top = min(numerical_rank(frame.columns(T)) - 1, math.floor(np.sum(q[T] ** 2) + 0.5))
+    return frame, z, T, int(rng.integers(1, top + 1)) if top >= 1 else None
+
+
+def swap_prone_instance(rng):
+    """(frame, z, T, 2) on which a swap beats the greedy pick about one time in ten.
+
+    Column a is the longest; b and c lie on either side of it, c tilted
+    out of the plane of a and b, at angles that can give the pair {b, c}
+    a Gram determinant over twice that of any pair with a. Short filler
+    columns keep the trace of the T-block kernel at least 3/2. The frame
+    appends columns that complete the rows of U_T to an orthonormal set,
+    so with z = 1 the kernel is exactly U_T^T U_T.
+    """
+    while True:
+        d = int(rng.integers(3, 6))
+        rho, theta = rng.uniform(0.8, 1.0, size=2), rng.uniform(0.2, 0.8, size=2)
+        tilt = rng.uniform(0.0, 1.2)
+        e = np.eye(d)
+        cols = [e[0], rho[0] * (math.cos(theta[0]) * e[0] + math.sin(theta[0]) * e[1]),
+                rho[1] * (math.cos(theta[1]) * e[0] - math.sin(theta[1])
+                          * (math.cos(tilt) * e[1] + math.sin(tilt) * e[2]))]
+        reach = float(np.min(rho * np.sin(theta)))
+        for _ in range(int(rng.integers(1, 8))):
+            v = rng.standard_normal(d)
+            v[:2] *= rng.uniform(0.0, 0.3)
+            cols.append(v * (reach * rng.uniform(0.3, 1.0) / np.linalg.norm(v)))
+        rot = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        Y = rot @ np.array(cols).T[:, rng.permutation(len(cols))]
+        Y *= rng.uniform(0.9, 0.999) / np.linalg.norm(Y, 2)
+        if np.sum(Y * Y) < 1.5:
+            continue
+        w, E = np.linalg.eigh(np.eye(d) - Y @ Y.T)
+        U = np.hstack([Y, E * np.sqrt(np.maximum(w, 0.0))])
+        return Frame(U), np.ones(U.shape[1]), np.arange(Y.shape[1]), 2
+
+
+class TestDetLocalOptOracle:
+    def test_matches_logdet_search(self, rng):
+        # The pivoted-QR greedy and the closed-form swap gains pick the same
+        # set as brute-force log-determinants over every candidate.
+        checked = swaps = 0
+        while checked < 2000:
+            make = swap_prone_instance if checked % 8 == 0 else clustered_instance
+            frame, z, T, p = make(rng)
+            if p is None:
+                continue
+            checked += 1
+            q = orthonormal_factor(frame, z)
+            try:
+                chosen, s = det_local_opt_oracle(q[T] @ q[T].T, p)
+            except FactorizationFailure:
+                with pytest.raises(FactorizationFailure):
+                    det_local_opt(frame, z, T, p, q=q)
+                continue
+            swaps += s
+            assert list(det_local_opt(frame, z, T, p, q=q)) == list(np.sort(T[chosen]))
+        assert swaps >= 10
