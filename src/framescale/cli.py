@@ -104,9 +104,17 @@ def _require(name: str, ok: bool):
         raise _CheckFailed(name)
 
 
+def _read_targets(path, length: int, what: str) -> np.ndarray:
+    """A target vector file, which must hold one entry per row or column."""
+    v = io.read_vector_file(path)
+    if v.shape != (length,):
+        raise ValueError(f"{path}: {v.size} entries, expected {length} (one per {what})")
+    return v
+
+
 def _verify_frame(args, doc) -> None:
     U = io.read_matrix_file(args.input)
-    c = io.read_vector_file(args.marginals)
+    c = _read_targets(args.marginals, U.shape[1], "column")
     eps = float(doc["config"]["eps"])
     if doc["status"] == "scaled":
         z = np.asarray(doc["z"], dtype=np.float64)
@@ -136,8 +144,8 @@ def _verify_frame(args, doc) -> None:
 
 def _verify_matrix(args, doc) -> None:
     A = io.read_matrix_file(args.input)
-    r = io.read_vector_file(args.rows)
-    c = io.read_vector_file(args.cols)
+    r = _read_targets(args.rows, A.shape[0], "row")
+    c = _read_targets(args.cols, A.shape[1], "column")
     eps = float(doc["config"]["eps"])
     matrix = NonnegMatrix(A)
     if doc["status"] == "scaled":

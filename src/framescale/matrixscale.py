@@ -9,11 +9,14 @@ with g/2 <= h - h(1) <= g exactly at its breakpoints, so no root finding
 is needed.
 
 An iteration makes a few whole-array passes over A, O(mn), plus two sorts.
-The regularizer is the prefix-gap shrink of ``regularize`` with clamp floor
-delta; when some gap is a candidate it takes the rho values of all n - 1
-column prefixes from one cumulative sum over the reordered columns, also
+The regularizer is the prefix-gap shrink of ``regularize`` with floor
+max(rho_floor, delta), where ``NonnegMatrix.rho_floor`` is a lower bound on
+every prefix rho proven once per matrix. Only a gap above that floor's
+threshold can fire, and only then are the rho values of all n - 1 column
+prefixes taken, from one cumulative sum over the reordered columns, also
 O(mn). The per-row T-mass fractions are computed once per iteration and
-shared by the step solve and the gain.
+shared by the step solve and the gain; the Hall mass r(N(T)) depends on
+the set alone and is memoized per set within a solve.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSegment, ZeroRowSum
+from .linalg import _EPS
 from .regularize import prefix_gap_shrink
 # select_margin_set stays a module attribute here for callers that look it
 # up on this module; the shared loop calls it on ``solver``.
@@ -39,12 +43,26 @@ HALL_TOL_REL = 1e-9
 class NonnegMatrix:
     """Nonnegative m x n matrix with no all-zero row or column.
 
-    ``support`` is the mask ``matrix > 0``, built once here; the matrix is
-    treated as immutable after construction.
+    ``support`` is the mask ``matrix > 0`` and ``rho_floor`` a lower bound on
+    every floating-point rho that ``matrix_rho_prefixes`` returns, both
+    built once here; the matrix is treated as immutable after construction.
+
+    If the bipartite support graph is connected, every proper column set T
+    touches a row with mass outside T, at least that row's smallest nonzero
+    entry, so rho_T >= min_i a_min_i / total_i. ``rho_floor`` is that
+    minimum, computed in floating point, less 4 (n + 2) machine epsilons
+    and clipped at 0. The sums, the subtraction and the division in
+    ``matrix_rho_prefixes`` and here move the bound by at most about
+    (4n + 5) unit roundoffs (half an epsilon each), so the margin covers
+    them twice over; the spare half keeps a rho near the floor on the
+    right side of the candidate test of ``prefix_gap_shrink``. A
+    disconnected support has a union of components with rho 0, so its
+    floor is 0.
     """
 
     matrix: np.ndarray
     support: np.ndarray = field(init=False, repr=False, compare=False)
+    rho_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
@@ -61,6 +79,7 @@ class NonnegMatrix:
             raise ValueError("matrix has an all-zero row")
         if not support.any(axis=0).all():
             raise ValueError("matrix has an all-zero column")
+        object.__setattr__(self, "rho_floor", _rho_floor(a, support))
 
     @property
     def m(self) -> int:
@@ -69,6 +88,30 @@ class NonnegMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+
+def _connected(support: np.ndarray) -> bool:
+    """Whether the bipartite graph of rows and columns on ``support`` is connected.
+
+    Every row and column has an edge, so reaching every column from column 0
+    reaches every row too.
+    """
+    cols = np.zeros(support.shape[1], dtype=bool)
+    cols[0] = True
+    while True:
+        reached = support[support[:, cols].any(axis=1)].any(axis=0)
+        if np.array_equal(reached, cols):
+            return bool(cols.all())
+        cols = reached
+
+
+def _rho_floor(a: np.ndarray, support: np.ndarray) -> float:
+    """``NonnegMatrix.rho_floor`` of a validated matrix and its support."""
+    if a.size == 0 or not _connected(support):
+        return 0.0
+    a_min = np.where(support, a, np.inf).min(axis=1)
+    least = float((a_min / a.sum(axis=1)).min())
+    return max(least - 4.0 * (a.shape[1] + 2) * _EPS, 0.0)
 
 
 @dataclass(frozen=True)
@@ -198,12 +241,16 @@ def matrix_rho_prefixes(matrix: NonnegMatrix, order: np.ndarray) -> np.ndarray:
 def matrix_regularize(matrix: NonnegMatrix, y, delta: float) -> np.ndarray:
     """The prefix-gap shrink for a column scaling, mirroring the frame case.
 
-    The clamp floor is delta, since prefix rhos below 1 occur; the rho
-    values of all prefixes come from one ``matrix_rho_prefixes`` pass, taken
-    only when some gap is a candidate for a shrink.
+    The floor is max(rho_floor, delta): the clamp is delta, since prefix
+    rhos below 1 occur, and every prefix rho is at least ``rho_floor``, so
+    raising the floor to it leaves every threshold max(rho, delta)/delta as
+    it is. The rho values of all prefixes come from one
+    ``matrix_rho_prefixes`` pass, taken only when some gap exceeds the
+    floor's threshold and so could fire.
     """
     return prefix_gap_shrink(np.asarray(y, dtype=np.float64), delta,
-                             lambda order, _: matrix_rho_prefixes(matrix, order), delta)
+                             lambda order, _: matrix_rho_prefixes(matrix, order),
+                             max(matrix.rho_floor, delta))
 
 
 def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
@@ -214,7 +261,8 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     the row scaling r_i / (Ay)_i is implicit, so the row sums are met by
     construction and the error compared against eps^2 is ||c(B) - c||^2.
     Runs the shared margin loop of ``solver``: the certificate is the Hall
-    check c(T) > r(N(T)), the step solves the surrogate, and the shrink is
+    check c(T) > r(N(T)), with r(N(T)) memoized per set and c(T) summed in
+    T's order, the step solves the surrogate, and the shrink is
     ``matrix_regularize``.
     """
     if eps <= 0.0:
@@ -229,8 +277,15 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
         cs = column_sums(matrix, r, y)
         return cs, float(((cs - c) ** 2).sum())
 
+    # r(N(T)) per sorted set: it depends on the set alone, and margin sets recur.
+    row_mass: dict[bytes, float] = {}
+
     def hall_violated(T, tol):
-        return float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol
+        key = np.sort(T).astype(np.int64).tobytes()
+        mass = row_mass.get(key)
+        if mass is None:
+            mass = row_mass[key] = float(r[neighborhood(matrix, T)].sum())
+        return float(c[T].sum()) > mass + tol
 
     def certificate(T):
         return np.sort(T) if hall_violated(T, HALL_TOL_REL * s) else None

@@ -65,6 +65,13 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     threshold. Entries are then rounded to the nearest multiple of delta
     (clamped to stay >= delta) and renormalized to min 1; order is kept.
 
+    ``floor`` is the clamp, and it is also a proven lower bound on every
+    rho after the caller's own clamp c, max(rho, c). A caller with a proven
+    lower bound b on its rhos passes max(b, c): each threshold then equals
+    max(rho, c)/delta, and a higher floor rules out more gaps before any rho
+    is computed. Frames pass 1, which rho_hat never undercuts; matrices
+    pass max(rho_floor, delta).
+
     A shrink at gap k scales only the first k entries, so no later ratio
     changes and all ratios are taken up front. Thresholds are at least
     floor/delta, so only gaps with ratio * (delta/floor) above the headroom

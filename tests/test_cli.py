@@ -3,6 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from framescale import io as fio
 from framescale.cli import main
@@ -174,6 +175,40 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert run_cli(["verify", "--result", out, "--input", f"{base}.U.txt",
                         "--marginals", f"{base}.c.txt"]) == 2
+
+    def test_frame_marginals_of_wrong_length(self, tmp_path, capsys):
+        base = gen(tmp_path, "infeasible", d=3, n=7, seed=0)
+        out = tmp_path / "res.json"
+        assert run_cli(["frame", "--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt",
+                        "--eps", "1e-8", "--out", out]) == 3
+        assert fio.read_result(out)["certificate"] == [0, 1]
+        short = tmp_path / "short.txt"
+        fio.write_vector_file(short, fio.read_vector_file(f"{base}.c.txt")[:3])
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, "--input", f"{base}.U.txt",
+                        "--marginals", short]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(short) in err
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_matrix_targets_of_wrong_length(self, tmp_path, capsys, rows):
+        a_path, r_path, c_path = tmp_path / "A.txt", tmp_path / "r.txt", tmp_path / "c.txt"
+        fio.write_matrix_file(a_path, np.array([[1.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0],
+                                                [0.0, 0.0, 1.0]]))
+        fio.write_vector_file(r_path, np.ones(3))
+        fio.write_vector_file(c_path, np.ones(3))
+        out = tmp_path / "res.json"
+        assert run_cli(["matrix", "--input", a_path, "--rows", r_path, "--cols", c_path,
+                        "--eps", "1e-8", "--out", out]) == 3
+        assert fio.read_result(out)["certificate"] == [0, 1]
+        bad = tmp_path / "bad.txt"
+        fio.write_vector_file(bad, np.ones(rows))
+        for flags in (["--rows", bad, "--cols", c_path], ["--rows", r_path, "--cols", bad]):
+            capsys.readouterr()
+            assert run_cli(["verify", "--result", out, "--input", a_path, *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and str(bad) in err
 
     def test_missing_file_is_error(self, tmp_path):
         assert run_cli(["verify", "--result", tmp_path / "nope.json",

@@ -79,6 +79,20 @@ def sequential_regularize(matrix, y, delta):
     return out, shrinks
 
 
+@pytest.fixture
+def rho_passes(monkeypatch):
+    """Records one entry per matrix_rho_prefixes pass the solver makes."""
+    passes = []
+    original = framescale.matrixscale.matrix_rho_prefixes
+
+    def counting(*args):
+        passes.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(framescale.matrixscale, "matrix_rho_prefixes", counting)
+    return passes
+
+
 def sparse_matrix(rng, m, n):
     """Random real entries with about half zeros and no all-zero row or column."""
     a = (rng.random((m, n)) < 0.5) * (rng.random((m, n)) + 0.01)
@@ -251,11 +265,13 @@ class TestScaleMatrix:
             assert rec.progress >= 2.0 * rec.gamma * rec.h_gain - rec.gamma**2 / 5.0 - 1e-8
             assert rec.gamma**2 >= rec.error_sq / (2.0 * 5**3) - 1e-12
 
-    def test_bipartite_baseline_iterations(self):
+    def test_bipartite_baseline_iterations(self, rho_passes):
         A, r, c = gen_bipartite(20, 20, 1)
         res = scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
         assert res.scaled
         assert res.iterations == 1542
+        # No gap ever clears the rho floor's threshold, so no rho pass runs.
+        assert len(rho_passes) == 0
 
     def test_marginal_validation(self):
         with pytest.raises(ValueError):
@@ -292,32 +308,45 @@ class TestMatrixRegularize:
         assert list(matrix_rho_prefixes(cases[-1], np.arange(4))) == [4.0, 4.0, 0.0]
 
     @pytest.mark.parametrize("decades", [20.0, 1e-3])
-    def test_regularize_equals_sequential(self, rng, decades, monkeypatch):
-        passes = []
-        original = framescale.matrixscale.matrix_rho_prefixes
-
-        def counting(*args):
-            passes.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(framescale.matrixscale, "matrix_rho_prefixes", counting)
+    def test_regularize_equals_sequential(self, rng, decades, rho_passes):
         fired = 0
         for _ in range(100):
             A = sparse_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(2, 12)))
             y = 10.0 ** rng.uniform(-decades, 0.0, size=A.n)
             for delta in (1e-5, 0.01, 0.3):
                 expected, shrinks = sequential_regularize(A, y, delta)
-                before = len(passes)
+                before = len(rho_passes)
                 assert np.array_equal(matrix_regularize(A, y, delta), expected)
                 fired += shrinks
-                # One rho pass, taken only when some sorted gap exceeds the
-                # headroom (1 + 2 delta), the least threshold a rho allows.
+                # One rho pass, taken only when some sorted gap exceeds
+                # max(rho_floor, delta)/delta * (1 + 2 delta), the least
+                # threshold a rho allows.
+                floor = max(A.rho_floor, delta)
                 ys = y[np.argsort(-y, kind="stable")]
                 ys = ys / ys[-1]
-                candidate = bool(np.any(ys[:-1] / ys[1:] > 1.0 + 2.0 * delta))
-                assert len(passes) - before == int(candidate)
+                candidate = bool(np.any(ys[:-1] / ys[1:] * (delta / floor) > 1.0 + 2.0 * delta))
+                assert len(rho_passes) - before == int(candidate)
         # y spread over 20 decades makes shrinks fire; y near 1 makes none.
         assert (fired > 0) == (decades > 1.0)
+
+    def test_block_diagonal_shrinks_with_zero_floor(self, rng, rho_passes):
+        # Two diagonal blocks: each block's column set has rho 0, so the
+        # floor is 0 and the gap between the blocks shrinks to the threshold
+        # max(0, delta)/delta = 1.
+        a = np.zeros((5, 6))
+        a[:2, :3] = rng.random((2, 3)) + 0.1
+        a[2:, 3:] = rng.random((3, 3)) + 0.1
+        A = NonnegMatrix(a)
+        assert A.rho_floor == 0.0
+        y = np.array([1e6, 2e6, 3e6, 1.0, 1.5, 2.0])
+        for delta in (1e-5, 0.01, 0.3):
+            expected, shrinks = sequential_regularize(A, y, delta)
+            assert shrinks > 0
+            before = len(rho_passes)
+            got = matrix_regularize(A, y, delta)
+            assert np.array_equal(got, expected)
+            assert len(rho_passes) - before == 1
+            assert got[:3].min() / got[3:].max() <= 1.0 + 2.0 * delta
 
     def test_column_sum_error_bound(self, rng):
         for _ in range(20):
@@ -346,6 +375,80 @@ class TestMatrixRegularize:
         yhat = matrix_regularize(A, y, 0.02)
         order = np.argsort(y, kind="stable")
         assert np.all(np.diff(yhat[order]) >= -1e-15)
+
+
+def floor_case(rng, within_row_decades):
+    """A random sparse matrix with m, n <= 7 for the rho floor lemma.
+
+    About a third of the supports are split into two blocks, which are
+    disconnected when both blocks hold a row, and about a fifth of the rows
+    keep a single nonzero. Each row is scaled by 10^u with u uniform in
+    [-15, 15]; within a row the entries spread over ``within_row_decades``
+    decades.
+    """
+    m, n = (int(v) for v in rng.integers(1, 8, size=2))
+    while True:
+        mask = rng.random((m, n)) < rng.uniform(0.15, 0.9)
+        if rng.random() < 0.35:
+            mask &= rng.integers(2, size=m)[:, None] == rng.integers(2, size=n)[None, :]
+        for i in np.flatnonzero(rng.random(m) < 0.2):
+            keep = np.flatnonzero(mask[i])
+            if keep.size:
+                mask[i] = False
+                mask[i, rng.choice(keep)] = True
+        if mask.any(axis=1).all() and mask.any(axis=0).all():
+            break
+    entries = 10.0 ** rng.uniform(0.0, within_row_decades, size=(m, n))
+    return NonnegMatrix(mask * entries * 10.0 ** rng.uniform(-15.0, 15.0, size=(m, 1)))
+
+
+def all_float_rhos(A):
+    """matrix_rho_prefixes at every proper nonempty T taken as the prefix.
+
+    Also reports whether some such T has no row mass outside it, which is
+    exactly when the support graph is disconnected.
+    """
+    rhos = []
+    split = False
+    for size in range(1, A.n):
+        for T in itertools.combinations(range(A.n), size):
+            rest = [j for j in range(A.n) if j not in T]
+            rhos.append(matrix_rho_prefixes(A, np.array(T + tuple(rest)))[size - 1])
+            touched = A.support[:, list(T)].any(axis=1)
+            split |= not A.support[np.ix_(touched, rest)].any()
+    return np.array(rhos), split
+
+
+class TestRhoFloor:
+    @pytest.mark.parametrize("within_row_decades", [3.0, 30.0])
+    def test_floor_below_every_prefix_rho(self, rng, within_row_decades):
+        disconnected = single_rows = 0
+        for _ in range(300):
+            A = floor_case(rng, within_row_decades)
+            rhos, split = all_float_rhos(A)
+            assert np.all(A.rho_floor <= rhos)
+            if split:
+                assert A.rho_floor == 0.0
+            elif within_row_decades <= 3.0:
+                # Smallest entry at least 1/(1 + 6 * 1e3) of its row sum.
+                assert A.rho_floor > 1e-4
+            disconnected += split
+            single_rows += int((A.support.sum(axis=1) == 1).sum())
+        assert disconnected >= 30 and single_rows >= 50
+
+    def test_floor_under_rounded_away_mass(self):
+        # The float rho of T = {0} is (1 - 1)/1 = 0 although the support is
+        # connected; only the rounding margin keeps the floor at 0.
+        A = NonnegMatrix(np.array([[1.0, 1e-30]]))
+        assert matrix_rho_prefixes(A, np.arange(2))[0] == 0.0
+        assert A.rho_floor == 0.0
+
+    def test_examples(self):
+        # least entry over row sum: 1/4 in row 0, 2/4 in row 1
+        A = NonnegMatrix(np.array([[1.0, 3.0, 0.0], [0.0, 2.0, 2.0]]))
+        assert 0.25 - 1e-13 < A.rho_floor < 0.25
+        assert NonnegMatrix(np.eye(3)).rho_floor == 0.0
+        assert NonnegMatrix(np.ones((1, 1))).rho_floor == pytest.approx(1.0)
 
 
 def reference_scale_matrix(matrix, marginals, eps, config=None):
