@@ -45,33 +45,45 @@ def _emit(result: ScalingResult, kind: str, echo: dict, args) -> int:
     return EXIT_INFEASIBLE
 
 
-def cmd_frame(args) -> int:
+def _solve(args, kind: str, read, solve) -> int:
+    """Read an instance, solve it and emit the result document.
+
+    ``read()`` returns the problem and its marginals, and ``solve`` is
+    ``scale_frame`` or ``scale_matrix``. A solve that fails with a
+    ScalingError still writes the trace it carries to ``--trace``, and a
+    file that cannot be read or written is reported like any other error.
+    """
     try:
-        frame = Frame(io.read_matrix_file(args.input))
-        marg = Marginals(io.read_vector_file(args.marginals), d=frame.d)
+        problem, marg = read()
         config = _solver_config(args)
-        echo = {"eps": args.eps, "max_iters": config.iteration_cap(frame.n, args.eps),
+        echo = {"eps": args.eps, "max_iters": config.iteration_cap(problem.n, args.eps),
                 "regularize": config.regularize}
-        result = scale_frame(frame, marg, args.eps, config)
+        try:
+            result = solve(problem, marg, args.eps, config)
+        except ScalingError as exc:
+            if args.trace is not None and exc.trace is not None:
+                io.write_trace_jsonl(args.trace, exc.trace)
+            raise
+        return _emit(result, kind, echo, args)
     except (OSError, ValueError, ScalingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return _emit(result, "frame", echo, args)
+
+
+def cmd_frame(args) -> int:
+    def read():
+        frame = Frame(io.read_matrix_file(args.input))
+        return frame, Marginals(io.read_vector_file(args.marginals), d=frame.d)
+
+    return _solve(args, "frame", read, scale_frame)
 
 
 def cmd_matrix(args) -> int:
-    try:
-        matrix = NonnegMatrix(io.read_matrix_file(args.input))
-        marg = MatrixMarginals(io.read_vector_file(args.rows),
-                               io.read_vector_file(args.cols))
-        config = _solver_config(args)
-        echo = {"eps": args.eps, "max_iters": config.iteration_cap(matrix.n, args.eps),
-                "regularize": config.regularize}
-        result = scale_matrix(matrix, marg, args.eps, config)
-    except (OSError, ValueError, ScalingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return _emit(result, "matrix", echo, args)
+    def read():
+        return (NonnegMatrix(io.read_matrix_file(args.input)),
+                MatrixMarginals(io.read_vector_file(args.rows), io.read_vector_file(args.cols)))
+
+    return _solve(args, "matrix", read, scale_matrix)
 
 
 def cmd_gen(args) -> int:

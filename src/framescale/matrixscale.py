@@ -15,8 +15,8 @@ every prefix rho proven once per matrix. Only a gap above that floor's
 threshold can fire, and only then are the rho values of all n - 1 column
 prefixes taken, from one cumulative sum over the reordered columns, also
 O(mn). The per-row T-mass fractions are computed once per iteration and
-shared by the step solve and the gain; the Hall mass r(N(T)) depends on
-the set alone and is memoized per set within a solve.
+shared by the step solve and the gain. The Hall check depends on the set
+alone, so the shared loop decides it once per set within a solve.
 """
 
 from __future__ import annotations
@@ -261,12 +261,9 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     the row scaling r_i / (Ay)_i is implicit, so the row sums are met by
     construction and the error compared against eps^2 is ||c(B) - c||^2.
     Runs the shared margin loop of ``solver``: the certificate is the Hall
-    check c(T) > r(N(T)), with r(N(T)) memoized per set and c(T) summed in
-    T's order, the step solves the surrogate, and the shrink is
-    ``matrix_regularize``.
+    check c(T) > r(N(T)), which the loop decides once per set, the step
+    solves the surrogate, and the shrink is ``matrix_regularize``.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     m, n = matrix.matrix.shape
     r, c = marginals.r, marginals.c
     if r.shape != (m,) or c.shape != (n,):
@@ -277,18 +274,11 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
         cs = column_sums(matrix, r, y)
         return cs, float(((cs - c) ** 2).sum())
 
-    # r(N(T)) per sorted set: it depends on the set alone, and margin sets recur.
-    row_mass: dict[bytes, float] = {}
-
     def hall_violated(T, tol):
-        key = np.sort(T).astype(np.int64).tobytes()
-        mass = row_mass.get(key)
-        if mass is None:
-            mass = row_mass[key] = float(r[neighborhood(matrix, T)].sum())
-        return float(c[T].sum()) > mass + tol
+        return float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol
 
     def certificate(T):
-        return np.sort(T) if hall_violated(T, HALL_TOL_REL * s) else None
+        return T if hall_violated(T, HALL_TOL_REL * s) else None
 
     def step(y, T, gamma):
         mu, w = _mu_weights(matrix, r, y, T)

@@ -7,7 +7,8 @@ size chosen so that the leverage mass moved into the set lands in a band
 proportional to the margin. The loop either drives ||lev(z) - c||^2 below
 eps^2 or stops with a subset T certifying infeasibility. The same loop
 drives the matrix solver in ``matrixscale``, which supplies its own
-marginals, certificate, step and shrink.
+marginals, certificate, step and shrink. A certificate is a property of
+the column set alone, so the loop decides each set once per solve.
 """
 
 from __future__ import annotations
@@ -170,46 +171,18 @@ class ProxyContext:
         return self._evaluate(alpha)[1]
 
 
-class RankCache:
-    """Memoizes rk(U_T) per index set within one solve.
+def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
+    """Return sorted T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
 
-    The rank depends on the frame and the set, not on the scaling, and the
-    margin sets of a solve recur. A miss computes the rank on the columns
-    in sorted order.
+    T is sorted first, so the rank (taken on the columns in sorted order),
+    the mass and the answer depend on the set alone.
     """
-
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        self._values: dict[bytes, int] = {}
-
-    def rank(self, T) -> int:
-        T = np.sort(np.asarray(T, dtype=np.intp))
-        key = T.astype(np.int64).tobytes()
-        val = self._values.get(key)
-        if val is None:
-            val = numerical_rank(self.frame.columns(T))
-            self._values[key] = val
-        return val
-
-
-def infeasibility_certificate(frame: Frame, c, T,
-                              ranks: RankCache | None = None) -> np.ndarray | None:
-    """Return T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
-
-    With ``ranks`` the rank comes from that cache (computed on the columns
-    in sorted order); otherwise it is computed on the columns of T as given.
-    """
-    T = np.asarray(T, dtype=np.intp)
+    T = np.sort(np.asarray(T, dtype=np.intp))
     if T.size == 0 or T.size > frame.n:
         raise ValueError("T must be a nonempty subset")
     c = np.asarray(c, dtype=np.float64)
-    mass = float(c[T].sum())
-    if ranks is None:
-        rank = numerical_rank(frame.columns(T))
-    else:
-        rank = ranks.rank(T)
-    if rank < mass - CERTIFICATE_TOL:
-        return np.sort(T)
+    if numerical_rank(frame.columns(T)) < float(c[T].sum()) - CERTIFICATE_TOL:
+        return T
     return None
 
 
@@ -221,7 +194,18 @@ class SolverConfig:
     regularize: bool = True
     collect_trace: bool = True
 
+    def __post_init__(self):
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+
     def iteration_cap(self, n: int, eps: float) -> int:
+        """The iteration cap for n columns at target eps; rejects a bad eps.
+
+        Every solve and the CLI's config echo call this before the first
+        iteration, so it is the one place where eps is checked.
+        """
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be a positive finite number, got {eps!r}")
         if self.max_iters is not None:
             return self.max_iters
         return math.ceil(40.0 * n**3 * math.log(max(n, 2) / eps))
@@ -275,6 +259,10 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     ``UpdateResult`` or None when the step itself proves T infeasible, and
     ``shrink(z, gamma)`` the regularized z. With ``log_range`` the trace
     records ||log z||_inf. A ScalingError leaving the loop carries the trace.
+
+    ``certificate`` gets T in sorted order and must depend on the set alone,
+    never on the scaling: margin sets recur, and each distinct set is
+    decided once per solve, with every later visit reusing that decision.
     """
     n = c.shape[0]
     eps_sq = eps * eps
@@ -282,6 +270,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     z = np.ones(n)
     marginals, err_sq = measure(z)
     trace: list[IterationRecord] = []
+    decided: dict[bytes, np.ndarray | None] = {}
     it = 0
     try:
         while err_sq > eps_sq:
@@ -292,11 +281,15 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             it += 1
             ms = select_margin_set(marginals, c)
             T = ms.indices
-            cert = certificate(T)
+            key = np.sort(T)
+            tag = key.tobytes()
+            if tag not in decided:
+                decided[tag] = certificate(key)
+            cert = decided[tag]
             if cert is None:
                 upd = step(z, T, ms.gamma)
                 if upd is None:
-                    cert = np.sort(T)
+                    cert = key
             if cert is not None:
                 return ScalingResult(
                     status=INFEASIBLE, scaling=None, certificate=cert,
@@ -350,6 +343,9 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
 
     Raises
     ------
+    ValueError
+        If eps is not a positive finite number, or the marginals do not
+        match the frame.
     IterationCapExceeded
         If the cap is hit; signals numerical breakdown. Like every
         ScalingError raised inside the loop, it carries the trace so far.
@@ -357,15 +353,12 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     from .regularize import RhoCache, regularize
     from .update import compute_update
 
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     if marginals.d != frame.d or marginals.n != frame.n:
         raise ValueError("marginals do not match frame dimensions")
     config = config or SolverConfig()
     n = frame.n
     c = marginals.values
     rho_cache = RhoCache(frame) if config.regularize else None
-    ranks = RankCache(frame)
     q = None
 
     # q is the current iterate's thin orthonormal factor: it gives the
@@ -377,7 +370,7 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         return lev, float(((lev - c) ** 2).sum())
 
     def certificate(T):
-        return infeasibility_certificate(frame, c, T, ranks=ranks)
+        return infeasibility_certificate(frame, c, T)
 
     def step(z, T, gamma):
         return compute_update(frame, z, T, gamma, q=q)

@@ -13,6 +13,28 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+TRACE_KEYS = {"error_sq", "gamma", "alpha_hat", "h_gain", "progress", "nd_iters",
+              "regularized", "hp_one", "log_z_inf"}
+
+
+def strict_records(path):
+    """The JSONL records of a trace file, rejecting NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return [json.loads(line, parse_constant=reject) for line in path.read_text().splitlines()]
+
+
+def solve_args(tmp_path, kind):
+    """A seeded instance for the frame or matrix command, as its input flags."""
+    if kind == "frame":
+        base = gen(tmp_path, "gaussian", d=3, n=9, seed=3)
+        return ["frame", "--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]
+    base = gen(tmp_path, "bipartite", m=5, n=5, seed=2)
+    return ["matrix", "--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
+            "--cols", f"{base}.c.txt"]
+
+
 def gen(tmp_path, kind, **kw):
     tmp_path.mkdir(parents=True, exist_ok=True)
     base = tmp_path / f"{kind}{kw.get('seed', 0)}"
@@ -91,8 +113,7 @@ class TestFrameCommand:
         doc = fio.read_result(out)
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert len(lines) == doc["iterations"] == len(doc["trace"])
-        assert set(lines[0]) == {"error_sq", "gamma", "alpha_hat", "h_gain", "progress",
-                                 "nd_iters", "regularized", "hp_one", "log_z_inf"}
+        assert set(lines[0]) == TRACE_KEYS
         # the step-size band can be re-checked from the file alone
         for rec in lines:
             assert rec["gamma"] / 5.0 <= rec["h_gain"] <= rec["gamma"]
@@ -123,12 +144,7 @@ class TestMatrixCommand:
         trace = tmp_path / "trace.jsonl"
         assert run_cli(["matrix", "--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
                         "--cols", f"{base}.c.txt", "--eps", "1e-8", "--trace", trace]) == 0
-
-        def reject(token):
-            raise ValueError(f"{token} is not valid JSON")
-
-        records = [json.loads(line, parse_constant=reject)
-                   for line in trace.read_text().splitlines()]
+        records = strict_records(trace)
         assert records
         # the matrix solver computes no hp_one or log_z_inf
         assert all(rec["hp_one"] is None and rec["log_z_inf"] is None for rec in records)
@@ -139,6 +155,47 @@ class TestMatrixCommand:
         fio.write_vector_file(tmp_path / "c.txt", np.ones(2))
         assert run_cli(["matrix", "--input", tmp_path / "A.txt", "--rows", tmp_path / "r.txt",
                         "--cols", tmp_path / "c.txt", "--eps", "1e-8"]) == 1
+
+
+class TestFailedSolve:
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_trace_kept_on_iteration_cap(self, tmp_path, kind):
+        out, trace = tmp_path / "res.json", tmp_path / "trace.jsonl"
+        code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-12", "--max-iters", 3,
+                                                     "--out", out, "--trace", trace])
+        assert code == 1
+        assert not out.exists()
+        records = strict_records(trace)
+        assert len(records) == 3
+        assert all(set(rec) == TRACE_KEYS for rec in records)
+
+    @pytest.mark.parametrize("max_iters", [[], ["--max-iters", 3]])
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_unwritable_trace_is_an_error(self, tmp_path, capsys, kind, max_iters):
+        trace = tmp_path / "missing" / "trace.jsonl"
+        code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-12", "--trace", trace]
+                       + max_iters)
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_iters", [[], ["--max-iters", 10]])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5"])
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_bad_eps_rejected(self, tmp_path, capsys, kind, eps, max_iters):
+        out = tmp_path / "res.json"
+        code = run_cli(solve_args(tmp_path, kind) + ["--eps", eps, "--out", out] + max_iters)
+        assert code == 1
+        assert not out.exists()
+        assert "eps must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_cap_below_one_rejected(self, tmp_path, capsys, kind):
+        out = tmp_path / "res.json"
+        code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-6", "--max-iters", 0,
+                                                     "--out", out])
+        assert code == 1
+        assert not out.exists()
+        assert "max_iters must be at least 1" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -273,6 +273,36 @@ class TestScaleMatrix:
         # No gap ever clears the rho floor's threshold, so no rho pass runs.
         assert len(rho_passes) == 0
 
+    def test_hall_check_once_per_set(self, monkeypatch):
+        import framescale.solver
+
+        select, nbr = framescale.solver.select_margin_set, framescale.matrixscale.neighborhood
+        visited, checked = [], []
+
+        def recording_select(cs, c):
+            ms = select(cs, c)
+            visited.append(tuple(np.sort(ms.indices)))
+            return ms
+
+        def recording_nbr(matrix, T):
+            checked.append(tuple(T))
+            return nbr(matrix, T)
+
+        monkeypatch.setattr(framescale.solver, "select_margin_set", recording_select)
+        monkeypatch.setattr(framescale.matrixscale, "neighborhood", recording_nbr)
+        A, r, c = gen_bipartite(20, 20, 1)
+        assert scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6).iterations == 1542
+        assert sorted(checked) == sorted(set(visited))
+        assert len(checked) < len(visited)
+
+    @pytest.mark.parametrize("max_iters", [None, 10])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
+    def test_rejects_bad_eps(self, eps, max_iters):
+        A, r, c = gen_bipartite(4, 4, 0)
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), eps,
+                         SolverConfig(max_iters=max_iters))
+
     def test_marginal_validation(self):
         with pytest.raises(ValueError):
             MatrixMarginals(np.ones(2), np.array([1.0, 2.0]))

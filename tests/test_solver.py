@@ -22,7 +22,6 @@ from framescale import (
 )
 from framescale.generate import gen_gaussian, gen_infeasible
 from framescale.regularize import RhoCache
-from framescale.solver import RankCache
 
 from conftest import (
     fuzz_recipe,
@@ -346,6 +345,13 @@ class TestScaleFrame:
         with pytest.raises(ValueError):
             scale_frame(frame, Marginals(np.ones(3), d=3), 1e-6)
 
+    @pytest.mark.parametrize("max_iters", [None, 10])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
+    def test_rejects_bad_eps(self, eps, max_iters):
+        U, c = gen_gaussian(3, 8, 0)
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            scale_frame(Frame(U), Marginals(c, d=3), eps, SolverConfig(max_iters=max_iters))
+
 
 class TestFuzzRegressions:
     # Recipe seeds that failed or stalled while the eigen-sum kernel, its
@@ -363,6 +369,13 @@ class TestFuzzRegressions:
         assert np.linalg.norm((V * V).sum(axis=0) - c) <= eps
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_rejects_cap_below_one(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            SolverConfig(max_iters=max_iters)
+
+
 class TestMarginals:
     def test_rejects_bad(self):
         with pytest.raises(ValueError):
@@ -377,32 +390,66 @@ class TestMarginals:
         assert m.n == 3
 
 
-class TestRankCache:
-    def test_matches_visited_order_rank(self, monkeypatch):
-        # Parallel-column fuzz frames (recipe kind 1): the margin sets that
-        # hold both parallel columns are rank-deficient.
-        seen = []
-        original = RankCache.rank
+def visited_margin_sets(monkeypatch, seeds):
+    """Solve recipe seeds; yield (frame, c, [T as visited, ...], certificate calls)."""
+    import framescale.solver
 
-        def recording(self, T):
-            value = original(self, T)
-            seen.append((self.frame, np.array(T), value))
-            return value
+    select, certify = framescale.solver.select_margin_set, infeasibility_certificate
+    for seed in seeds:
+        visited, calls = [], []
 
-        monkeypatch.setattr(RankCache, "rank", recording)
-        for seed in (1, 17, 73, 109):
-            U, c = fuzz_recipe(seed)
-            scale_frame(Frame(U), Marginals(c, d=U.shape[0]), 1e-6)
-        deficient = 0
-        for frame, T, value in seen:
-            assert value == numerical_rank(frame.columns(T))
-            deficient += value < min(T.size, frame.d)
-        assert deficient > 0
-        assert len({(id(f), tuple(np.sort(T))) for f, T, _ in seen}) < len(seen)
+        def recording_select(lev, c):
+            ms = select(lev, c)
+            visited.append(ms.indices.copy())
+            return ms
 
-    def test_tolerance_applies(self):
-        frame = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-9, 1.0]]))
-        assert RankCache(frame).rank([1, 0]) == 2
+        def recording_certify(frame, c, T):
+            calls.append(tuple(T))
+            return certify(frame, c, T)
+
+        monkeypatch.setattr(framescale.solver, "select_margin_set", recording_select)
+        monkeypatch.setattr(framescale.solver, "infeasibility_certificate", recording_certify)
+        U, c = fuzz_recipe(seed)
+        frame = Frame(U)
+        scale_frame(frame, Marginals(c, d=U.shape[0]), 1e-6)
+        yield frame, c, visited, calls
+
+
+class TestCertificateMemo:
+    # Parallel-column fuzz frames (recipe kind 1): the margin sets that hold
+    # both parallel columns are rank-deficient.
+    SEEDS = (1, 17, 73, 109)
+
+    def test_one_call_per_distinct_set(self, monkeypatch):
+        repeats = 0
+        for _, _, visited, calls in visited_margin_sets(monkeypatch, self.SEEDS):
+            distinct = {tuple(np.sort(T)) for T in visited}
+            assert sorted(calls) == sorted(distinct)
+            repeats += len(visited) - len(distinct)
+        assert repeats > 0
+
+    def test_decision_is_order_free(self, monkeypatch):
+        deficient = unsorted = 0
+        for frame, c, visited, _ in visited_margin_sets(monkeypatch, self.SEEDS):
+            for T in visited:
+                ordered = np.sort(T)
+                rank = numerical_rank(frame.columns(ordered))
+                assert numerical_rank(frame.columns(T)) == rank
+                got = infeasibility_certificate(frame, c, T)
+                want = infeasibility_certificate(frame, c, ordered)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got, ordered) and np.array_equal(want, ordered)
+                deficient += rank < min(T.size, frame.d)
+                unsorted += not np.array_equal(T, ordered)
+        assert deficient > 0 and unsorted > 0
+
+    def test_near_parallel_pair_has_full_rank(self):
+        c = np.array([0.75, 0.75, 0.5])
+        near = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-9, 1.0]]))
+        assert infeasibility_certificate(near, c, [1, 0]) is None
+        parallel = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert list(infeasibility_certificate(parallel, c, [1, 0])) == [0, 1]
 
 
 def reference_scale_frame(frame, marginals, eps, config=None):
