@@ -1,7 +1,7 @@
 """Command-line interface: solve, generate, and verify scaling instances.
 
-Exit codes: 0 scaled / checks passed, 1 I/O or numeric failure, 2 a verify
-check failed, 3 infeasible (certificate written in the result document).
+Exit codes: 0 scaled / checks passed, 1 usage, I/O or numeric failure, 2 a
+verify check failed, 3 infeasible (certificate written in the result document).
 All indices in output are 0-based.
 """
 
@@ -24,20 +24,13 @@ EXIT_VERIFY_FAILED = 2
 EXIT_INFEASIBLE = 3
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iters=args.max_iters,
-        regularize=not args.no_regularize,
-        collect_trace=args.trace is not None,
-    )
-
-
 def _emit(result: ScalingResult, kind: str, echo: dict, args) -> int:
+    # Trace first: a trace that cannot be written leaves no finished-looking document.
+    if args.trace is not None:
+        io.write_trace_jsonl(args.trace, result.trace)
     doc = io.result_document(result, kind=kind, config_echo=echo,
                              include_trace=args.trace is not None)
     io.write_result(doc, args.out)
-    if args.trace is not None:
-        io.write_trace_jsonl(args.trace, result.trace)
     if result.scaled:
         return EXIT_OK
     print(f"infeasible: certificate columns {sorted(int(i) for i in result.certificate)}",
@@ -55,9 +48,8 @@ def _solve(args, kind: str, read, solve) -> int:
     """
     try:
         problem, marg = read()
-        config = _solver_config(args)
-        echo = {"eps": args.eps, "max_iters": config.iteration_cap(problem.n, args.eps),
-                "regularize": config.regularize}
+        config = SolverConfig(max_iters=args.max_iters, collect_trace=args.trace is not None)
+        echo = {"eps": args.eps, "max_iters": config.iteration_cap(problem.n, args.eps)}
         try:
             result = solve(problem, marg, args.eps, config)
         except ScalingError as exc:
@@ -88,19 +80,18 @@ def cmd_matrix(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        if args.kind == "gaussian":
-            U, c = generate.gen_gaussian(args.d, args.n, args.seed)
-            io.write_matrix_file(f"{args.out}.U.txt", U)
-            io.write_vector_file(f"{args.out}.c.txt", c)
-        elif args.kind == "infeasible":
-            U, c = generate.gen_infeasible(args.d, args.n, args.seed)
-            io.write_matrix_file(f"{args.out}.U.txt", U)
-            io.write_vector_file(f"{args.out}.c.txt", c)
-        else:
+        need = "m" if args.kind == "bipartite" else "d"
+        if getattr(args, need) is None:
+            raise ValueError(f"gen {args.kind} requires --{need}")
+        if args.kind == "bipartite":
             A, r, c = generate.gen_bipartite(args.m, args.n, args.seed)
             io.write_matrix_file(f"{args.out}.A.txt", A)
             io.write_vector_file(f"{args.out}.r.txt", r)
-            io.write_vector_file(f"{args.out}.c.txt", c)
+        else:
+            gen = generate.gen_gaussian if args.kind == "gaussian" else generate.gen_infeasible
+            U, c = gen(args.d, args.n, args.seed)
+            io.write_matrix_file(f"{args.out}.U.txt", U)
+        io.write_vector_file(f"{args.out}.c.txt", c)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -114,6 +105,15 @@ class _CheckFailed(Exception):
 def _require(name: str, ok: bool):
     if not ok:
         raise _CheckFailed(name)
+
+
+def _certificate_columns(doc, n: int) -> list[int]:
+    """The certificate's columns, sorted: a list of distinct integers in [0, n)."""
+    T = doc["certificate"]
+    _require("certificate_indices", isinstance(T, list)
+             and all(type(j) is int and 0 <= j < n for j in T) and len(set(T)) == len(T))
+    _require("certificate_nonempty", len(T) >= 1)
+    return sorted(T)
 
 
 def _read_targets(path, length: int, what: str) -> np.ndarray:
@@ -138,10 +138,8 @@ def _verify_frame(args, doc) -> None:
                  abs(err_sq - float(doc["final_error_sq"]))
                  <= 1e-9 * max(eps * eps, err_sq))
     else:
-        T = sorted(int(i) for i in doc["certificate"])
-        _require("certificate_nonempty", len(T) >= 1)
-        _require("certificate_indices", all(0 <= j < U.shape[1] for j in T))
         d, n = U.shape
+        T = _certificate_columns(doc, n)
         if d <= 6 and n <= 12:
             rows = rational.parse_matrix_tokens(args.input)
             cq = rational.parse_vector_tokens(args.marginals)
@@ -171,9 +169,7 @@ def _verify_matrix(args, doc) -> None:
                  abs(err_sq - float(doc["final_error_sq"]))
                  <= 1e-9 * max(eps * eps, err_sq))
     else:
-        T = sorted(int(i) for i in doc["certificate"])
-        _require("certificate_nonempty", len(T) >= 1)
-        _require("certificate_indices", all(0 <= j < A.shape[1] for j in T))
+        T = _certificate_columns(doc, A.shape[1])
         rows = rational.parse_matrix_tokens(args.input)
         rq = rational.parse_vector_tokens(args.rows)
         cq = rational.parse_vector_tokens(args.cols)
@@ -202,8 +198,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to ``main``, which exits 1: exit 2 means a verify check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="framescale")
+    parser = _Parser(prog="framescale")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -211,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="result JSON path (default stdout)")
         p.add_argument("--trace", default=None, help="per-iteration trace JSONL path")
         p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-        p.add_argument("--no-regularize", action="store_true", dest="no_regularize")
 
     p = sub.add_parser("frame", help="scale a frame to target marginals")
     p.add_argument("--input", required=True, help="frame file: 'd n' header + rows")
@@ -246,14 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "gen":
-        if args.kind in ("gaussian", "infeasible") and args.d is None:
-            print("error: gen gaussian/infeasible requires --d", file=sys.stderr)
-            return EXIT_ERROR
-        if args.kind == "bipartite" and args.m is None:
-            print("error: gen bipartite requires --m", file=sys.stderr)
-            return EXIT_ERROR
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     return args.func(args)
 
 

@@ -62,8 +62,8 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     k whose ratio overshoots its threshold max(rho_k, floor)/delta by more
     than a (1 + 2 delta) factor, more than grid rounding perturbs it, has
     the prefix ``order[:k]`` multiplied down until the gap equals the
-    threshold. Entries are then rounded to the nearest multiple of delta
-    (clamped to stay >= delta) and renormalized to min 1; order is kept.
+    threshold. Rounding to the nearest multiple of delta (clamped to stay >=
+    delta) then keeps the order, and dividing by the last makes the min 1.0.
 
     ``floor`` is the clamp, and it is also a proven lower bound on every
     rho after the caller's own clamp c, max(rho, c). A caller with a proven

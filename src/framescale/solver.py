@@ -188,10 +188,9 @@ def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
 
 @dataclass
 class SolverConfig:
-    """Knobs for the main loop; defaults match the analysed algorithm."""
+    """The iteration cap (default 40 n^3 log(n/eps)) and trace collection."""
 
     max_iters: int | None = None
-    regularize: bool = True
     collect_trace: bool = True
 
     def __post_init__(self):
@@ -221,7 +220,6 @@ class IterationRecord:
     h_gain: float
     progress: float
     nd_iters: int
-    regularized: bool
     hp_one: float = math.nan
     log_z_inf: float = math.nan
 
@@ -257,8 +255,9 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     ``measure(z)`` gives the marginals of z and their squared error against
     c, ``certificate(T)`` a certificate or None, ``step(z, T, gamma)`` an
     ``UpdateResult`` or None when the step itself proves T infeasible, and
-    ``shrink(z, gamma)`` the regularized z. With ``log_range`` the trace
-    records ||log z||_inf. A ScalingError leaving the loop carries the trace.
+    ``shrink(z, gamma)`` the regularized z, whose min must be exactly 1.
+    With ``log_range`` the trace records ||log z||_inf. A ScalingError
+    leaving the loop carries the trace.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
@@ -295,17 +294,13 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                     status=INFEASIBLE, scaling=None, certificate=cert,
                     iterations=it, final_error_sq=err_sq, trace=trace,
                 )
-            z = z.copy()
             z[T] *= upd.alpha
-            if config.regularize:
-                z = shrink(z, ms.gamma)
-            z = z / z.min()
+            z = shrink(z, ms.gamma)
             marginals, new_err_sq = measure(z)
             if config.collect_trace:
                 trace.append(IterationRecord(
                     error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
-                    progress=err_sq - new_err_sq, nd_iters=upd.nd_iters,
-                    regularized=config.regularize, hp_one=upd.hp_one,
+                    progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
                     log_z_inf=float(np.abs(np.log(z)).max()) if log_range else math.nan,
                 ))
             err_sq = new_err_sq
@@ -332,7 +327,7 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     eps : float
         Stop once ||lev(z) - c||_2^2 <= eps^2.
     config : SolverConfig, optional
-        Iteration cap, regularization switch, trace collection.
+        Iteration cap and trace collection.
 
     Returns
     -------
@@ -355,10 +350,9 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
 
     if marginals.d != frame.d or marginals.n != frame.n:
         raise ValueError("marginals do not match frame dimensions")
-    config = config or SolverConfig()
     n = frame.n
     c = marginals.values
-    rho_cache = RhoCache(frame) if config.regularize else None
+    rho_cache = RhoCache(frame)
     q = None
 
     # q is the current iterate's thin orthonormal factor: it gives the
@@ -378,4 +372,5 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     def shrink(z, gamma):
         return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)
 
-    return _margin_loop(c, eps, config, measure, certificate, step, shrink, log_range=True)
+    return _margin_loop(c, eps, config or SolverConfig(), measure, certificate, step, shrink,
+                        log_range=True)

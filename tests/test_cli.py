@@ -14,7 +14,7 @@ def run_cli(args):
 
 
 TRACE_KEYS = {"error_sq", "gamma", "alpha_hat", "h_gain", "progress", "nd_iters",
-              "regularized", "hp_one", "log_z_inf"}
+              "hp_one", "log_z_inf"}
 
 
 def strict_records(path):
@@ -172,11 +172,13 @@ class TestFailedSolve:
     @pytest.mark.parametrize("max_iters", [[], ["--max-iters", 3]])
     @pytest.mark.parametrize("kind", ["frame", "matrix"])
     def test_unwritable_trace_is_an_error(self, tmp_path, capsys, kind, max_iters):
-        trace = tmp_path / "missing" / "trace.jsonl"
-        code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-12", "--trace", trace]
-                       + max_iters)
+        out, trace = tmp_path / "res.json", tmp_path / "missing" / "trace.jsonl"
+        code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-12", "--out", out,
+                                                     "--trace", trace] + max_iters)
         assert code == 1
         assert "error: " in capsys.readouterr().err
+        # without a cap the solve succeeds; the run still must not look finished
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_iters", [[], ["--max-iters", 10]])
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5"])
@@ -267,10 +269,61 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("error:") and str(bad) in err
 
+    @pytest.mark.parametrize("kind, dims, certificate", [
+        # every marginal is 0.75: two copies of column 0 claim mass 1.5 > rank 1
+        ("gaussian", {"d": 3, "n": 4}, [0, 0]),
+        # d > 6 takes the float rank route: mass 1.5 > rank 1
+        ("gaussian", {"d": 8, "n": 16}, [0, 0, 0]),
+        # five copies of one column claim more than its rows can hold
+        ("bipartite", {"m": 4, "n": 4}, [0, 0, 0, 0, 0]),
+        # 1.5 must not be read as column 1, which would make [1, 1]
+        ("gaussian", {"d": 3, "n": 4}, [1, 1.5]),
+        # not a list of integers
+        ("gaussian", {"d": 3, "n": 4}, 0),
+        ("gaussian", {"d": 3, "n": 4}, [[0]]),
+    ])
+    def test_certificate_indices_distinct_integers(self, tmp_path, capsys, kind, dims,
+                                                   certificate):
+        base = gen(tmp_path, kind, seed=0, **dims)
+        if kind == "gaussian":
+            flags = ["--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]
+        else:
+            flags = ["--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
+                     "--cols", f"{base}.c.txt"]
+        out = tmp_path / "res.json"
+        fio.write_result({"status": "infeasible", "iterations": 1, "final_error_sq": 1.0,
+                          "config": {"eps": 1e-6}, "certificate": certificate}, out)
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, *flags]) == 2
+        assert "verify failed: certificate_indices" in capsys.readouterr().err
+
     def test_missing_file_is_error(self, tmp_path):
         assert run_cli(["verify", "--result", tmp_path / "nope.json",
                         "--input", tmp_path / "nope.txt",
                         "--marginals", tmp_path / "nope2.txt"]) == 1
+
+
+class TestUsageErrors:
+    # Usage errors exit 1: exit 2 is kept for a failed verify check.
+    @pytest.mark.parametrize("flags", [["--eps", "abc"], ["--eps", "1e-6", "--no-regularize"]])
+    def test_bad_solve_flag(self, tmp_path, capsys, flags):
+        # on a solvable instance, so only the flag can fail the run
+        assert run_cli(solve_args(tmp_path, "frame") + flags) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_missing_required_flag(self, tmp_path, capsys):
+        base = gen(tmp_path, "gaussian", d=3, n=4, seed=0)
+        capsys.readouterr()
+        assert run_cli(["verify", "--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]) == 1
+        assert "required: --result" in capsys.readouterr().err
+        assert run_cli(["gen", "gaussian", "--n", 4, "--out", tmp_path / "x"]) == 1
+        assert "requires --d" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["frame", "--help"])
+        assert info.value.code == 0
+        assert "--max-iters" in capsys.readouterr().out
 
 
 class TestResultRoundTrip:

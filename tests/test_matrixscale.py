@@ -346,7 +346,10 @@ class TestMatrixRegularize:
             for delta in (1e-5, 0.01, 0.3):
                 expected, shrinks = sequential_regularize(A, y, delta)
                 before = len(rho_passes)
-                assert np.array_equal(matrix_regularize(A, y, delta), expected)
+                got = matrix_regularize(A, y, delta)
+                assert np.array_equal(got, expected)
+                # exactly 1, so the margin loop needs no renormalization
+                assert got.min() == 1.0
                 fired += shrinks
                 # One rho pass, taken only when some sorted gap exceeds
                 # max(rho_floor, delta)/delta * (1 + 2 delta), the least
@@ -375,6 +378,7 @@ class TestMatrixRegularize:
             before = len(rho_passes)
             got = matrix_regularize(A, y, delta)
             assert np.array_equal(got, expected)
+            assert got.min() == 1.0
             assert len(rho_passes) - before == 1
             assert got[:3].min() / got[3:].max() <= 1.0 + 2.0 * delta
 
@@ -528,13 +532,13 @@ def reference_scale_matrix(matrix, marginals, eps, config=None):
         gain = matrix_proxy_gain(matrix, r, y, T, alpha)
         y = y.copy()
         y[T] *= alpha
-        if config.regularize:
-            y, _ = sequential_regularize(matrix, y, ms.gamma / (15.0 * s * n**3))
+        y, _ = sequential_regularize(matrix, y, ms.gamma / (15.0 * s * n**3))
+        # A no-op, since the shrink leaves min exactly 1; scale_matrix skips it.
         y = y / y.min()
         new_err_sq, cs = combined_error_sq(y)
         trace.append(IterationRecord(
             error_sq=err_sq, gamma=ms.gamma, alpha_hat=alpha, h_gain=gain,
-            progress=err_sq - new_err_sq, nd_iters=0, regularized=config.regularize,
+            progress=err_sq - new_err_sq, nd_iters=0,
         ))
         err_sq = new_err_sq
     return ScalingResult(status=SCALED, scaling=y, certificate=None,

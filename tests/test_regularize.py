@@ -188,6 +188,8 @@ class TestRegularizeOracle:
             want, fired = sequential_regularize(frame, z, delta, slow)
             got = regularize(frame, z, delta, cache=fast)
             assert np.array_equal(got, want)
+            # exactly 1, so the margin loop needs no renormalization
+            assert got.min() == 1.0
             assert fast.calls == slow.calls
             shrinks += fired
             visited += slow.calls

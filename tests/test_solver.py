@@ -17,6 +17,7 @@ from framescale import (
     leverage_scores,
     numerical_rank,
     orthonormal_factor,
+    regularize,
     scale_frame,
     select_margin_set,
 )
@@ -306,13 +307,31 @@ class TestScaleFrame:
             # error decrease dominates 2 gamma (h(alpha) - h(1))
             assert rec.progress >= 2.0 * rec.gamma * rec.h_gain - rec.gamma**2 / 5.0 - 1e-8
 
-    def test_progress_rate_without_regularization(self, rng):
-        frame = random_frame(rng, 3, 9)
-        config = SolverConfig(regularize=False)
-        res = scale_frame(frame, Marginals(np.full(9, 1 / 3), d=3), 1e-6, config)
-        assert res.scaled
-        for rec in res.trace:
-            assert rec.progress >= 2.0 * rec.gamma * rec.h_gain - 1e-8
+    def test_step_progress_before_shrink(self, rng):
+        # The step lemma: the step alone lowers the error by at least
+        # 2 gamma h_gain. Checked on the regularized loop, built from public
+        # pieces, before each iteration's shrink moves the leverage again.
+        def error_sq(frame, z, c):
+            return float(((leverage_scores(frame, z) - c) ** 2).sum())
+
+        U, c = gen_gaussian(4, 12, 0)
+        for frame, c in ((random_frame(rng, 3, 9), np.full(9, 1 / 3)), (Frame(U), c)):
+            n, cache = frame.n, RhoCache(frame)
+            z = np.ones(n)
+            err_sq = error_sq(frame, z, c)
+            steps = 0
+            while err_sq > 1e-12:
+                ms = select_margin_set(leverage_scores(frame, z), c)
+                assert infeasibility_certificate(frame, c, ms.indices) is None
+                upd = compute_update(frame, z, ms.indices, ms.gamma)
+                z = z.copy()
+                z[ms.indices] *= upd.alpha
+                assert err_sq - error_sq(frame, z, c) >= 2.0 * ms.gamma * upd.h_gain - 1e-8
+                z = regularize(frame, z, ms.gamma / (15.0 * n**2.5 * frame.d), cache=cache)
+                err_sq = error_sq(frame, z, c)
+                steps += 1
+                assert steps <= 5000
+            assert steps > 10
 
     def test_iteration_cap(self, rng):
         frame = random_frame(rng, 3, 9)
@@ -463,7 +482,7 @@ def reference_scale_frame(frame, marginals, eps, config=None):
     n = frame.n
     c = marginals.values
     cap = config.iteration_cap(n, eps)
-    rho_cache = RhoCache(frame) if config.regularize else None
+    rho_cache = RhoCache(frame)
     z = np.ones(n)
     lev = leverage_scores(frame, z)
     err_sq = float(((lev - c) ** 2).sum())
@@ -482,16 +501,15 @@ def reference_scale_frame(frame, marginals, eps, config=None):
         upd = compute_update(frame, z, T, ms.gamma)
         z = z.copy()
         z[T] *= upd.alpha
-        if config.regularize:
-            delta = ms.gamma / (15.0 * n**2.5 * frame.d)
-            z, _ = sequential_regularize(frame, z, delta, rho_cache)
+        delta = ms.gamma / (15.0 * n**2.5 * frame.d)
+        z, _ = sequential_regularize(frame, z, delta, rho_cache)
+        # A no-op, since the shrink leaves min exactly 1; scale_frame skips it.
         z = z / z.min()
         lev = leverage_scores(frame, z)
         new_err_sq = float(((lev - c) ** 2).sum())
         trace.append(IterationRecord(
             error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
-            progress=err_sq - new_err_sq, nd_iters=upd.nd_iters,
-            regularized=config.regularize, hp_one=upd.hp_one,
+            progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
             log_z_inf=float(np.abs(np.log(z)).max()),
         ))
         err_sq = new_err_sq
