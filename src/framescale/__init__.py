@@ -43,7 +43,6 @@ from .solver import (
     IterationRecord,
     Marginals,
     MarginSet,
-    ProxyContext,
     ScalingResult,
     SolverConfig,
     infeasibility_certificate,
@@ -52,8 +51,8 @@ from .solver import (
 )
 from .update import (
     EigenSumEstimate,
-    NDProblem,
     NDResult,
+    ProxyContext,
     approx_small_eigen_sum,
     compute_update,
     det_local_opt,
@@ -66,7 +65,7 @@ __all__ = [
     "Marginals", "MarginSet", "ProxyContext", "ScalingResult", "SolverConfig",
     "IterationRecord", "SCALED", "INFEASIBLE",
     "infeasibility_certificate", "scale_frame", "select_margin_set",
-    "NDProblem", "NDResult", "EigenSumEstimate", "newton_dinkelbach",
+    "NDResult", "EigenSumEstimate", "newton_dinkelbach",
     "compute_update", "approx_small_eigen_sum", "det_local_opt",
     "regularize", "rho_overestimate",
     "NonnegMatrix", "MatrixMarginals", "column_sums", "neighborhood",

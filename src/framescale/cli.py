@@ -16,7 +16,8 @@ from . import generate, io, rational
 from .errors import ScalingError
 from .linalg import Frame, leverage_scores, numerical_rank
 from .matrixscale import MatrixMarginals, NonnegMatrix, column_sums, scale_matrix
-from .solver import CERTIFICATE_TOL, Marginals, ScalingResult, SolverConfig, scale_frame
+from .solver import (CERTIFICATE_TOL, INFEASIBLE, SCALED, Marginals, ScalingResult,
+                     SolverConfig, scale_frame)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -28,8 +29,7 @@ def _emit(result: ScalingResult, kind: str, echo: dict, args) -> int:
     # Trace first: a trace that cannot be written leaves no finished-looking document.
     if args.trace is not None:
         io.write_trace_jsonl(args.trace, result.trace)
-    doc = io.result_document(result, kind=kind, config_echo=echo,
-                             include_trace=args.trace is not None)
+    doc = io.result_document(result, kind=kind, config_echo=echo)
     io.write_result(doc, args.out)
     if result.scaled:
         return EXIT_OK
@@ -43,8 +43,9 @@ def _solve(args, kind: str, read, solve) -> int:
 
     ``read()`` returns the problem and its marginals, and ``solve`` is
     ``scale_frame`` or ``scale_matrix``. A solve that fails with a
-    ScalingError still writes the trace it carries to ``--trace``, and a
-    file that cannot be read or written is reported like any other error.
+    ScalingError reports it, then still writes the trace it carries to
+    ``--trace``; a file that cannot be read or written is reported like any
+    other error.
     """
     try:
         problem, marg = read()
@@ -53,9 +54,10 @@ def _solve(args, kind: str, read, solve) -> int:
         try:
             result = solve(problem, marg, args.eps, config)
         except ScalingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             if args.trace is not None and exc.trace is not None:
                 io.write_trace_jsonl(args.trace, exc.trace)
-            raise
+            return EXIT_ERROR
         return _emit(result, kind, echo, args)
     except (OSError, ValueError, ScalingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,7 +130,7 @@ def _verify_frame(args, doc) -> None:
     U = io.read_matrix_file(args.input)
     c = _read_targets(args.marginals, U.shape[1], "column")
     eps = float(doc["config"]["eps"])
-    if doc["status"] == "scaled":
+    if doc["status"] == SCALED:
         z = np.asarray(doc["z"], dtype=np.float64)
         _require("scaling_positive", z.size == U.shape[1] and bool(np.all(z > 0)))
         lev = leverage_scores(Frame(U), z)
@@ -158,7 +160,7 @@ def _verify_matrix(args, doc) -> None:
     c = _read_targets(args.cols, A.shape[1], "column")
     eps = float(doc["config"]["eps"])
     matrix = NonnegMatrix(A)
-    if doc["status"] == "scaled":
+    if doc["status"] == SCALED:
         y = np.asarray(doc["y"], dtype=np.float64)
         _require("scaling_positive", y.size == A.shape[1] and bool(np.all(y > 0)))
         cs = column_sums(matrix, r, y)
@@ -181,6 +183,9 @@ def _verify_matrix(args, doc) -> None:
 def cmd_verify(args) -> int:
     try:
         doc = io.read_result(args.result)
+        if doc["status"] not in (SCALED, INFEASIBLE):
+            raise _CheckFailed(f"status {doc['status']!r} is neither {SCALED!r} "
+                               f"nor {INFEASIBLE!r}")
         if args.rows is not None or args.cols is not None:
             if args.rows is None or args.cols is None:
                 raise ValueError("matrix verification needs both --rows and --cols")
@@ -192,7 +197,11 @@ def cmd_verify(args) -> int:
     except _CheckFailed as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (OSError, ValueError, KeyError, ScalingError) as exc:
+    except KeyError as exc:
+        # Only the result document is indexed by key here.
+        print(f"error: result document has no {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (OSError, ValueError, ScalingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK

@@ -66,9 +66,8 @@ def write_vector_file(path, vector: np.ndarray) -> None:
         fh.write(" ".join(_fmt(v) for v in vector) + "\n")
 
 
-def result_document(result, kind: str, config_echo: dict,
-                    include_trace: bool = False) -> dict:
-    """Serialize a ScalingResult into the stable JSON schema."""
+def result_document(result, kind: str, config_echo: dict) -> dict:
+    """Serialize a ScalingResult into the stable JSON schema; the trace goes to its own file."""
     doc = {
         "status": result.status,
         "iterations": result.iterations,
@@ -81,8 +80,6 @@ def result_document(result, kind: str, config_echo: dict,
         doc[key] = [float(v) for v in result.scaling]
     if result.certificate is not None:
         doc["certificate"] = [int(i) for i in result.certificate]
-    if include_trace:
-        doc["trace"] = [rec.as_dict() for rec in result.trace]
     return doc
 
 

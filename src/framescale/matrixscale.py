@@ -29,10 +29,10 @@ import numpy as np
 from .errors import InfeasibleSegment, ZeroRowSum
 from .linalg import _EPS
 from .regularize import prefix_gap_shrink
+from .solver import ScalingResult, SolverConfig, UpdateResult, _margin_loop
 # select_margin_set stays a module attribute here for callers that look it
 # up on this module; the shared loop calls it on ``solver``.
-from .solver import ScalingResult, SolverConfig, _margin_loop, select_margin_set  # noqa: F401
-from .update import UpdateResult
+from .solver import select_margin_set  # noqa: F401
 
 # Guards the Hall comparison against roundoff in the marginal sums; genuine
 # violations found by the margin loop are macroscopic.

@@ -1,4 +1,4 @@
-"""Iterative frame scaling: margin sets, step-size proxy, the margin loop.
+"""Iterative frame scaling: margin sets, certificates, the margin loop.
 
 The solver keeps the square of the right scaling as a positive vector z and
 leaves the isotropizing left scaling (UZU^T)^{-1/2} implicit. Each iteration
@@ -9,6 +9,10 @@ eps^2 or stops with a subset T certifying infeasibility. The same loop
 drives the matrix solver in ``matrixscale``, which supplies its own
 marginals, certificate, step and shrink. A certificate is a property of
 the column set alone, so the loop decides each set once per solve.
+
+This module owns ``UpdateResult``, the step record that every ``step``
+closure returns to the loop. The step-size proxy ``ProxyContext`` and the
+frame step itself live in ``update``.
 """
 
 from __future__ import annotations
@@ -21,14 +25,7 @@ import numpy as np
 from .errors import DegenerateMargin, IterationCapExceeded, ScalingError
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
-from .linalg import (  # noqa: F401
-    Frame,
-    _thin_q,
-    leverage_scores,
-    numerical_rank,
-    orthonormal_factor,
-    validate_scaling,
-)
+from .linalg import Frame, leverage_scores, numerical_rank, orthonormal_factor  # noqa: F401
 
 SCALED = "scaled"
 INFEASIBLE = "infeasible"
@@ -112,65 +109,6 @@ def select_margin_set(lev, c) -> MarginSet:
     return MarginSet(order=order, k=k + 1, gamma=gamma, nu=nu)
 
 
-class ProxyContext:
-    """Step-size proxy h for uniformly scaling up the columns in T.
-
-    h(alpha) is the total leverage mass of T after multiplying z on T by
-    alpha; it is increasing and concave with h(1) the current mass and
-    lim h = rk(U_T). Both h and h' come from the thin orthonormal factor Q
-    of the alpha-scaled frame: with P the Gram of the T-rows of Q,
-    h = tr P and h' = (tr P - ||P||_F^2) / alpha. The QR route stays
-    accurate out to extreme alpha where forming the shifted Gram directly
-    loses the small subspace.
-
-    At alpha = 1 the scaled frame is the iterate itself, so a caller that
-    already holds ``q = orthonormal_factor(frame, z)`` passes it and h(1),
-    h'(1) are read off it with no further QR. Without q, every alpha
-    (1 included) is factored on demand. Each evaluation is cached for the
-    last alpha asked.
-    """
-
-    def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
-        z = validate_scaling(z, frame.n)
-        self.frame = frame
-        self.z = z
-        self.T = np.asarray(T, dtype=np.intp)
-        if self.T.size == 0 or self.T.size >= frame.n:
-            raise ValueError("T must be a nonempty proper subset of the columns")
-        mask = np.zeros(frame.n, dtype=bool)
-        mask[self.T] = True
-        self._mask = mask
-        self._cache_alpha = None
-        self._cache_vals = None
-        if q is not None:
-            self._cache_alpha = 1.0
-            self._cache_vals = self._values(q, 1.0)
-
-    def _values(self, q: np.ndarray, alpha: float) -> tuple[float, float]:
-        qt = q[self._mask, :]
-        p = qt.T @ qt
-        h = float(np.trace(p))
-        hp = (h - float((p * p).sum())) / alpha
-        return h, max(hp, 0.0)
-
-    def _evaluate(self, alpha: float) -> tuple[float, float]:
-        if alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {alpha!r}")
-        if self._cache_alpha == alpha:
-            return self._cache_vals
-        w = self.z.copy()
-        w[self._mask] *= alpha
-        self._cache_vals = self._values(_thin_q(self.frame, w), alpha)
-        self._cache_alpha = alpha
-        return self._cache_vals
-
-    def h(self, alpha: float) -> float:
-        return self._evaluate(alpha)[0]
-
-    def h_prime(self, alpha: float) -> float:
-        return self._evaluate(alpha)[1]
-
-
 def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
     """Return sorted T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
 
@@ -246,6 +184,17 @@ class ScalingResult:
     @property
     def scaled(self) -> bool:
         return self.status == SCALED
+
+
+@dataclass(frozen=True)
+class UpdateResult:
+    """One step as a ``step`` closure hands it to the margin loop."""
+
+    alpha: float
+    h_gain: float
+    nd_iters: int
+    hp_one: float
+    seeded: bool  # True when the eigen-sum guess supplied the start point
 
 
 def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,

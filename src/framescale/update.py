@@ -11,6 +11,10 @@ greedy start, and swaps are priced in closed form off a thin QR of the
 chosen columns. Everything is read off the iterate's thin orthonormal
 factor Q, which also gives the leverage scores and h(1); no Cholesky and
 no kernel matrix is formed.
+
+This module owns the proxy h (``ProxyContext``) and the whole frame step;
+the step record ``UpdateResult`` that the margin loop reads lives in
+``solver``.
 """
 
 from __future__ import annotations
@@ -31,31 +35,72 @@ from .errors import (
 )
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, gram_context, logdet_psd,  # noqa: F401
-                     numerical_rank, orthonormal_factor)
-from .solver import ProxyContext
+from .linalg import (_EPS, Frame, _thin_q, gram_context, logdet_psd,  # noqa: F401
+                     numerical_rank, orthonormal_factor, validate_scaling)
+from .solver import UpdateResult
 
 DERIVATIVE_FLOOR = 1e-14
 # A swap must at least double det X_D^T X_D, less a log-space slack of 1e-12.
 SWAP_GAIN = math.exp(math.log(2.0) - 1e-12)
 
 
-@dataclass
-class NDProblem:
-    """Root-band problem for an increasing concave differentiable f."""
+class ProxyContext:
+    """Step-size proxy h for uniformly scaling up the columns in T.
 
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float]
-    alpha0: float
-    b_low: float
-    b_high: float
-    max_iters: int
+    h(alpha) is the total leverage mass of T after multiplying z on T by
+    alpha; it is increasing and concave with h(1) the current mass and
+    lim h = rk(U_T). Both h and h' come from the thin orthonormal factor Q
+    of the alpha-scaled frame: with P the Gram of the T-rows of Q,
+    h = tr P and h' = (tr P - ||P||_F^2) / alpha. The QR route stays
+    accurate out to extreme alpha where forming the shifted Gram directly
+    loses the small subspace.
 
-    def __post_init__(self):
-        if not self.b_low < self.b_high:
-            raise ValueError("need b_low < b_high")
-        if self.f(self.alpha0) > self.b_high + 1e-9:
-            raise ValueError("starting guess already overshoots b_high")
+    At alpha = 1 the scaled frame is the iterate itself, so a caller that
+    already holds ``q = orthonormal_factor(frame, z)`` passes it and h(1),
+    h'(1) are read off it with no further QR. Without q, every alpha
+    (1 included) is factored on demand. Each evaluation is cached for the
+    last alpha asked.
+    """
+
+    def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
+        z = validate_scaling(z, frame.n)
+        self.frame = frame
+        self.z = z
+        self.T = np.asarray(T, dtype=np.intp)
+        if self.T.size == 0 or self.T.size >= frame.n:
+            raise ValueError("T must be a nonempty proper subset of the columns")
+        mask = np.zeros(frame.n, dtype=bool)
+        mask[self.T] = True
+        self._mask = mask
+        self._cache_alpha = None
+        self._cache_vals = None
+        if q is not None:
+            self._cache_alpha = 1.0
+            self._cache_vals = self._values(q, 1.0)
+
+    def _values(self, q: np.ndarray, alpha: float) -> tuple[float, float]:
+        qt = q[self._mask, :]
+        p = qt.T @ qt
+        h = float(np.trace(p))
+        hp = (h - float((p * p).sum())) / alpha
+        return h, max(hp, 0.0)
+
+    def _evaluate(self, alpha: float) -> tuple[float, float]:
+        if alpha < 1.0:
+            raise ValueError(f"alpha must be >= 1, got {alpha!r}")
+        if self._cache_alpha == alpha:
+            return self._cache_vals
+        w = self.z.copy()
+        w[self._mask] *= alpha
+        self._cache_vals = self._values(_thin_q(self.frame, w), alpha)
+        self._cache_alpha = alpha
+        return self._cache_vals
+
+    def h(self, alpha: float) -> float:
+        return self._evaluate(alpha)[0]
+
+    def h_prime(self, alpha: float) -> float:
+        return self._evaluate(alpha)[1]
 
 
 @dataclass(frozen=True)
@@ -66,29 +111,36 @@ class NDResult:
     iterates: tuple = ()
 
 
-def newton_dinkelbach(problem: NDProblem) -> NDResult:
-    """Drive f into [b_low, b_high] with steps alpha += (b_high - f)/f'.
+def newton_dinkelbach(f: Callable[[float], float], f_prime: Callable[[float], float],
+                      alpha0: float, b_low: float, b_high: float, max_iters: int) -> NDResult:
+    """Drive an increasing concave f into [b_low, b_high] by alpha += (b_high - f)/f'.
 
-    Returns alpha0 untouched when f(alpha0) >= b_low already. Concavity
-    guarantees every post-step value stays <= b_high; the Bregman potential
-    argument puts the iteration count at O(log) of the initial divergence.
+    Returns alpha0 untouched when f(alpha0) >= b_low already. Raises
+    ValueError unless b_low < b_high and f(alpha0) does not overshoot
+    b_high. Concavity guarantees every post-step value stays <= b_high; the
+    Bregman potential argument puts the iteration count at O(log) of the
+    initial divergence.
     """
-    alpha = problem.alpha0
-    val = problem.f(alpha)
+    if not b_low < b_high:
+        raise ValueError("need b_low < b_high")
+    alpha = alpha0
+    val = f(alpha)
+    if val > b_high + 1e-9:
+        raise ValueError("starting guess already overshoots b_high")
     iterates = [alpha]
     t = 0
-    while val < problem.b_low:
-        if t >= problem.max_iters:
+    while val < b_low:
+        if t >= max_iters:
             raise IterationCapExceeded(
-                f"Newton-Dinkelbach did not converge in {problem.max_iters} steps"
+                f"Newton-Dinkelbach did not converge in {max_iters} steps"
             )
-        slope = problem.f_prime(alpha)
+        slope = f_prime(alpha)
         if slope <= DERIVATIVE_FLOOR:
             raise DerivativeVanished(
                 f"derivative {slope:g} at alpha={alpha!r}; target band unreachable"
             )
-        alpha = alpha + (problem.b_high - val) / slope
-        val = problem.f(alpha)
+        alpha = alpha + (b_high - val) / slope
+        val = f(alpha)
         iterates.append(alpha)
         t += 1
     return NDResult(alpha=alpha, value=val, n_iters=t, iterates=tuple(iterates))
@@ -213,15 +265,6 @@ def _det_local_opt_columns(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
         swaps += 1
 
 
-@dataclass(frozen=True)
-class UpdateResult:
-    alpha: float
-    h_gain: float
-    nd_iters: int
-    hp_one: float
-    seeded: bool  # True when the eigen-sum guess supplied the start point
-
-
 def compute_update(frame: Frame, z, T, gamma: float,
                    q: np.ndarray | None = None) -> UpdateResult:
     """Find alpha >= 1 with gamma/5 <= h(alpha) - h(1) <= gamma.
@@ -260,15 +303,8 @@ def compute_update(frame: Frame, z, T, gamma: float,
         else:
             raise GuessPreconditionViolated("seed never entered the target band")
         seeded = True
-    problem = NDProblem(
-        f=ctx.h,
-        f_prime=ctx.h_prime,
-        alpha0=alpha0,
-        b_low=h1 + gamma / 5.0,
-        b_high=h1 + gamma,
-        max_iters=nd_iteration_cap(frame.n, frame.d),
-    )
-    res = newton_dinkelbach(problem)
+    res = newton_dinkelbach(ctx.h, ctx.h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma,
+                            nd_iteration_cap(frame.n, frame.d))
     return UpdateResult(
         alpha=res.alpha,
         h_gain=res.value - h1,

@@ -111,8 +111,10 @@ class TestFrameCommand:
                         "--eps", "1e-6", "--out", out, "--trace", trace])
         assert code == 0
         doc = fio.read_result(out)
+        # the trace is written once, to its own file
+        assert "trace" not in doc
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert len(lines) == doc["iterations"] == len(doc["trace"])
+        assert len(lines) == doc["iterations"]
         assert set(lines[0]) == TRACE_KEYS
         # the step-size band can be re-checked from the file alone
         for rec in lines:
@@ -176,7 +178,12 @@ class TestFailedSolve:
         code = run_cli(solve_args(tmp_path, kind) + ["--eps", "1e-12", "--out", out,
                                                      "--trace", trace] + max_iters)
         assert code == 1
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: " in err
+        if max_iters:
+            # the solver's error comes first, then the write error
+            assert "no convergence after 3 iterations" in err
+            assert err.index("no convergence") < err.index("No such file")
         # without a cap the solve succeeds; the run still must not look finished
         assert not out.exists()
 
@@ -296,6 +303,33 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli(["verify", "--result", out, *flags]) == 2
         assert "verify failed: certificate_indices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, dims", [("gaussian", {"d": 3, "n": 4}),
+                                            ("bipartite", {"m": 4, "n": 4})])
+    def test_unknown_status_fails_status_check(self, tmp_path, capsys, kind, dims):
+        base = gen(tmp_path, kind, seed=0, **dims)
+        if kind == "gaussian":
+            flags = ["--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]
+        else:
+            flags = ["--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
+                     "--cols", f"{base}.c.txt"]
+        out = tmp_path / "res.json"
+        fio.write_result({"status": "error", "iterations": 3, "final_error_sq": 1.0,
+                          "config": {"eps": 1e-6}}, out)
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, *flags]) == 2
+        assert "verify failed: status 'error'" in capsys.readouterr().err
+
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        # a matrix result holds y, so checking it as a frame finds no z
+        base = gen(tmp_path, "bipartite", m=5, n=5, seed=2)
+        out = tmp_path / "res.json"
+        assert run_cli(["matrix", "--input", f"{base}.A.txt", "--rows", f"{base}.r.txt",
+                        "--cols", f"{base}.c.txt", "--eps", "1e-6", "--out", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, "--input", f"{base}.A.txt",
+                        "--marginals", f"{base}.c.txt"]) == 1
+        assert "error: result document has no 'z'" in capsys.readouterr().err
 
     def test_missing_file_is_error(self, tmp_path):
         assert run_cli(["verify", "--result", tmp_path / "nope.json",

@@ -9,7 +9,6 @@ from framescale import (
     FactorizationFailure,
     Frame,
     IterationCapExceeded,
-    NDProblem,
     PreconditionViolated,
     ProxyContext,
     approx_small_eigen_sum,
@@ -28,25 +27,22 @@ from conftest import (det_local_opt_oracle, gapped_instance, mu_spectrum, random
 
 class TestNewtonDinkelbach:
     def test_log_example(self):
-        prob = NDProblem(f=math.log, f_prime=lambda a: 1.0 / a,
-                         alpha0=1.0, b_low=0.5, b_high=1.0, max_iters=10)
-        res = newton_dinkelbach(prob)
+        res = newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
+                                alpha0=1.0, b_low=0.5, b_high=1.0, max_iters=10)
         assert res.alpha == pytest.approx(2.0)
         assert res.n_iters == 1
 
     def test_early_exit(self):
-        prob = NDProblem(f=math.log, f_prime=lambda a: 1.0 / a,
-                         alpha0=2.0, b_low=0.5, b_high=1.0, max_iters=10)
-        res = newton_dinkelbach(prob)
+        res = newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
+                                alpha0=2.0, b_low=0.5, b_high=1.0, max_iters=10)
         assert res.alpha == 2.0 and res.n_iters == 0
 
     def test_scalar_proxy_example(self):
         # h(a) = a/(a+1), gamma = 0.2: one step from 1 lands at 1.8
         f = lambda a: a / (a + 1.0)
         fp = lambda a: 1.0 / (a + 1.0) ** 2
-        prob = NDProblem(f=f, f_prime=fp, alpha0=1.0,
-                         b_low=0.54, b_high=0.7, max_iters=10)
-        res = newton_dinkelbach(prob)
+        res = newton_dinkelbach(f=f, f_prime=fp, alpha0=1.0,
+                                b_low=0.54, b_high=0.7, max_iters=10)
         assert res.alpha == pytest.approx(1.8)
         assert res.value == pytest.approx(9.0 / 14.0)
         assert res.n_iters == 1
@@ -61,10 +57,9 @@ class TestNewtonDinkelbach:
             gamma = min(0.8 * (limit - h1), 1.0)
             if gamma <= 1e-3:
                 continue
-            prob = NDProblem(f=ctx.h, f_prime=ctx.h_prime, alpha0=1.0,
-                             b_low=h1 + gamma / 5.0, b_high=h1 + gamma,
-                             max_iters=200)
-            res = newton_dinkelbach(prob)
+            res = newton_dinkelbach(f=ctx.h, f_prime=ctx.h_prime, alpha0=1.0,
+                                    b_low=h1 + gamma / 5.0, b_high=h1 + gamma,
+                                    max_iters=200)
             assert h1 + gamma / 5.0 <= res.value <= h1 + gamma + 1e-9
             alphas = np.array(res.iterates)
             assert np.all(np.diff(alphas) > 0.0)
@@ -78,24 +73,22 @@ class TestNewtonDinkelbach:
     def test_derivative_vanished(self):
         f = lambda a: 1.0 - 1.0 / a  # sup f = 1 < b_low
         fp = lambda a: 1.0 / a**2
-        prob = NDProblem(f=f, f_prime=fp, alpha0=1.0,
-                         b_low=2.0, b_high=3.0, max_iters=100)
         with pytest.raises(DerivativeVanished):
-            newton_dinkelbach(prob)
+            newton_dinkelbach(f=f, f_prime=fp, alpha0=1.0,
+                              b_low=2.0, b_high=3.0, max_iters=100)
 
     def test_iteration_cap(self):
-        prob = NDProblem(f=math.log, f_prime=lambda a: 1.0 / a,
-                         alpha0=1.0, b_low=20.0, b_high=21.0, max_iters=3)
         with pytest.raises(IterationCapExceeded):
-            newton_dinkelbach(prob)
+            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
+                              alpha0=1.0, b_low=20.0, b_high=21.0, max_iters=3)
 
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
-            NDProblem(f=math.log, f_prime=lambda a: 1.0 / a,
-                      alpha0=1.0, b_low=1.0, b_high=0.5, max_iters=5)
+            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
+                              alpha0=1.0, b_low=1.0, b_high=0.5, max_iters=5)
         with pytest.raises(ValueError):
-            NDProblem(f=math.log, f_prime=lambda a: 1.0 / a,
-                      alpha0=100.0, b_low=0.5, b_high=1.0, max_iters=5)
+            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
+                              alpha0=100.0, b_low=0.5, b_high=1.0, max_iters=5)
 
 
 class TestComputeUpdate:
