@@ -8,6 +8,7 @@ All indices in output are 0-based.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -126,19 +127,33 @@ def _read_targets(path, length: int, what: str) -> np.ndarray:
     return v
 
 
-def _verify_frame(args, doc) -> None:
+def _doc_number(value, name: str) -> float:
+    """A result-document field that must be a JSON number (a boolean is none)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"result document field {name!r} is {json.dumps(value)}, not a number")
+    return float(value)
+
+
+def _check_scaled(doc, key: str, n: int, eps: float, error_sq) -> None:
+    """Checks that ``doc[key]`` lists n positive numbers whose recomputed
+    ``error_sq`` is within eps and matches the document's ``final_error_sq``."""
+    reported = _doc_number(doc["final_error_sq"], "final_error_sq")
+    s = doc[key]
+    if type(s) is not list or any(type(v) not in (int, float) for v in s):
+        raise ValueError(f"result document field {key!r} is not a list of numbers")
+    s = np.asarray(s, dtype=np.float64)
+    _require("scaling_positive", s.size == n and bool(np.all(s > 0)))
+    err_sq = error_sq(s)
+    _require("error_within_eps", err_sq <= eps * eps * (1.0 + 1e-9))
+    _require("error_matches_document", abs(err_sq - reported) <= 1e-9 * max(eps * eps, err_sq))
+
+
+def _verify_frame(args, doc, eps: float) -> None:
     U = io.read_matrix_file(args.input)
     c = _read_targets(args.marginals, U.shape[1], "column")
-    eps = float(doc["config"]["eps"])
     if doc["status"] == SCALED:
-        z = np.asarray(doc["z"], dtype=np.float64)
-        _require("scaling_positive", z.size == U.shape[1] and bool(np.all(z > 0)))
-        lev = leverage_scores(Frame(U), z)
-        err_sq = float(((lev - c) ** 2).sum())
-        _require("error_within_eps", err_sq <= eps * eps * (1.0 + 1e-9))
-        _require("error_matches_document",
-                 abs(err_sq - float(doc["final_error_sq"]))
-                 <= 1e-9 * max(eps * eps, err_sq))
+        _check_scaled(doc, "z", U.shape[1], eps,
+                      lambda z: float(((leverage_scores(Frame(U), z) - c) ** 2).sum()))
     else:
         d, n = U.shape
         T = _certificate_columns(doc, n)
@@ -154,22 +169,18 @@ def _verify_frame(args, doc) -> None:
             _require("certificate_float_rank", rank < mass - CERTIFICATE_TOL)
 
 
-def _verify_matrix(args, doc) -> None:
+def _verify_matrix(args, doc, eps: float) -> None:
     A = io.read_matrix_file(args.input)
     r = _read_targets(args.rows, A.shape[0], "row")
     c = _read_targets(args.cols, A.shape[1], "column")
-    eps = float(doc["config"]["eps"])
     matrix = NonnegMatrix(A)
     if doc["status"] == SCALED:
-        y = np.asarray(doc["y"], dtype=np.float64)
-        _require("scaling_positive", y.size == A.shape[1] and bool(np.all(y > 0)))
-        cs = column_sums(matrix, r, y)
-        x = r / (A @ y)
-        err_sq = float(((x * (A @ y) - r) ** 2).sum() + ((cs - c) ** 2).sum())
-        _require("error_within_eps", err_sq <= eps * eps * (1.0 + 1e-9))
-        _require("error_matches_document",
-                 abs(err_sq - float(doc["final_error_sq"]))
-                 <= 1e-9 * max(eps * eps, err_sq))
+        def error_sq(y):
+            ay = A @ y
+            cs = column_sums(matrix, r, y)
+            return float(((r / ay * ay - r) ** 2).sum() + ((cs - c) ** 2).sum())
+
+        _check_scaled(doc, "y", A.shape[1], eps, error_sq)
     else:
         T = _certificate_columns(doc, A.shape[1])
         rows = rational.parse_matrix_tokens(args.input)
@@ -183,17 +194,22 @@ def _verify_matrix(args, doc) -> None:
 def cmd_verify(args) -> int:
     try:
         doc = io.read_result(args.result)
+        if type(doc) is not dict:
+            raise ValueError("result document is not a JSON object")
         if doc["status"] not in (SCALED, INFEASIBLE):
             raise _CheckFailed(f"status {doc['status']!r} is neither {SCALED!r} "
                                f"nor {INFEASIBLE!r}")
+        if type(doc["config"]) is not dict:
+            raise ValueError("result document field 'config' is not a JSON object")
+        eps = _doc_number(doc["config"]["eps"], "config.eps")
         if args.rows is not None or args.cols is not None:
             if args.rows is None or args.cols is None:
                 raise ValueError("matrix verification needs both --rows and --cols")
-            _verify_matrix(args, doc)
+            _verify_matrix(args, doc, eps)
         else:
             if args.marginals is None:
                 raise ValueError("frame verification needs --marginals")
-            _verify_frame(args, doc)
+            _verify_frame(args, doc, eps)
     except _CheckFailed as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -14,7 +14,7 @@ class ScalingError(Exception):
 
 
 class FactorizationFailure(ScalingError):
-    """A Gram or projector matrix was numerically singular."""
+    """A QR factor collapsed: a scaled frame or projector block is numerically singular."""
 
 
 class NotSymmetric(ScalingError):

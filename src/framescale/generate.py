@@ -52,8 +52,8 @@ def gen_infeasible(d: int, n: int, seed: int):
             return U, c
 
 
-def gen_bipartite(m: int, n: int, seed: int, density: float = 0.4):
-    """0/1 support matrix plus uniform marginals.
+def gen_bipartite(m: int, n: int, seed: int):
+    """0/1 support matrix of density 0.4 plus uniform marginals.
 
     For m == n a hidden permutation diagonal is always included, so the
     instance satisfies the Hall condition with r = c = 1.
@@ -61,7 +61,7 @@ def gen_bipartite(m: int, n: int, seed: int, density: float = 0.4):
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-    A = (rng.random((m, n)) < density).astype(np.float64)
+    A = (rng.random((m, n)) < 0.4).astype(np.float64)
     if m == n:
         perm = rng.permutation(n)
         A[np.arange(n), perm] = 1.0

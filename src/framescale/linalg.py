@@ -1,11 +1,11 @@
-"""Dense linear-algebra primitives: thin orthonormal factors, leverage, rank.
+"""Dense linear-algebra primitives: thin QR factors, leverage, rank.
 
-Solve paths read leverage, proxy values, kernels and condition estimates
-off thin orthonormal factors, and no solve path factors a Cholesky any
-more: the Gram context (a Cholesky of UZU^T) serves only
-``perceptron.QMetric``, and ``logdet_psd`` is kept as a public helper.
-Everything here is deterministic and pure; binary64 throughout. Rank and
-eigenvalue cutoffs follow the usual machine-epsilon scaling.
+Leverage, proxy values, kernels, condition estimates and solves against
+UZU^T are all read off the thin QR of sqrt(Z) U^T: its Q factor carries the
+leverage scores, and since UZU^T = R^T R its R factor turns a Gram solve
+into two triangular solves. Nothing here factors a Cholesky. Everything is
+deterministic and pure; binary64 throughout. Rank and eigenvalue cutoffs
+follow the usual machine-epsilon scaling.
 """
 
 from __future__ import annotations
@@ -68,44 +68,36 @@ class Frame:
         return self.matrix[:, idx]
 
 
-@dataclass
-class GramContext:
-    """Cached Cholesky factorization of UZU^T for repeated solves."""
+def _full_rank_qr(b: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR (Q, R) of an m x k matrix b, m >= k; raises FactorizationFailure(failure)
+    when a diagonal entry of R is at or below ``k * eps`` times the largest."""
+    q, r = np.linalg.qr(b, mode="reduced")
+    rdiag = np.abs(np.diag(r))
+    if rdiag.min(initial=np.inf) <= b.shape[1] * _EPS * rdiag.max(initial=0.0):
+        raise FactorizationFailure(failure)
+    return q, r
 
-    gram: np.ndarray
-    chol: tuple
-    frame: Frame
-    z: np.ndarray
+
+def _scaled_qr(frame: Frame, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of sqrt(Z) U^T for a z the caller has already validated."""
+    return _full_rank_qr((frame.matrix * np.sqrt(z)).T, "scaled frame numerically rank-deficient")
+
+
+@dataclass(frozen=True)
+class GramContext:
+    """The R factor of sqrt(Z) U^T, for repeated solves against UZU^T = R^T R."""
+
+    r: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return (UZU^T)^{-1} b."""
-        return scipy.linalg.cho_solve(self.chol, b, check_finite=False)
+        """Return (UZU^T)^{-1} b by two triangular solves."""
+        y = scipy.linalg.solve_triangular(self.r, b, trans="T", check_finite=False)
+        return scipy.linalg.solve_triangular(self.r, y, check_finite=False)
 
 
 def gram_context(frame: Frame, z) -> GramContext:
-    """Factorize UZU^T; raises FactorizationFailure if numerically singular."""
-    z = validate_scaling(z, frame.n)
-    U = frame.matrix
-    gram = (U * z) @ U.T
-    gram = 0.5 * (gram + gram.T)  # strip accumulated asymmetry before factoring
-    try:
-        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            "UZU^T is numerically singular; frame may be rank-deficient "
-            "or the scaling range catastrophic"
-        ) from exc
-    return GramContext(gram=gram, chol=chol, frame=frame, z=z)
-
-
-def _thin_q(frame: Frame, z: np.ndarray) -> np.ndarray:
-    """``orthonormal_factor`` on a z the caller has already validated."""
-    b = (frame.matrix * np.sqrt(z)).T
-    q, r = np.linalg.qr(b, mode="reduced")
-    rdiag = np.abs(np.diag(r))
-    if rdiag.min(initial=np.inf) <= frame.d * _EPS * rdiag.max(initial=0.0):
-        raise FactorizationFailure("scaled frame numerically rank-deficient")
-    return q
+    """R^T R = UZU^T off the thin QR of sqrt(Z) U^T; fails as ``orthonormal_factor`` does."""
+    return GramContext(r=_scaled_qr(frame, validate_scaling(z, frame.n))[1])
 
 
 def orthonormal_factor(frame: Frame, z) -> np.ndarray:
@@ -114,11 +106,11 @@ def orthonormal_factor(frame: Frame, z) -> np.ndarray:
     Row j of Q is the whitened, scaled column sqrt(z_j) (UZU^T)^{-1/2} u_j
     up to a right rotation, so Q carries the leverage scores (its squared
     row norms) and, on the rows of a set T, the step-size proxy at alpha =
-    1. Raises FactorizationFailure when a diagonal entry of R falls below
+    1. Raises FactorizationFailure when a diagonal entry of R is at or below
     ``d * eps`` times the largest, i.e. the scaled frame is numerically
     rank-deficient.
     """
-    return _thin_q(frame, validate_scaling(z, frame.n))
+    return _scaled_qr(frame, validate_scaling(z, frame.n))[0]
 
 
 def leverage_scores(frame: Frame, z) -> np.ndarray:
@@ -154,33 +146,27 @@ def numerical_rank(columns) -> int:
     return int(np.count_nonzero(diag > max(d, k) * _EPS * max_norm))
 
 
-def _check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(m: np.ndarray) -> np.ndarray:
     asym = float(np.abs(m - m.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if asym > rtol * scale:
+    if asym > 1e-12 * scale:
         raise NotSymmetric(f"matrix asymmetry {asym:g} exceeds tolerance")
     return 0.5 * (m + m.T)
 
 
 def logdet_psd(m) -> float:
-    """log det of a symmetric PSD matrix; -inf marks a singular input."""
+    """log det of a symmetric PSD matrix; -inf marks an eigenvalue <= k * eps * lambda_max."""
     m = _check_symmetric(_as_matrix(m))
-    try:
-        chol = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        # Singular (or indefinite at roundoff level) PSD input.
-        w = scipy.linalg.eigvalsh(m, check_finite=False)
-        cutoff = m.shape[0] * _EPS * max(float(w.max(initial=0.0)), 0.0)
-        if np.any(w <= cutoff):
-            return float("-inf")
-        return float(np.sum(np.log(w)))
-    return float(2.0 * np.sum(np.log(np.diag(chol[0]))))
+    w = scipy.linalg.eigvalsh(m, check_finite=False)
+    if np.any(w <= m.shape[0] * _EPS * max(float(w.max(initial=0.0)), 0.0)):
+        return float("-inf")
+    return float(np.sum(np.log(w)))
 
 
-def pinv_trace(m, tol: float | None = None) -> float:
+def pinv_trace(m) -> float:
     """Trace of the Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
-    Sums reciprocals of eigenvalues above ``tol = k * eps * lambda_max``;
+    Sums reciprocals of eigenvalues above ``k * eps * lambda_max``;
     a rank-0 input gives 0.
     """
     m = _check_symmetric(_as_matrix(m))
@@ -188,7 +174,5 @@ def pinv_trace(m, tol: float | None = None) -> float:
     lam_max = float(w.max(initial=0.0))
     if lam_max <= 0.0:
         return 0.0
-    if tol is None:
-        tol = m.shape[0] * _EPS * lam_max
-    keep = w > tol
+    keep = w > m.shape[0] * _EPS * lam_max
     return float(np.sum(1.0 / w[keep]))

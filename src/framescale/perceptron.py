@@ -2,7 +2,8 @@
 
 The inner product <x, y>_Q = x^T (UZU^T)^{-1} y simulates the isotropizing
 left scaling without ever taking a matrix square root: every evaluation is
-a solve against the cached Gram factorization. On a well-scaled frame a
+two triangular solves on R, the R factor of the thin QR of sqrt(Z) U^T
+(UZU^T = R^T R is never formed). On a well-scaled frame a
 1/(5d) fraction of the columns carries margin at least 1/sqrt(4d), which is
 what makes the mistake-driven updates converge quickly.
 """
@@ -19,7 +20,7 @@ from .linalg import Frame, GramContext, gram_context, leverage_scores
 
 
 class QMetric:
-    """Inner product x^T (UZU^T)^{-1} y backed by a Gram factorization."""
+    """Inner product x^T (UZU^T)^{-1} y, solved on the R factor of sqrt(Z) U^T."""
 
     def __init__(self, ctx: GramContext):
         self._ctx = ctx

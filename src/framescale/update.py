@@ -35,8 +35,8 @@ from .errors import (
 )
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, _thin_q, gram_context, logdet_psd,  # noqa: F401
-                     numerical_rank, orthonormal_factor, validate_scaling)
+from .linalg import (_EPS, Frame, _full_rank_qr, _scaled_qr, gram_context,  # noqa: F401
+                     logdet_psd, numerical_rank, orthonormal_factor, validate_scaling)
 from .solver import UpdateResult
 
 DERIVATIVE_FLOOR = 1e-14
@@ -92,7 +92,7 @@ class ProxyContext:
             return self._cache_vals
         w = self.z.copy()
         w[self._mask] *= alpha
-        self._cache_vals = self._values(_thin_q(self.frame, w), alpha)
+        self._cache_vals = self._values(_scaled_qr(self.frame, w)[0], alpha)
         self._cache_alpha = alpha
         return self._cache_vals
 
@@ -201,10 +201,7 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
     D = det_local_opt(frame, z, T, p, rank_t=rank_t, q=q)
-    w, r = np.linalg.qr(q[D].T)
-    rdiag = np.abs(np.diag(r))
-    if rdiag.min() <= p * _EPS * rdiag.max():
-        raise FactorizationFailure("projector block singular in eigen-sum guess")
+    w, _ = _full_rank_qr(q[D].T, "projector block singular in eigen-sum guess")
     rest = q[T] - (q[T] @ w) @ w.T
     return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p, D=D)
 

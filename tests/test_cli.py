@@ -331,6 +331,29 @@ class TestVerify:
                         "--marginals", f"{base}.c.txt"]) == 1
         assert "error: result document has no 'z'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, named", [
+        ([1, 2], "result document is not a JSON object"),
+        ("scaled", "result document is not a JSON object"),
+        ({"config": [1]}, "result document field 'config' is not a JSON object"),
+        ({"final_error_sq": None}, "result document field 'final_error_sq' is null"),
+        ({"config": {"eps": None}}, "result document field 'config.eps' is null"),
+        ({"config": {"eps": True}}, "result document field 'config.eps' is true"),
+        ({"z": {"0": 1.0}}, "result document field 'z' is not a list of numbers"),
+        ({"z": [1.0, "1", 1.0, 1.0]}, "result document field 'z' is not a list of numbers"),
+    ], ids=["list", "string", "config-list", "error-null", "eps-null", "eps-bool",
+            "z-object", "z-string-entry"])
+    def test_malformed_document_is_error(self, tmp_path, capsys, doc, named):
+        base = gen(tmp_path, "gaussian", d=3, n=4, seed=0)
+        flags = ["--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]
+        out = tmp_path / "res.json"
+        assert run_cli(["frame", *flags, "--eps", "1e-6", "--out", out]) == 0
+        if isinstance(doc, dict):
+            doc = {**fio.read_result(out), **doc}
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
     def test_missing_file_is_error(self, tmp_path):
         assert run_cli(["verify", "--result", tmp_path / "nope.json",
                         "--input", tmp_path / "nope.txt",

@@ -17,35 +17,49 @@ from framescale import (
 )
 from framescale.rational import rational_rank
 
-from conftest import random_frame, random_scaling
+from conftest import fraction_inverse, random_frame, random_scaling
 
 
 class TestGramContext:
     def test_identity(self):
         ctx = gram_context(Frame(np.eye(2)), np.ones(2))
-        np.testing.assert_allclose(ctx.gram, np.eye(2))
+        np.testing.assert_allclose(ctx.r.T @ ctx.r, np.eye(2))
 
     def test_hand_computed(self):
         U = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         ctx = gram_context(U, np.ones(3))
-        np.testing.assert_allclose(ctx.gram, [[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(ctx.r.T @ ctx.r, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_diagonal(self):
         ctx = gram_context(Frame(np.eye(2)), np.array([4.0, 9.0]))
-        np.testing.assert_allclose(ctx.gram, np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(ctx.r.T @ ctx.r, np.diag([4.0, 9.0]))
 
     def test_deterministic(self, rng):
         frame = random_frame(rng, 3, 7)
         z = random_scaling(rng, 7)
         a = gram_context(frame, z)
         b = gram_context(frame, z)
-        assert np.array_equal(a.gram, b.gram)
+        assert np.array_equal(a.r.T @ a.r, b.r.T @ b.r)
 
     def test_singular_raises(self):
-        # Rows nearly parallel: passes the rank gate but the Gram collapses.
-        U = Frame(np.array([[1.0, 1.0], [1.0, 1.0 + 2e-14]]))
+        # The scaled frame diag(1, 1e-20) is numerically rank-deficient.
         with pytest.raises(FactorizationFailure):
-            gram_context(U, np.ones(2))
+            gram_context(Frame(np.eye(2)), np.array([1.0, 1e-40]))
+
+    @pytest.mark.parametrize("gap", [2e-14, 2e-10, 2e-8])
+    def test_nearly_parallel_rows_solve(self, gap):
+        # UU^T has condition number cond(U)^2, beyond a Gram Cholesky, but
+        # the R factor keeps the forward error of the solve within
+        # cond(U) * eps of the exact rational solution.
+        U = np.array([[1.0, 1.0], [1.0, 1.0 + gap]])
+        ctx = gram_context(Frame(U), np.ones(2))
+        rows = [[Fraction(float(v)) for v in row] for row in U]
+        gram = [[sum(a * c for a, c in zip(ri, rk)) for rk in rows] for ri in rows]
+        b = np.array([1.0, -2.0])
+        exact = np.array([float(g0 * Fraction(b[0]) + g1 * Fraction(b[1]))
+                          for g0, g1 in fraction_inverse(gram)])
+        err = np.linalg.norm(ctx.solve(b) - exact) / np.linalg.norm(exact)
+        assert err <= np.linalg.cond(U) * np.finfo(np.float64).eps
 
     def test_rejects_bad_scaling(self):
         frame = Frame(np.eye(2))

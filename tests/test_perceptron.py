@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from framescale import (
 )
 from framescale.perceptron import update_vector
 
-from conftest import random_frame
+from conftest import fraction_inverse, random_frame
 
 
 def make_samples(points, w, metric):
@@ -39,6 +41,25 @@ class TestQMetric:
             y = rng.standard_normal(4)
             assert metric.norm_sq(x) > 0.0
             assert metric.inner(x, y) == pytest.approx(metric.inner(y, x), rel=1e-10)
+
+    def test_apply_accurate_over_24_decades(self):
+        # Forming UZU^T squares its condition number, which reaches 1e24 or
+        # more here; the R factor of sqrt(Z) U^T does not.
+        worst = 0.0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+            U = rng.standard_normal((d, n))
+            z = 10.0 ** rng.uniform(-12.0, 12.0, size=n)
+            b = rng.standard_normal(d)
+            x = QMetric.from_frame(Frame(U), z).apply(b)
+            uq = [[Fraction(v) for v in row] for row in U.tolist()]
+            zq = [Fraction(v) for v in z.tolist()]
+            gram = [[sum(ui[j] * zq[j] * uk[j] for j in range(n)) for uk in uq] for ui in uq]
+            exact = np.array([float(sum(g * Fraction(v) for g, v in zip(row, b.tolist())))
+                              for row in fraction_inverse(gram)])
+            worst = max(worst, float(np.linalg.norm(x - exact) / np.linalg.norm(exact)))
+        assert worst <= 1e-6
 
 
 class TestUpdateVector:

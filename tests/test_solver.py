@@ -373,8 +373,9 @@ class TestScaleFrame:
 
 
 class TestFuzzRegressions:
-    # Recipe seeds that failed or stalled while the eigen-sum kernel, its
-    # projection and rho_hat came from a Gram Cholesky: NotSymmetric,
+    # Recipe seeds that failed or stalled when the eigen-sum kernel, its
+    # projection and rho_hat were formed as Gram matrices and factored by
+    # Cholesky, before they were read off thin QR factors: NotSymmetric,
     # FactorizationFailure, PreconditionViolated, GuessPreconditionViolated,
     # DerivativeVanished, or no convergence within 1000 iterations.
     @pytest.mark.parametrize("seed", [2, 43, 50, 51, 66, 90, 122, 134, 146, 203, 242,
