@@ -202,6 +202,10 @@ def cmd_verify(args) -> int:
         if type(doc["config"]) is not dict:
             raise ValueError("result document field 'config' is not a JSON object")
         eps = _doc_number(doc["config"]["eps"], "config.eps")
+        if not (np.isfinite(eps) and eps > 0.0):
+            # SolverConfig.iteration_cap's rule: no solve runs at any other eps.
+            raise ValueError(f"result document field 'config.eps' is "
+                             f"{json.dumps(doc['config']['eps'])}, not a positive finite number")
         if args.rows is not None or args.cols is not None:
             if args.rows is None or args.cols is None:
                 raise ValueError("matrix verification needs both --rows and --cols")

@@ -1,16 +1,18 @@
 """Step-size computation: Newton root finding seeded by a coarse spectral sum.
 
 The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. When the
-proxy is already steep at 1 a single Newton step lands in the band.
+proxy is already steep at 1 a single Newton step lands in the band, with
+alpha - 1 <= 4, and h there is read in closed form off the eigenvalues of
+the d x d matrix P = Q_T^T Q_T, so that step factors nothing.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 that sum is estimated without any eigendecomposition: round the trace to
 count the large eigenvalues, pick a representative column subset D, and
 measure the leverage mass left outside its span. D is a 2-approximate
 local maximizer of the kernel determinant: a column-pivoted QR gives the
 greedy start, and swaps are priced in closed form off a thin QR of the
-chosen columns. Everything is read off the iterate's thin orthonormal
-factor Q, which also gives the leverage scores and h(1); no Cholesky and
-no kernel matrix is formed.
+chosen columns; each trial alpha is then factored anew. The start is the
+iterate's thin orthonormal factor Q, which also gives the leverage scores,
+h(1) and P; no Cholesky and no kernel matrix is formed.
 
 This module owns the proxy h (``ProxyContext``) and the whole frame step;
 the step record ``UpdateResult`` that the margin loop reads lives in
@@ -55,11 +57,12 @@ class ProxyContext:
     accurate out to extreme alpha where forming the shifted Gram directly
     loses the small subspace.
 
-    At alpha = 1 the scaled frame is the iterate itself, so a caller that
-    already holds ``q = orthonormal_factor(frame, z)`` passes it and h(1),
-    h'(1) are read off it with no further QR. Without q, every alpha
-    (1 included) is factored on demand. Each evaluation is cached for the
-    last alpha asked.
+    At alpha = 1 the scaled frame is the iterate itself: a caller that
+    already holds ``q = orthonormal_factor(frame, z)`` passes it, and
+    otherwise it is factored here once. P at alpha = 1, h(1) and h'(1) are
+    kept; every other alpha is factored on demand and cached for the last
+    alpha asked. ``closed_form`` reads h at any alpha off the spectrum of
+    that same P, with no further QR.
     """
 
     def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
@@ -72,15 +75,17 @@ class ProxyContext:
         mask = np.zeros(frame.n, dtype=bool)
         mask[self.T] = True
         self._mask = mask
+        self._p_one = self._gram(q if q is not None else _scaled_qr(frame, z)[0])
+        self._at_one = self._values(self._p_one, 1.0)
         self._cache_alpha = None
         self._cache_vals = None
-        if q is not None:
-            self._cache_alpha = 1.0
-            self._cache_vals = self._values(q, 1.0)
 
-    def _values(self, q: np.ndarray, alpha: float) -> tuple[float, float]:
+    def _gram(self, q: np.ndarray) -> np.ndarray:
         qt = q[self._mask, :]
-        p = qt.T @ qt
+        return qt.T @ qt
+
+    @staticmethod
+    def _values(p: np.ndarray, alpha: float) -> tuple[float, float]:
         h = float(np.trace(p))
         hp = (h - float((p * p).sum())) / alpha
         return h, max(hp, 0.0)
@@ -88,11 +93,13 @@ class ProxyContext:
     def _evaluate(self, alpha: float) -> tuple[float, float]:
         if alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha!r}")
+        if alpha == 1.0:
+            return self._at_one
         if self._cache_alpha == alpha:
             return self._cache_vals
         w = self.z.copy()
         w[self._mask] *= alpha
-        self._cache_vals = self._values(_scaled_qr(self.frame, w)[0], alpha)
+        self._cache_vals = self._values(self._gram(_scaled_qr(self.frame, w)[0]), alpha)
         self._cache_alpha = alpha
         return self._cache_vals
 
@@ -101,6 +108,33 @@ class ProxyContext:
 
     def h_prime(self, alpha: float) -> float:
         return self._evaluate(alpha)[1]
+
+    def closed_form(self) -> tuple[Callable[[float], float], Callable[[float], float],
+                                   Callable[[float], float]]:
+        """(gain, h, h') off the eigenvalues mu of P at alpha = 1, one d x d eigvalsh.
+
+        gain(alpha) = h(alpha) - h(1) = sum (alpha - 1) w_i / (1 + (alpha - 1) mu_i)
+        with w_i = mu_i (1 - mu_i), summed directly rather than as a
+        difference, and h'(alpha) = sum w_i / (1 + (alpha - 1) mu_i)^2. At
+        alpha = 1, h and h' return the values read off Q, so a Newton step
+        from 1 is the QR route's step. An absolute roundoff in a tiny mu_i is
+        multiplied by alpha - 1, so this form is for bounded alpha - 1.
+        """
+        h1, hp1 = self._at_one
+        mu = np.linalg.eigvalsh(self._p_one)
+        w = mu * (1.0 - mu)
+
+        def gain(alpha: float) -> float:
+            s = alpha - 1.0
+            return float((s * w / (1.0 + s * mu)).sum())
+
+        def h(alpha: float) -> float:
+            return h1 if alpha == 1.0 else h1 + gain(alpha)
+
+        def h_prime(alpha: float) -> float:
+            return hp1 if alpha == 1.0 else float((w / (1.0 + (alpha - 1.0) * mu) ** 2).sum())
+
+        return gain, h, h_prime
 
 
 @dataclass(frozen=True)
@@ -267,45 +301,44 @@ def compute_update(frame: Frame, z, T, gamma: float,
     """Find alpha >= 1 with gamma/5 <= h(alpha) - h(1) <= gamma.
 
     Assumes the rank check already ruled T out as a certificate, so the
-    band is reachable. Seeds at 1 when h'(1) >= gamma/4 (one Newton step
-    then suffices); otherwise at 1 + gamma / (2 mu_tilde). ``q`` is the
-    iterate's ``orthonormal_factor(frame, z)`` when the caller has it; the
-    proxy then reads h(1) and h'(1) off it instead of factoring again.
+    band is reachable. ``q`` is the iterate's ``orthonormal_factor(frame,
+    z)``, factored here when None; h(1) and h'(1) are read off it. When
+    h'(1) >= gamma/4 one Newton step from 1 reaches the band, with
+    alpha - 1 <= 4, and h is read off the spectrum of P in closed form:
+    that step takes no QR. Otherwise the seed is 1 + gamma / (2 mu_tilde),
+    alpha is unbounded, and every trial alpha is factored.
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+    if q is None:
+        q = orthonormal_factor(frame, z)
     ctx = ProxyContext(frame, z, T, q=q)
     h1 = ctx.h(1.0)
     hp1 = ctx.h_prime(1.0)
-    seeded = False
+    cap = nd_iteration_cap(frame.n, frame.d)
     if hp1 >= gamma / 4.0:
-        alpha0 = 1.0
+        gain, h, h_prime = ctx.closed_form()
+        res = newton_dinkelbach(h, h_prime, 1.0, h1 + gamma / 5.0, h1 + gamma, cap)
+        return UpdateResult(alpha=res.alpha, h_gain=gain(res.alpha), nd_iters=res.n_iters,
+                            hp_one=hp1, seeded=False)
+    if hp1 >= 0.25:
+        raise GuessPreconditionViolated(
+            f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
+        )
+    est = approx_small_eigen_sum(frame, z, T, q=q)
+    if est.mu_tilde <= 0.0:
+        raise GuessPreconditionViolated(
+            "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
+        )
+    alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)
+    # Roundoff in mu_tilde can push the seed just past the band; pull it
+    # back toward 1 (analysis guarantees the clean seed never overshoots).
+    for _ in range(200):
+        if ctx.h(alpha0) <= h1 + gamma + 1e-9:
+            break
+        alpha0 = 1.0 + (alpha0 - 1.0) / 2.0
     else:
-        if hp1 >= 0.25:
-            raise GuessPreconditionViolated(
-                f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
-            )
-        est = approx_small_eigen_sum(frame, z, T, q=q)
-        if est.mu_tilde <= 0.0:
-            raise GuessPreconditionViolated(
-                "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
-            )
-        alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)
-        # Roundoff in mu_tilde can push the seed just past the band; pull it
-        # back toward 1 (analysis guarantees the clean seed never overshoots).
-        for _ in range(200):
-            if ctx.h(alpha0) <= h1 + gamma + 1e-9:
-                break
-            alpha0 = 1.0 + (alpha0 - 1.0) / 2.0
-        else:
-            raise GuessPreconditionViolated("seed never entered the target band")
-        seeded = True
-    res = newton_dinkelbach(ctx.h, ctx.h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma,
-                            nd_iteration_cap(frame.n, frame.d))
-    return UpdateResult(
-        alpha=res.alpha,
-        h_gain=res.value - h1,
-        nd_iters=res.n_iters,
-        hp_one=hp1,
-        seeded=seeded,
-    )
+        raise GuessPreconditionViolated("seed never entered the target band")
+    res = newton_dinkelbach(ctx.h, ctx.h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma, cap)
+    return UpdateResult(alpha=res.alpha, h_gain=res.value - h1, nd_iters=res.n_iters,
+                        hp_one=hp1, seeded=True)

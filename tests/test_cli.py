@@ -1,4 +1,5 @@
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -338,9 +339,18 @@ class TestVerify:
         ({"final_error_sq": None}, "result document field 'final_error_sq' is null"),
         ({"config": {"eps": None}}, "result document field 'config.eps' is null"),
         ({"config": {"eps": True}}, "result document field 'config.eps' is true"),
+        ({"config": {"eps": math.inf}, "z": [1.0] * 4},
+         "result document field 'config.eps' is Infinity, not a positive finite number"),
+        ({"config": {"eps": math.nan}},
+         "result document field 'config.eps' is NaN, not a positive finite number"),
+        ({"config": {"eps": -1e-6}},
+         "result document field 'config.eps' is -1e-06, not a positive finite number"),
+        ({"config": {"eps": 0}},
+         "result document field 'config.eps' is 0, not a positive finite number"),
         ({"z": {"0": 1.0}}, "result document field 'z' is not a list of numbers"),
         ({"z": [1.0, "1", 1.0, 1.0]}, "result document field 'z' is not a list of numbers"),
     ], ids=["list", "string", "config-list", "error-null", "eps-null", "eps-bool",
+            "eps-infinity", "eps-nan", "eps-negative", "eps-zero",
             "z-object", "z-string-entry"])
     def test_malformed_document_is_error(self, tmp_path, capsys, doc, named):
         base = gen(tmp_path, "gaussian", d=3, n=4, seed=0)

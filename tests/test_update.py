@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from framescale import (
 )
 from framescale.update import _det_local_opt_columns, nd_iteration_cap
 
-from conftest import (det_local_opt_oracle, gapped_instance, mu_spectrum, random_frame,
-                      random_scaling, whitened)
+from conftest import (det_local_opt_oracle, fraction_inverse, gapped_instance, mu_spectrum,
+                      random_frame, random_scaling, whitened)
 
 
 class TestNewtonDinkelbach:
@@ -163,6 +164,98 @@ class TestComputeUpdate:
             compute_update(frame, np.ones(5), [0], 0.0)
         with pytest.raises(ValueError):
             compute_update(frame, np.ones(5), [0], 1.5)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Records one entry per numpy.linalg.qr call."""
+    calls = []
+    original = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+def steep_instances(rng, count, max_d=4, max_n=11):
+    """Seeded (frame, z, T, q, gamma) with h'(1) >= gamma/4: one Newton step from 1."""
+    while count:
+        d = int(rng.integers(2, max_d + 1))
+        n = int(rng.integers(d + 1, max_n + 1))
+        frame = random_frame(rng, d, n)
+        z = random_scaling(rng, n)
+        T = np.sort(rng.permutation(n)[: int(rng.integers(1, n))])
+        q = orthonormal_factor(frame, z)
+        ctx = ProxyContext(frame, z, T, q=q)
+        room = numerical_rank(frame.columns(T)) - ctx.h(1.0)
+        gamma = min(1.0, 4.0 * ctx.h_prime(1.0), 0.9 * room)
+        if gamma <= 1e-6:
+            continue
+        count -= 1
+        yield frame, z, T, q, gamma
+
+
+def exact_h(frame, z, T, alpha):
+    """h(alpha) = sum over T of alpha z_j u_j^T (U Z_alpha U^T)^{-1} u_j, in Fractions."""
+    U = [[Fraction(float(v)) for v in row] for row in frame.matrix]
+    w = [Fraction(float(v)) for v in z]
+    for j in T:
+        w[j] *= Fraction(alpha)
+    d, n = frame.d, frame.n
+    g = [[sum(w[j] * U[a][j] * U[b][j] for j in range(n)) for b in range(d)]
+         for a in range(d)]
+    g_inv = fraction_inverse(g)
+    return sum(w[j] * sum(U[a][j] * g_inv[a][b] * U[b][j] for a in range(d) for b in range(d))
+               for j in T)
+
+
+# numpy.linalg.qr calls on the guess-branch instances of
+# test_guess_branch_qr_count_unchanged: one per trial alpha, plus the swap
+# search's and Q_D's when the eigen-sum guess picks columns D.
+GUESS_QR_COUNTS = [3, 1, 3, 3, 3, 1, 3, 3]
+
+
+class TestSteepClosedForm:
+    # The steep step reads h off the spectrum of P at alpha = 1; the guess
+    # branch factors every trial alpha.
+
+    def test_steep_step_factors_nothing(self, rng, qr_calls):
+        for frame, z, T, q, gamma in steep_instances(rng, 30):
+            del qr_calls[:]
+            upd = compute_update(frame, z, T, gamma, q=q)
+            assert len(qr_calls) == 0
+            assert not upd.seeded and upd.nd_iters == 1
+            assert compute_update(frame, z, T, gamma) == upd
+
+    def test_guess_branch_qr_count_unchanged(self, rng, qr_calls):
+        counts = []
+        while len(counts) < 8:
+            frame, z, T = gapped_instance(rng, int(rng.integers(3, 6)), int(rng.integers(7, 12)))
+            q = orthonormal_factor(frame, z)
+            ctx = ProxyContext(frame, z, T, q=q)
+            gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - ctx.h(1.0)))
+            if gamma <= 4.0 * ctx.h_prime(1.0) or gamma <= 1e-4:
+                continue
+            del qr_calls[:]
+            upd = compute_update(frame, z, T, gamma, q=q)
+            counts.append(len(qr_calls))
+            assert upd.seeded
+            assert compute_update(frame, z, T, gamma) == upd
+        assert counts == GUESS_QR_COUNTS
+
+    @pytest.mark.parametrize("step", ["band", "tiny"])
+    def test_gain_exact_to_roundoff(self, rng, step):
+        # "tiny" puts alpha - 1 near 1e-6, where h(alpha) and h(1) nearly cancel.
+        for frame, z, T, q, gamma in steep_instances(rng, 15, max_n=9):
+            if step == "tiny":
+                gamma = 1e-6 * ProxyContext(frame, z, T, q=q).h_prime(1.0)
+            upd = compute_update(frame, z, T, gamma, q=q)
+            assert upd.nd_iters == 1
+            exact = exact_h(frame, z, T, upd.alpha) - exact_h(frame, z, T, 1.0)
+            assert abs(Fraction(upd.h_gain) - exact) <= Fraction(1e-10) * exact
 
 
 class TestApproxSmallEigenSum:
