@@ -14,7 +14,8 @@ class ScalingError(Exception):
 
 
 class FactorizationFailure(ScalingError):
-    """A QR factor collapsed: a scaled frame or projector block is numerically singular."""
+    """A factorization failed: a QR factor collapsed (a scaled frame or projector block
+    is numerically singular) or LAPACK reported an error."""
 
 
 class NotSymmetric(ScalingError):

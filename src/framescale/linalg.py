@@ -3,7 +3,11 @@
 Leverage, proxy values, kernels, condition estimates and solves against
 UZU^T are all read off the thin QR of sqrt(Z) U^T: its Q factor carries the
 leverage scores, and since UZU^T = R^T R its R factor turns a Gram solve
-into two triangular solves. Nothing here factors a Cholesky. Everything is
+into two triangular solves. Nothing here factors a Cholesky. The thin QR
+calls LAPACK ``dgeqrf`` and ``dorgqr`` directly, through
+``scipy.linalg.lapack``: at the sizes of a frame iterate numpy's wrapper
+costs several times the factorization, and the LAPACK routines are the
+ones numpy's reduced QR runs, so Q is the same bit for bit. Everything is
 deterministic and pure; binary64 throughout. Rank and eigenvalue cutoffs
 follow the usual machine-epsilon scaling.
 """
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import FactorizationFailure, NotSymmetric
 
@@ -32,6 +37,9 @@ def validate_scaling(z, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (n,):
         raise ValueError(f"scaling has shape {z.shape}, expected ({n},)")
+    # The common case in two reductions; NaN fails both tests and falls through.
+    if z.min() > 0.0 and z.max() < np.inf:
+        return z
     if not np.all(np.isfinite(z)):
         raise ValueError("scaling has non-finite entries")
     if np.any(z <= 0.0):
@@ -68,18 +76,40 @@ class Frame:
         return self.matrix[:, idx]
 
 
+def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of an m x k matrix b, m >= k, by LAPACK dgeqrf then dorgqr.
+
+    Returns (Q, Rh): Q is m x k and C-contiguous, and Rh is the k x k block
+    whose upper triangle is R. Below its diagonal Rh holds Householder
+    vectors, so a caller that reads R itself takes ``np.triu(Rh)``; the
+    diagonal and triangular solves need only the upper triangle. Q and R
+    equal numpy's reduced QR bit for bit. Raises FactorizationFailure when
+    LAPACK reports an error.
+    """
+    qr, tau, _, info = dgeqrf(b)
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dgeqrf failed (info={info})")
+    rh = qr[:qr.shape[1]].copy()  # dorgqr overwrites qr with Q
+    q, _, info = dorgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dorgqr failed (info={info})")
+    # dorgqr returns Q in Fortran order; einsum over its rows would sum in
+    # another order than over numpy's C-ordered Q and change the last bits.
+    return np.ascontiguousarray(q), rh
+
+
 def _full_rank_qr(b: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR (Q, R) of an m x k matrix b, m >= k; raises FactorizationFailure(failure)
-    when a diagonal entry of R is at or below ``k * eps`` times the largest."""
-    q, r = np.linalg.qr(b, mode="reduced")
-    rdiag = np.abs(np.diag(r))
+    """``_thin_qr`` of b; raises FactorizationFailure(failure) when a diagonal
+    entry of R is at or below ``k * eps`` times the largest."""
+    q, rh = _thin_qr(b)
+    rdiag = np.abs(np.diagonal(rh))
     if rdiag.min(initial=np.inf) <= b.shape[1] * _EPS * rdiag.max(initial=0.0):
         raise FactorizationFailure(failure)
-    return q, r
+    return q, rh
 
 
 def _scaled_qr(frame: Frame, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of sqrt(Z) U^T for a z the caller has already validated."""
+    """``_full_rank_qr`` of sqrt(Z) U^T for a z the caller has already validated."""
     return _full_rank_qr((frame.matrix * np.sqrt(z)).T, "scaled frame numerically rank-deficient")
 
 
@@ -97,7 +127,7 @@ class GramContext:
 
 def gram_context(frame: Frame, z) -> GramContext:
     """R^T R = UZU^T off the thin QR of sqrt(Z) U^T; fails as ``orthonormal_factor`` does."""
-    return GramContext(r=_scaled_qr(frame, validate_scaling(z, frame.n))[1])
+    return GramContext(r=np.triu(_scaled_qr(frame, validate_scaling(z, frame.n))[1]))
 
 
 def orthonormal_factor(frame: Frame, z) -> np.ndarray:
@@ -131,12 +161,15 @@ def numerical_rank(columns) -> int:
     """Rank of a d x k matrix via column-pivoted QR.
 
     A pivot counts iff its residual column norm exceeds
-    ``max(d, k) * eps * (largest column norm)``.
+    ``max(d, k) * eps * (largest column norm)``. The columns are first
+    scaled by the exact power of two that brings the largest entry into
+    [1/2, 1), so the column norms neither overflow nor underflow.
     """
     m = _as_matrix(columns)
     d, k = m.shape
     if k < 1:
         raise ValueError("need at least one column")
+    m = np.ldexp(m, -np.frexp(np.abs(m).max(initial=0.0))[1])
     col_norms = np.linalg.norm(m, axis=0)
     max_norm = float(col_norms.max(initial=0.0))
     if max_norm == 0.0:

@@ -3,7 +3,8 @@
 The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. When the
 proxy is already steep at 1 a single Newton step lands in the band, with
 alpha - 1 <= 4, and h there is read in closed form off the eigenvalues of
-the d x d matrix P = Q_T^T Q_T, so that step factors nothing.
+the d x d matrix P = Q_T^T Q_T (LAPACK ``dsyevd``), so that step factors
+nothing.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 that sum is estimated without any eigendecomposition: round the trace to
 count the large eigenvalues, pick a representative column subset D, and
@@ -12,7 +13,8 @@ local maximizer of the kernel determinant: a column-pivoted QR gives the
 greedy start, and swaps are priced in closed form off a thin QR of the
 chosen columns; each trial alpha is then factored anew. The start is the
 iterate's thin orthonormal factor Q, which also gives the leverage scores,
-h(1) and P; no Cholesky and no kernel matrix is formed.
+h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
+is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``).
 
 This module owns the proxy h (``ProxyContext``) and the whole frame step;
 the step record ``UpdateResult`` that the margin loop reads lives in
@@ -27,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd
 
 from .errors import (
     DerivativeVanished,
@@ -37,8 +40,9 @@ from .errors import (
 )
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, _full_rank_qr, _scaled_qr, gram_context,  # noqa: F401
-                     logdet_psd, numerical_rank, orthonormal_factor, validate_scaling)
+from .linalg import (_EPS, Frame, _full_rank_qr, _scaled_qr, _thin_qr,  # noqa: F401
+                     gram_context, logdet_psd, numerical_rank, orthonormal_factor,
+                     validate_scaling)
 from .solver import UpdateResult
 
 DERIVATIVE_FLOOR = 1e-14
@@ -111,7 +115,7 @@ class ProxyContext:
 
     def closed_form(self) -> tuple[Callable[[float], float], Callable[[float], float],
                                    Callable[[float], float]]:
-        """(gain, h, h') off the eigenvalues mu of P at alpha = 1, one d x d eigvalsh.
+        """(gain, h, h') off the eigenvalues mu of P at alpha = 1, one d x d dsyevd.
 
         gain(alpha) = h(alpha) - h(1) = sum (alpha - 1) w_i / (1 + (alpha - 1) mu_i)
         with w_i = mu_i (1 - mu_i), summed directly rather than as a
@@ -119,9 +123,13 @@ class ProxyContext:
         alpha = 1, h and h' return the values read off Q, so a Newton step
         from 1 is the QR route's step. An absolute roundoff in a tiny mu_i is
         multiplied by alpha - 1, so this form is for bounded alpha - 1.
+        mu comes from LAPACK ``dsyevd`` on the lower triangle of P, as in
+        numpy's eigvalsh; an error it reports raises FactorizationFailure.
         """
         h1, hp1 = self._at_one
-        mu = np.linalg.eigvalsh(self._p_one)
+        mu, _, info = dsyevd(self._p_one, compute_v=0, lower=1)
+        if info != 0:
+            raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
         w = mu * (1.0 - mu)
 
         def gain(alpha: float) -> float:
@@ -282,7 +290,7 @@ def _det_local_opt_columns(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     chosen, swaps = np.sort(piv[:p]), 0
     while True:
         outside = np.setdiff1d(np.arange(x.shape[1]), chosen)
-        w, rd = np.linalg.qr(x[:, chosen])
+        w, rd = _thin_qr(x[:, chosen])  # the solves read only rd's upper triangle
         proj = w.T @ x[:, outside]
         a = scipy.linalg.solve_triangular(rd, proj)
         rd_inv = scipy.linalg.solve_triangular(rd, np.eye(p))

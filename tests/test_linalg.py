@@ -15,6 +15,7 @@ from framescale import (
     numerical_rank,
     pinv_trace,
 )
+from framescale.linalg import _thin_qr, validate_scaling
 from framescale.rational import rational_rank
 
 from conftest import fraction_inverse, random_frame, random_scaling
@@ -67,6 +68,60 @@ class TestGramContext:
             gram_context(frame, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             gram_context(frame, np.array([1.0, np.inf]))
+
+    def test_r_is_numpy_r(self, rng):
+        # R is copied out of the dgeqrf output before dorgqr overwrites it.
+        for _ in range(20):
+            d = int(rng.integers(1, 7))
+            n = int(rng.integers(d, 20))
+            frame = random_frame(rng, d, n)
+            z = random_scaling(rng, n)
+            r = gram_context(frame, z).r
+            assert np.array_equal(r, np.linalg.qr((frame.matrix * np.sqrt(z)).T)[1])
+            assert np.array_equal(r, np.triu(r))
+
+
+class TestThinQR:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_numpy_bit_for_bit(self, rng, order):
+        for _ in range(50):
+            m = int(rng.integers(1, 30))
+            k = int(rng.integers(1, m + 1))
+            b = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-8, 8, size=k)
+            b = np.asarray(b, order=order)
+            q, rh = _thin_qr(b)
+            q_np, r_np = np.linalg.qr(b)
+            assert q.flags.c_contiguous
+            assert np.array_equal(q, q_np)
+            assert np.array_equal(np.triu(rh), r_np)
+
+    def test_input_untouched(self, rng):
+        b = np.asfortranarray(rng.standard_normal((9, 4)))
+        before = b.copy()
+        _thin_qr(b)
+        assert np.array_equal(b, before)
+
+
+class TestValidateScaling:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "scaling has non-finite entries"),
+        (np.inf, "scaling has non-finite entries"),
+        (-np.inf, "scaling has non-finite entries"),
+        (0.0, "scaling entries must be strictly positive"),
+        (-1.0, "scaling entries must be strictly positive"),
+    ])
+    def test_messages(self, bad, message):
+        z = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_scaling(z, 3)
+
+    def test_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(3,\)"):
+            validate_scaling(np.ones(2), 3)
+
+    def test_valid_passes_through(self):
+        z = np.array([1e-300, 1.0, 1e300])
+        assert validate_scaling(z, 3) is z
 
 
 class TestLeverageScores:
@@ -141,6 +196,13 @@ class TestNumericalRank:
                 m = np.array(flat, dtype=np.float64).reshape(d, k)
                 rows = [[Fraction(int(v)) for v in row] for row in m]
                 assert numerical_rank(m) == rational_rank(rows), m
+
+    @pytest.mark.parametrize("exp", range(-300, 301, 25))
+    def test_scale_free(self, exp):
+        # Column norms of entries near 1e154 and beyond used to overflow.
+        m = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]) * 10.0**exp
+        assert numerical_rank(m) == 2
+        assert numerical_rank(m[:, :1]) == 1
 
     def test_random_larger_vs_rational(self, rng):
         for _ in range(400):

@@ -284,6 +284,21 @@ class TestScaleFrame:
         assert res.status == "infeasible"
         assert list(res.certificate) == [0, 1]
 
+    @pytest.mark.parametrize("gen, args", [(gen_gaussian, (5, 20, 0)),
+                                           (gen_infeasible, (3, 7, 0))])
+    def test_large_entries_give_unscaled_results(self, gen, args):
+        # An exact power-of-two scale of U leaves every leverage score, and
+        # so the whole run, unchanged.
+        U, c = gen(*args)
+        marginals = Marginals(c, d=U.shape[0])
+        want = scale_frame(Frame(U), marginals, 1e-6)
+        got = scale_frame(Frame(U * 2.0**520), marginals, 1e-6)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        if want.scaled:
+            assert np.array_equal(got.scaling, want.scaling)
+        else:
+            assert np.array_equal(got.certificate, want.certificate)
+
     def test_gaussian_converges(self, rng):
         for seed in range(3):
             local = np.random.default_rng(seed)

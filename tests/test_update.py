@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import framescale.linalg
+import framescale.update
 from framescale import (
     DerivativeVanished,
     FactorizationFailure,
@@ -20,6 +22,8 @@ from framescale import (
     numerical_rank,
     orthonormal_factor,
 )
+from framescale.generate import gen_gaussian
+from framescale.solver import Marginals, scale_frame
 from framescale.update import _det_local_opt_columns, nd_iteration_cap
 
 from conftest import (det_local_opt_oracle, fraction_inverse, gapped_instance, mu_spectrum,
@@ -168,15 +172,20 @@ class TestComputeUpdate:
 
 @pytest.fixture
 def qr_calls(monkeypatch):
-    """Records one entry per numpy.linalg.qr call."""
+    """Records one entry per thin QR, i.e. per ``linalg._thin_qr`` call.
+
+    The helper is looked up in ``linalg`` (by ``_full_rank_qr``) and in
+    ``update`` (by the swap search), so it is replaced in both.
+    """
     calls = []
-    original = np.linalg.qr
+    original = framescale.linalg._thin_qr
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(framescale.linalg, "_thin_qr", counting)
+    monkeypatch.setattr(framescale.update, "_thin_qr", counting)
     return calls
 
 
@@ -212,7 +221,7 @@ def exact_h(frame, z, T, alpha):
                for j in T)
 
 
-# numpy.linalg.qr calls on the guess-branch instances of
+# Thin QRs on the guess-branch instances of
 # test_guess_branch_qr_count_unchanged: one per trial alpha, plus the swap
 # search's and Q_D's when the eigen-sum guess picks columns D.
 GUESS_QR_COUNTS = [3, 1, 3, 3, 3, 1, 3, 3]
@@ -245,6 +254,26 @@ class TestSteepClosedForm:
             assert upd.seeded
             assert compute_update(frame, z, T, gamma) == upd
         assert counts == GUESS_QR_COUNTS
+
+    def test_solve_takes_one_qr_per_iteration(self, qr_calls):
+        # One per measured iterate (the start and each step) plus the
+        # regularizer's factor at z = 1; every step is steep.
+        U, c = gen_gaussian(5, 20, 0)
+        res = scale_frame(Frame(U), Marginals(c, d=5), 1e-6)
+        assert res.scaled and res.iterations > 1000
+        assert len(qr_calls) == res.iterations + 2
+
+    def test_spectrum_matches_numpy(self, rng):
+        for frame, z, T, q, _ in steep_instances(rng, 20):
+            ctx = ProxyContext(frame, z, T, q=q)
+            p = q[T].T @ q[T]
+            gain, _, h_prime = ctx.closed_form()
+            mu = np.linalg.eigvalsh(p)
+            w = mu * (1.0 - mu)
+            for alpha in (1.5, 3.0):
+                s = alpha - 1.0
+                assert gain(alpha) == float((s * w / (1.0 + s * mu)).sum())
+                assert h_prime(alpha) == float((w / (1.0 + s * mu) ** 2).sum())
 
     @pytest.mark.parametrize("step", ["band", "tiny"])
     def test_gain_exact_to_roundoff(self, rng, step):
