@@ -46,7 +46,7 @@ class PreconditionViolated(ScalingError):
 
 
 class InfeasibleSegment(ScalingError):
-    """Piecewise-linear step-size solve has no finite solution."""
+    """The step proved the band unreachable: T cannot take gamma more mass (either solver)."""
 
 
 class ZeroRowSum(ScalingError):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InfeasibleSegment, ZeroRowSum
 from .linalg import _EPS
 from .regularize import prefix_gap_shrink
-from .solver import ScalingResult, SolverConfig, UpdateResult, _margin_loop
+from .solver import ScalingResult, SolverConfig, UpdateResult, _margin_loop, step_gain
 # select_margin_set stays a module attribute here for callers that look it
 # up on this module; the shared loop calls it on ``solver``.
 from .solver import select_margin_set  # noqa: F401
@@ -210,14 +210,9 @@ def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
 
 
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
-    """h(alpha) - h(1) for the column-sum proxy, in closed form."""
-    return _proxy_gain(*_mu_weights(matrix, r, y, T), alpha)
-
-
-def _proxy_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
-    """matrix_proxy_gain on precomputed mu weights."""
-    t = (alpha - 1.0) * mu
-    return float(np.sum(w * t * (1.0 - mu) / (1.0 + t)))
+    """h(alpha) - h(1) for the column-sum proxy, in closed form (``step_gain``)."""
+    mu, r_nbr = _mu_weights(matrix, r, y, T)
+    return step_gain(mu, r_nbr * mu * (1.0 - mu), alpha)
 
 
 def matrix_rho_prefixes(matrix: NonnegMatrix, order: np.ndarray) -> np.ndarray:
@@ -262,7 +257,8 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     construction and the error compared against eps^2 is ||c(B) - c||^2.
     Runs the shared margin loop of ``solver``: the certificate is the Hall
     check c(T) > r(N(T)), which the loop decides once per set, the step
-    solves the surrogate, and the shrink is ``matrix_regularize``.
+    solves the surrogate (whose InfeasibleSegment the loop answers with a
+    zero-tolerance Hall check), and the shrink is ``matrix_regularize``.
     """
     m, n = matrix.matrix.shape
     r, c = marginals.r, marginals.c
@@ -274,24 +270,15 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
         cs = column_sums(matrix, r, y)
         return cs, float(((cs - c) ** 2).sum())
 
-    def hall_violated(T, tol):
-        return float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol
-
-    def certificate(T):
-        return T if hall_violated(T, HALL_TOL_REL * s) else None
+    def certificate(T, zero_tol=False):
+        tol = 0.0 if zero_tol else HALL_TOL_REL * s
+        return T if float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol else None
 
     def step(y, T, gamma):
         mu, w = _mu_weights(matrix, r, y, T)
-        try:
-            alpha = _surrogate_step(mu, w, gamma)
-        except InfeasibleSegment:
-            # Hairline Hall violation below the comparison guard: the
-            # surrogate supremum proves c(T) > r(N(T)), so certify.
-            if hall_violated(T, 0.0):
-                return None
-            raise
-        return UpdateResult(alpha=alpha, h_gain=_proxy_gain(mu, w, alpha), nd_iters=0,
-                            hp_one=math.nan, seeded=False)
+        alpha = _surrogate_step(mu, w, gamma)
+        return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * (1.0 - mu), alpha),
+                            nd_iters=0, hp_one=math.nan, seeded=False)
 
     def shrink(y, gamma):
         return matrix_regularize(matrix, y, gamma / (15.0 * s * n**3))

@@ -11,8 +11,8 @@ marginals, certificate, step and shrink. A certificate is a property of
 the column set alone, so the loop decides each set once per solve.
 
 This module owns ``UpdateResult``, the step record that every ``step``
-closure returns to the loop. The step-size proxy ``ProxyContext`` and the
-frame step itself live in ``update``.
+closure returns to the loop, and ``step_gain``, the gain both steps report.
+The step-size proxy ``ProxyContext`` and the frame step live in ``update``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateMargin, IterationCapExceeded, ScalingError
+from .errors import DegenerateMargin, InfeasibleSegment, IterationCapExceeded, ScalingError
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
 from .linalg import Frame, leverage_scores, numerical_rank, orthonormal_factor  # noqa: F401
@@ -188,7 +188,8 @@ class ScalingResult:
 
 @dataclass(frozen=True)
 class UpdateResult:
-    """One step as a ``step`` closure hands it to the margin loop."""
+    """One step as a ``step`` closure hands it to the margin loop; a step
+    that proves the band unreachable raises InfeasibleSegment instead."""
 
     alpha: float
     h_gain: float
@@ -197,20 +198,31 @@ class UpdateResult:
     seeded: bool  # True when the eigen-sum guess supplied the start point
 
 
+def step_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
+    """Proxy gain h(alpha) - h(1) = sum (alpha - 1) w_i / (1 + (alpha - 1) mu_i).
+
+    Frames: mu the eigenvalues of P = Q_T^T Q_T, w = mu (1 - mu). Matrices:
+    mu_i row i's T-mass fraction, w = r mu (1 - mu), over N(T)."""
+    s = alpha - 1.0
+    return float((s * w / (1.0 + s * mu)).sum())
+
+
 def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,
                  step, shrink, log_range: bool = False) -> ScalingResult:
     """The margin loop shared by the frame and the matrix solver.
 
     ``measure(z)`` gives the marginals of z and their squared error against
-    c, ``certificate(T)`` a certificate or None, ``step(z, T, gamma)`` an
-    ``UpdateResult`` or None when the step itself proves T infeasible, and
-    ``shrink(z, gamma)`` the regularized z, whose min must be exactly 1.
-    With ``log_range`` the trace records ||log z||_inf. A ScalingError
-    leaving the loop carries the trace.
+    c, ``certificate(T, zero_tol=False)`` a certificate or None, ``step(z,
+    T, gamma)`` an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized
+    z, whose min must be exactly 1. With ``log_range`` the trace records
+    ||log z||_inf. A ScalingError leaving the loop carries the trace.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
     decided once per solve, with every later visit reusing that decision.
+    A set infeasible by less than that decision's roundoff guard reaches
+    ``step``, which raises InfeasibleSegment; the loop then decides T with
+    ``zero_tol=True`` and certifies, or re-raises when T still passes.
     """
     n = c.shape[0]
     eps_sq = eps * eps
@@ -235,9 +247,12 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 decided[tag] = certificate(key)
             cert = decided[tag]
             if cert is None:
-                upd = step(z, T, ms.gamma)
-                if upd is None:
-                    cert = key
+                try:
+                    upd = step(z, T, ms.gamma)
+                except InfeasibleSegment:
+                    cert = certificate(key, zero_tol=True)
+                    if cert is None:
+                        raise
             if cert is not None:
                 return ScalingResult(
                     status=INFEASIBLE, scaling=None, certificate=cert,
@@ -312,8 +327,10 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         lev = np.einsum("ij,ij->i", q, q)
         return lev, float(((lev - c) ** 2).sum())
 
-    def certificate(T):
-        return infeasibility_certificate(frame, c, T)
+    def certificate(T, zero_tol=False):
+        if not zero_tol:
+            return infeasibility_certificate(frame, c, T)
+        return T if numerical_rank(frame.columns(T)) < float(c[T].sum()) else None
 
     def step(z, T, gamma):
         return compute_update(frame, z, T, gamma, q=q)

@@ -31,19 +31,14 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dsyevd
 
-from .errors import (
-    DerivativeVanished,
-    FactorizationFailure,
-    GuessPreconditionViolated,
-    IterationCapExceeded,
-    PreconditionViolated,
-)
+from .errors import (DerivativeVanished, FactorizationFailure, GuessPreconditionViolated,
+                     InfeasibleSegment, IterationCapExceeded, PreconditionViolated)
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, _full_rank_qr, _scaled_qr, _thin_qr,  # noqa: F401
                      gram_context, logdet_psd, numerical_rank, orthonormal_factor,
                      validate_scaling)
-from .solver import UpdateResult
+from .solver import UpdateResult, step_gain
 
 DERIVATIVE_FLOOR = 1e-14
 # A swap must at least double det X_D^T X_D, less a log-space slack of 1e-12.
@@ -117,8 +112,8 @@ class ProxyContext:
                                    Callable[[float], float]]:
         """(gain, h, h') off the eigenvalues mu of P at alpha = 1, one d x d dsyevd.
 
-        gain(alpha) = h(alpha) - h(1) = sum (alpha - 1) w_i / (1 + (alpha - 1) mu_i)
-        with w_i = mu_i (1 - mu_i), summed directly rather than as a
+        gain(alpha) = h(alpha) - h(1) is ``solver.step_gain`` with
+        w_i = mu_i (1 - mu_i), summed directly rather than as a
         difference, and h'(alpha) = sum w_i / (1 + (alpha - 1) mu_i)^2. At
         alpha = 1, h and h' return the values read off Q, so a Newton step
         from 1 is the QR route's step. An absolute roundoff in a tiny mu_i is
@@ -133,8 +128,7 @@ class ProxyContext:
         w = mu * (1.0 - mu)
 
         def gain(alpha: float) -> float:
-            s = alpha - 1.0
-            return float((s * w / (1.0 + s * mu)).sum())
+            return step_gain(mu, w, alpha)
 
         def h(alpha: float) -> float:
             return h1 if alpha == 1.0 else h1 + gain(alpha)
@@ -308,9 +302,11 @@ def compute_update(frame: Frame, z, T, gamma: float,
                    q: np.ndarray | None = None) -> UpdateResult:
     """Find alpha >= 1 with gamma/5 <= h(alpha) - h(1) <= gamma.
 
-    Assumes the rank check already ruled T out as a certificate, so the
-    band is reachable. ``q`` is the iterate's ``orthonormal_factor(frame,
-    z)``, factored here when None; h(1) and h'(1) are read off it. When
+    Expects a T the rank check did not certify. Where the guess branch finds
+    mu_tilde <= 0, the gain's supremum rk(U_T) - h(1) is below gamma, so it
+    raises InfeasibleSegment for the margin loop's zero-tolerance check.
+    ``q`` is the iterate's ``orthonormal_factor(frame, z)``, factored here
+    when None; h(1) and h'(1) are read off it. When
     h'(1) >= gamma/4 one Newton step from 1 reaches the band, with
     alpha - 1 <= 4, and h is read off the spectrum of P in closed form:
     that step takes no QR. Otherwise the seed is 1 + gamma / (2 mu_tilde),
@@ -335,7 +331,7 @@ def compute_update(frame: Frame, z, T, gamma: float,
         )
     est = approx_small_eigen_sum(frame, z, T, q=q)
     if est.mu_tilde <= 0.0:
-        raise GuessPreconditionViolated(
+        raise InfeasibleSegment(
             "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
         )
     alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ class TestNeighborhood:
         assert list(neighborhood(I3, [])) == []
 
 
+def exact_t_mass(a, r, y, T, alpha):
+    """Column-sum mass of T after scaling y on T by alpha, in exact rationals."""
+    alpha = Fraction(alpha)
+    ys = [Fraction(v) * (alpha if j in T else 1) for j, v in enumerate(y)]
+    mass = Fraction(0)
+    for i, row in enumerate(a):
+        terms = [Fraction(v) * ys[j] for j, v in enumerate(row)]
+        part = sum(terms[j] for j in T)
+        if part:
+            mass += Fraction(r[i]) * part / sum(terms)
+    return mass
+
+
 class TestMatrixUpdate:
     def test_single_row_linear(self):
         # one active row, mu = 1/2: slope 1/4 until alpha - 1 = 2
@@ -197,6 +211,34 @@ class TestMatrixUpdate:
             h1 = float((r[nbr] * (part / (A.matrix @ y))[nbr]).sum())
             h_at = h1 + matrix_proxy_gain(A, r, y, T, 1e12)
             assert abs(h_at - r[nbr].sum()) <= 1e-6 * s
+
+    @pytest.mark.parametrize("step", ["band", "tiny"])
+    def test_gain_exact_to_roundoff(self, rng, step):
+        # "tiny" puts alpha - 1 near 1e-6, where h(alpha) and h(1) nearly cancel.
+        checked = 0
+        while checked < 30:
+            m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            a = rng.random((m, n)) + 0.05
+            a[rng.random((m, n)) < 0.3] = 0.0
+            if not (a.any(axis=0).all() and a.any(axis=1).all()):
+                continue
+            checked += 1
+            A = NonnegMatrix(a)
+            r = rng.random(m) + 0.5
+            y = 10.0 ** rng.uniform(-2, 2, size=n)
+            T = rng.permutation(n)[: int(rng.integers(1, n))]
+            if step == "tiny":
+                alpha = 1.0 + 1e-6 * (1.0 + rng.random())
+            else:
+                part = a[:, T] @ y[T]
+                mu = part / (a @ y)
+                sup = float((r * (1 - mu))[part > 0].sum())
+                if sup <= 0.0:
+                    continue
+                alpha = matrix_update(A, r, y, T, 0.9 * sup * rng.random() + 1e-9)
+            exact = exact_t_mass(a, r, y, T, alpha) - exact_t_mass(a, r, y, T, 1.0)
+            gain = matrix_proxy_gain(A, r, y, T, alpha)
+            assert abs(Fraction(gain) - exact) <= Fraction(1e-10) * exact
 
 
 class TestScaleMatrix:

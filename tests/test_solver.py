@@ -1,3 +1,6 @@
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from framescale import (
     SCALED,
     DerivativeVanished,
     Frame,
+    InfeasibleSegment,
     IterationCapExceeded,
     IterationRecord,
     Marginals,
@@ -22,7 +26,9 @@ from framescale import (
     select_margin_set,
 )
 from framescale.generate import gen_gaussian, gen_infeasible
+from framescale.rational import rational_rank
 from framescale.regularize import RhoCache
+from framescale.solver import UpdateResult, _margin_loop
 
 from conftest import (
     fuzz_recipe,
@@ -559,3 +565,70 @@ class TestBitIdentity:
         if case == "gaussian":
             assert got.iterations == 821
         assert got.trace == want.trace
+
+
+def tight_pair():
+    """Columns 0 and 1 parallel (rank 1) with mass 1 + 5e-8; the rest uniform."""
+    U = np.random.default_rng(0).standard_normal((3, 8))
+    U[:, 1] = 2.0 * U[:, 0]
+    c = np.full(8, (3.0 - (1.0 + 5e-8)) / 6.0)
+    c[0] = c[1] = (1.0 + 5e-8) / 2.0
+    return Frame(U), Marginals(c, d=3)
+
+
+class TestStepInfeasibleExit:
+    # The rank check's guard, CERTIFICATE_TOL, hides the tight pair's excess
+    # mass of 5e-8; the step then proves the band unreachable, and the loop
+    # certifies T at zero tolerance.
+    def test_tight_pair_certifies(self):
+        frame, marginals = tight_pair()
+        res = scale_frame(frame, marginals, 1e-9)
+        assert res.status == INFEASIBLE and list(res.certificate) == [0, 1]
+        assert res.iterations == 358
+        rows = [[Fraction(x) for x in row] for row in frame.matrix[:, res.certificate]]
+        mass = sum(Fraction(x) for x in marginals.values[res.certificate])
+        assert rational_rank(rows) == 1 < mass
+
+    def test_tight_pair_scales_at_coarse_eps(self):
+        frame, marginals = tight_pair()
+        res = scale_frame(frame, marginals, 1e-6)
+        assert res.scaled and res.iterations == 287
+
+    @pytest.mark.parametrize("zero_tol_certifies", [False, True])
+    def test_loop_answers_infeasible_step(self, zero_tol_certifies):
+        # Stub callbacks: the error vector never moves, so T = [0] every
+        # iteration, and the second step raises.
+        c = np.array([0.5, 0.5])
+        error = np.array([-0.1, 0.1])
+        decisions, steps = [], []
+        raised = InfeasibleSegment("stub step")
+
+        def measure(z):
+            return c + error, float((error**2).sum())
+
+        def certificate(T, zero_tol=False):
+            decisions.append((list(T), zero_tol))
+            return T if zero_tol and zero_tol_certifies else None
+
+        def step(z, T, gamma):
+            steps.append(list(T))
+            if len(steps) == 2:
+                raise raised
+            return UpdateResult(alpha=2.0, h_gain=gamma, nd_iters=0, hp_one=0.0, seeded=False)
+
+        def shrink(z, gamma):
+            return z / z.min()
+
+        run = functools.partial(_margin_loop, c, 1e-3, SolverConfig(), measure, certificate,
+                                step, shrink)
+        if zero_tol_certifies:
+            res = run()
+            assert res.status == INFEASIBLE and list(res.certificate) == [0]
+            assert res.iterations == 2 and len(res.trace) == 1
+        else:
+            with pytest.raises(InfeasibleSegment) as info:
+                run()
+            assert info.value is raised
+            assert len(info.value.trace) == 1
+        assert steps == [[0], [0]]
+        assert decisions == [([0], False), ([0], True)]
