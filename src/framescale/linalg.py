@@ -98,13 +98,18 @@ def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(q), rh
 
 
-def _full_rank_qr(b: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_thin_qr`` of b; raises FactorizationFailure(failure) when a diagonal
-    entry of R is at or below ``k * eps`` times the largest."""
-    q, rh = _thin_qr(b)
+def _require_full_rank(rh: np.ndarray, failure: str) -> None:
+    """Raise FactorizationFailure(failure) when a diagonal entry of the k x k
+    R in ``rh`` is at or below ``k * eps`` times the largest."""
     rdiag = np.abs(np.diagonal(rh))
-    if rdiag.min(initial=np.inf) <= b.shape[1] * _EPS * rdiag.max(initial=0.0):
+    if rdiag.min(initial=np.inf) <= rh.shape[1] * _EPS * rdiag.max(initial=0.0):
         raise FactorizationFailure(failure)
+
+
+def _full_rank_qr(b: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_thin_qr`` of b, checked by ``_require_full_rank``."""
+    q, rh = _thin_qr(b)
+    _require_full_rank(rh, failure)
     return q, rh
 
 

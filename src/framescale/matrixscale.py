@@ -8,15 +8,17 @@ c(T) <= r(N(T)), and the step size solves a piecewise-linear surrogate g
 with g/2 <= h - h(1) <= g exactly at its breakpoints, so no root finding
 is needed.
 
-An iteration makes a few whole-array passes over A, O(mn), plus two sorts.
-The regularizer is the prefix-gap shrink of ``regularize`` with floor
-max(rho_floor, delta), where ``NonnegMatrix.rho_floor`` is a lower bound on
-every prefix rho proven once per matrix. Only a gap above that floor's
-threshold can fire, and only then are the rho values of all n - 1 column
-prefixes taken, from one cumulative sum over the reordered columns, also
-O(mn). The per-row T-mass fractions are computed once per iteration and
-shared by the step solve and the gain. The Hall check depends on the set
-alone, so the shared loop decides it once per set within a solve.
+An iteration makes a few whole-array passes over A, O(mn), plus two sorts:
+the margin set's and the step's. The regularizer is the prefix-gap shrink
+of ``regularize`` with floor max(rho_floor, delta), where
+``NonnegMatrix.rho_floor`` is a lower bound on every prefix rho proven once
+per matrix. Only a gap above that floor's threshold can fire. The shrink
+sorts y only when max y / min y is above it, and takes the rho values of
+all n - 1 column prefixes only when some gap is, from one cumulative sum
+over the reordered columns, also O(mn). The per-row T-mass fractions are
+computed once per iteration and shared by the step solve and the gain. The
+Hall check depends on the set alone, so the shared loop decides it once
+per set within a solve.
 """
 
 from __future__ import annotations
@@ -199,9 +201,10 @@ def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
     mu, mass = mu[order], mass[order]
     prefix = np.cumsum(mass)                          # saturated mass through k
     slope = np.cumsum((mass * mu)[::-1])[::-1]        # segment slope from k on
-    # g at breakpoint k (alpha - 1 = 1/mu_k): terms through k saturated.
-    tail = np.concatenate([slope[1:], [0.0]])
-    g_at_break = prefix + tail / mu
+    # g at breakpoint k (alpha - 1 = 1/mu_k): terms through k saturated, and
+    # the rest on their slope; at the last breakpoint there is no rest.
+    g_at_break = prefix.copy()
+    g_at_break[:-1] += slope[1:] / mu[:-1]
     k = int(np.searchsorted(g_at_break, target, side="left"))
     k = min(k, mu.size - 1)
     p_prev = float(prefix[k - 1]) if k > 0 else 0.0

@@ -7,7 +7,9 @@ computable pseudo-inverse-trace overestimate of 1 + rho_T, read off the
 singular values of the unscaled frame's thin orthonormal factor; the exact
 condition measures are NP-hard and never needed. ``prefix_gap_shrink`` is
 the one shrink body: ``regularize`` runs it for frames and
-``matrixscale.matrix_regularize`` for matrices, each with its own rho.
+``matrixscale.matrix_regularize`` for matrices, each with its own rho. It
+sorts z only when max z / min z is large enough for some gap to fire;
+otherwise it snaps z to the grid entry by entry.
 """
 
 from __future__ import annotations
@@ -78,24 +80,46 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     are candidates. ``rhos(order, candidates)``, called only when there is
     one, maps that mask over the n - 1 gaps to an array whose entry k - 1
     is the rho of ``order[:k]`` at each candidate gap k.
+
+    Rounding is monotone, so no sorted ratio exceeds the rounded max/min.
+    When that ratio is no candidate, no gap is, and z is normalized and
+    snapped in place without sorting: every entry gets the same operations
+    as on the sorted path, so the result is the same bit for bit.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
+    headroom = 1.0 + 2.0 * delta
+    lo = int(z.argmin())
+    # A NaN, zero or negative min fails the first test and an infinite max
+    # the second, so such a z takes the sorted path.
+    if z[lo] > 0.0 and z.max() / z[lo] * (delta / floor) <= headroom:
+        zs = z / z[lo]
+        _snap(zs, delta)
+        zs /= zs[lo]
+        return zs
     order = np.argsort(-z, kind="stable")
     zs = z[order]
     zs /= zs[-1]
-    headroom = 1.0 + 2.0 * delta
     ratios = zs[:-1] / zs[1:]
     candidates = ratios * (delta / floor) > headroom
     if candidates.any():
         thresholds = np.maximum(rhos(order, candidates), floor) / delta
         for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
             zs[:k + 1] *= thresholds[k] / ratios[k]
-    zs = np.maximum(np.floor(zs / delta + 0.5) * delta, delta)
+    _snap(zs, delta)
     zs /= zs[-1]
     out = np.empty_like(zs)
     out[order] = zs
     return out
+
+
+def _snap(zs: np.ndarray, delta: float) -> None:
+    """Round zs in place to the nearest multiple of delta, clamped at delta."""
+    zs /= delta
+    zs += 0.5
+    np.floor(zs, out=zs)
+    zs *= delta
+    np.maximum(zs, delta, out=zs)
 
 
 def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> np.ndarray:

@@ -96,7 +96,8 @@ def select_margin_set(lev, c) -> MarginSet:
         raise ValueError("margin selection needs n >= 2")
     x = lev - c
     total = float(x.sum())
-    if abs(total) > 1e-8 * max(1.0, float(np.abs(c).sum())):
+    # The tolerance is at least 1e-8, so |c|_1 is summed only past that.
+    if abs(total) > 1e-8 and abs(total) > 1e-8 * max(1.0, float(np.abs(c).sum())):
         raise ValueError(f"lev - c must sum to 0, got {total!r}")
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -215,7 +216,8 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     c, ``certificate(T, zero_tol=False)`` a certificate or None, ``step(z,
     T, gamma)`` an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized
     z, whose min must be exactly 1. With ``log_range`` the trace records
-    ||log z||_inf. A ScalingError leaving the loop carries the trace.
+    ||log z||_inf, which for min z = 1 is log max z. A ScalingError leaving
+    the loop carries the trace.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
@@ -265,7 +267,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 trace.append(IterationRecord(
                     error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
                     progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
-                    log_z_inf=float(np.abs(np.log(z)).max()) if log_range else math.nan,
+                    log_z_inf=float(np.log(z.max())) if log_range else math.nan,
                 ))
             err_sq = new_err_sq
     except ScalingError as exc:

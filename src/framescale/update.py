@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (DerivativeVanished, FactorizationFailure, GuessPrecondition
                      InfeasibleSegment, IterationCapExceeded, PreconditionViolated)
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, _full_rank_qr, _scaled_qr, _thin_qr,  # noqa: F401
+from .linalg import (_EPS, Frame, _require_full_rank, _scaled_qr, _thin_qr,  # noqa: F401
                      gram_context, logdet_psd, numerical_rank, orthonormal_factor,
                      validate_scaling)
 from .solver import UpdateResult, step_gain
@@ -62,10 +63,14 @@ class ProxyContext:
     kept; every other alpha is factored on demand and cached for the last
     alpha asked. ``closed_form`` reads h at any alpha off the spectrum of
     that same P, with no further QR.
+
+    z is validated where it is read, the first time a scaled frame is
+    factored: here when q is None, else at the first alpha != 1. A q
+    comes from ``orthonormal_factor``, which has validated its z, so the
+    margin loop validates each iterate once and a steep step not at all.
     """
 
     def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
-        z = validate_scaling(z, frame.n)
         self.frame = frame
         self.z = z
         self.T = np.asarray(T, dtype=np.intp)
@@ -74,10 +79,15 @@ class ProxyContext:
         mask = np.zeros(frame.n, dtype=bool)
         mask[self.T] = True
         self._mask = mask
-        self._p_one = self._gram(q if q is not None else _scaled_qr(frame, z)[0])
+        self._p_one = self._gram(q if q is not None else _scaled_qr(frame, self._scaling)[0])
         self._at_one = self._values(self._p_one, 1.0)
         self._cache_alpha = None
         self._cache_vals = None
+
+    @cached_property
+    def _scaling(self) -> np.ndarray:
+        """z, validated on first read."""
+        return validate_scaling(self.z, self.frame.n)
 
     def _gram(self, q: np.ndarray) -> np.ndarray:
         qt = q[self._mask, :]
@@ -96,7 +106,7 @@ class ProxyContext:
             return self._at_one
         if self._cache_alpha == alpha:
             return self._cache_vals
-        w = self.z.copy()
+        w = self._scaling.copy()
         w[self._mask] *= alpha
         self._cache_vals = self._values(self._gram(_scaled_qr(self.frame, w)[0]), alpha)
         self._cache_alpha = alpha
@@ -114,7 +124,9 @@ class ProxyContext:
 
         gain(alpha) = h(alpha) - h(1) is ``solver.step_gain`` with
         w_i = mu_i (1 - mu_i), summed directly rather than as a
-        difference, and h'(alpha) = sum w_i / (1 + (alpha - 1) mu_i)^2. At
+        difference; it keeps its last (alpha, gain), so the gain at the
+        alpha where Newton stopped is not summed again. h'(alpha) =
+        sum w_i / (1 + (alpha - 1) mu_i)^2. At
         alpha = 1, h and h' return the values read off Q, so a Newton step
         from 1 is the QR route's step. An absolute roundoff in a tiny mu_i is
         multiplied by alpha - 1, so this form is for bounded alpha - 1.
@@ -126,9 +138,12 @@ class ProxyContext:
         if info != 0:
             raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
         w = mu * (1.0 - mu)
+        last = [math.nan, 0.0]
 
         def gain(alpha: float) -> float:
-            return step_gain(mu, w, alpha)
+            if alpha != last[0]:
+                last[:] = alpha, step_gain(mu, w, alpha)
+            return last[1]
 
         def h(alpha: float) -> float:
             return h1 if alpha == 1.0 else h1 + gain(alpha)
@@ -218,8 +233,10 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     ``q`` is ``orthonormal_factor(frame, z)``, factored here when None.
     mu_tilde is ||Q_T (I - W W^T)||_F^2 with W the thin Q of Q_D^T: the
     leverage mass of T outside the span of the chosen columns D, summed
-    directly rather than as a difference. Raises FactorizationFailure when
-    Q_D is numerically rank-deficient.
+    directly rather than as a difference. The search for D runs on the
+    columns of T in sorted order, so its last thin QR is that of Q_D^T and
+    W is read off it. Raises FactorizationFailure when Q_D is numerically
+    rank-deficient.
     """
     T = np.asarray(T, dtype=np.intp)
     if q is None:
@@ -236,8 +253,8 @@ def approx_small_eigen_sum(frame: Frame, z, T,
         return EigenSumEstimate(mu_tilde=0.0, p=p)
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
-    D = det_local_opt(frame, z, T, p, rank_t=rank_t, q=q)
-    w, _ = _full_rank_qr(q[D].T, "projector block singular in eigen-sum guess")
+    D, w, rd = _det_search(np.sort(T), p, q)
+    _require_full_rank(rd, "projector block singular in eigen-sum guess")
     rest = q[T] - (q[T] @ w) @ w.T
     return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p, D=D)
 
@@ -260,16 +277,29 @@ def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
     if q is None:
         q = orthonormal_factor(frame, z)
+    return _det_search(T, p, q)[0]
+
+
+def _det_search(T: np.ndarray, p: int,
+                q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``det_local_opt`` for 0 < p < rk(U_T) on the rows T of q; returns (D, W, R).
+
+    (W, R) is the search's last thin QR, of the chosen columns of Q_T^T
+    taken in the order of T (R in its upper triangle), so for sorted T it is
+    the thin QR of Q_D^T.
+    """
     x = q[T].T
     trace = float(np.einsum("ij,ij->", x, x))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")
-    chosen, _ = _det_local_opt_columns(x, p)
-    return np.sort(T[chosen])
+    chosen, _, w, rd = _det_local_opt_columns(x, p)
+    return np.sort(T[chosen]), w, rd
 
 
-def _det_local_opt_columns(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Search over p-subsets D of the columns of x; returns (sorted D, swap count).
+def _det_local_opt_columns(x: np.ndarray,
+                           p: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Search over p-subsets D of the columns of x; returns (sorted D, swap
+    count, W, R) with (W, R) the thin QR of x[:, D], R in the upper triangle.
 
     The greedy is column-pivoted QR: each pivot is the column farthest from
     the span of the earlier ones, i.e. the one that grows det X_D^T X_D the
@@ -293,7 +323,7 @@ def _det_local_opt_columns(x: np.ndarray, p: int) -> tuple[np.ndarray, int]:
                                 np.einsum("ij,ij->j", resid, resid))
         i, j = np.unravel_index(np.argmax(gain), gain.shape)
         if not gain[i, j] > SWAP_GAIN:
-            return chosen, swaps
+            return chosen, swaps, w, rd
         chosen = np.sort(np.append(np.delete(chosen, i), outside[j]))
         swaps += 1
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import framescale.linalg
+import framescale.update
 from framescale import FactorizationFailure, Frame, logdet_psd
 
 
@@ -107,10 +109,13 @@ def fuzz_recipe(seed):
     return U, c
 
 
-def sequential_regularize(frame, z, delta, cache):
+def sequential_regularize(frame, z, delta, cache, floor=1.0):
     """Reference: the gap-by-gap prefix shrink, visiting every gap in order.
 
-    Returns the regularized scaling and the number of shrinks that fired.
+    ``frame`` has ``n`` columns (a Frame or a NonnegMatrix), and
+    ``cache.rho(T)`` gives the rho of a column set, clamped below at
+    ``floor`` (1 for frames). Returns the regularized scaling and the number
+    of shrinks that fired.
     """
     z = np.asarray(z, dtype=np.float64)
     order = np.argsort(-z, kind="stable")
@@ -120,9 +125,9 @@ def sequential_regularize(frame, z, delta, cache):
     shrinks = 0
     for k in range(1, frame.n):
         ratio = zs[k - 1] / zs[k]
-        if ratio * delta <= headroom:
+        if ratio * (delta / floor) <= headroom:
             continue
-        rho = max(cache.rho(order[:k]), 1.0)
+        rho = max(cache.rho(order[:k]), floor)
         threshold = rho / delta
         if ratio > threshold * headroom:
             zs[:k] *= threshold / ratio
@@ -194,6 +199,25 @@ def det_local_opt_oracle(kernel, p):
         chosen = sorted(set(chosen) - {i} | {j})
         current = best_val
         swaps += 1
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Records one entry per thin QR, i.e. per ``linalg._thin_qr`` call.
+
+    The helper is looked up in ``linalg`` (by ``_full_rank_qr``) and in
+    ``update`` (by the swap search), so it is replaced in both.
+    """
+    calls = []
+    original = framescale.linalg._thin_qr
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(framescale.linalg, "_thin_qr", counting)
+    monkeypatch.setattr(framescale.update, "_thin_qr", counting)
+    return calls
 
 
 @pytest.fixture

@@ -199,6 +199,23 @@ class TestMatrixUpdate:
             gain = matrix_proxy_gain(A, r, y, T, alpha)
             assert gamma / 2.0 - 1e-9 <= gain <= gamma + 1e-9
 
+    def test_surrogate_equals_gamma(self, rng):
+        # The step solves g(alpha) = gamma exactly, not just within the band:
+        # g summed here row by row, min(1, (alpha - 1) mu_i) included.
+        for _ in range(50):
+            m = int(rng.integers(2, 8))
+            n = int(rng.integers(2, 8))
+            A = NonnegMatrix(rng.random((m, n)) * (rng.random((m, n)) < 0.7) + 0.01)
+            r = rng.random(m) + 0.5
+            y = 10.0 ** rng.uniform(-2, 2, size=n)
+            T = rng.permutation(n)[:int(rng.integers(1, n))]
+            mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
+            sup = float((r * (1 - mu)).sum())
+            gamma = 0.95 * sup * rng.random() + 1e-9
+            alpha = matrix_update(A, r, y, T, gamma)
+            g = sum(ri * (1.0 - mi) * min(1.0, (alpha - 1.0) * mi) for ri, mi in zip(r, mu))
+            assert g == pytest.approx(gamma, rel=1e-9, abs=1e-12)
+
     def test_limit_identity(self, rng):
         for _ in range(20):
             A = NonnegMatrix(rng.random((5, 6)) + 0.05)

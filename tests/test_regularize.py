@@ -4,7 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framescale import Frame, Marginals, leverage_scores, regularize, rho_overestimate, scale_frame
+from framescale import (Frame, Marginals, NonnegMatrix, leverage_scores, regularize,
+                        rho_overestimate, scale_frame)
+from framescale.generate import gen_bipartite
+from framescale.matrixscale import matrix_regularize
 from framescale.regularize import RhoCache
 
 from conftest import (
@@ -197,6 +200,103 @@ class TestRegularizeOracle:
             assert shrinks > 0 and visited > shrinks
         else:
             assert shrinks == 0 and visited == 0
+
+
+def boundary_ratios(delta, floor):
+    """Ratios M just below, at and just above the candidate test of the shrink.
+
+    "at" is the largest M with fl(M * (delta/floor)) <= 1 + 2 delta, "above"
+    the next float after it and "below" the float before it.
+    """
+    scale, headroom = delta / floor, 1.0 + 2.0 * delta
+    m = headroom / scale
+    while m * scale > headroom:
+        m = np.nextafter(m, 0.0)
+    while np.nextafter(m, np.inf) * scale <= headroom:
+        m = np.nextafter(m, np.inf)
+    assert np.nextafter(m, np.inf) * scale > headroom
+    return {"below": np.nextafter(m, 0.0), "at": m, "above": np.nextafter(m, np.inf)}
+
+
+class MatrixRho:
+    """rho of a column prefix of a matrix, its columns added one at a time."""
+
+    def __init__(self, matrix):
+        self.a = matrix.matrix
+
+    def rho(self, T):
+        total = self.a.sum(axis=1)
+        inter = np.zeros(self.a.shape[0])
+        for col in T:
+            inter += self.a[:, col]
+        touched = inter > 0.0
+        return float(((total[touched] - inter[touched]) / inter[touched]).max(initial=0.0))
+
+
+def counting_sorts(monkeypatch, run):
+    """run() and the number of ``np.argsort`` calls it made."""
+    calls = []
+    original = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", counting)
+        out = run()
+    return out, len(calls)
+
+
+class TestUnsortedSnap:
+    # With max/min * delta/floor at most 1 + 2 delta no gap can be a
+    # candidate, and the shrink snaps z entry by entry without sorting; the
+    # result must equal the gap-by-gap oracle bit for bit on either side of
+    # that test, and where a gap fires.
+
+    def setup(self, rng, problem, delta):
+        """(owner of the columns, rho oracle, floor, the shrink under test)."""
+        if problem == "frame":
+            frame = Frame(np.hstack([np.eye(3), rng.standard_normal((3, 5))]))
+            cache = RhoCache(frame)
+            return frame, cache, 1.0, lambda z: regularize(frame, z, delta, cache=cache)
+        matrix = NonnegMatrix(gen_bipartite(8, 8, 3)[0])
+        assert matrix.rho_floor > delta
+        return (matrix, MatrixRho(matrix), max(matrix.rho_floor, delta),
+                lambda z: matrix_regularize(matrix, z, delta))
+
+    @pytest.mark.parametrize("problem", ["frame", "matrix"])
+    @pytest.mark.parametrize("where", ["below", "at", "above"])
+    @pytest.mark.parametrize("delta", [0.125, 0.01, 3e-7])
+    def test_boundary_equals_sequential(self, rng, monkeypatch, problem, where, delta):
+        owner, oracle, floor, shrink = self.setup(rng, problem, delta)
+        ratio = boundary_ratios(delta, floor)[where]
+        for trial in range(6):
+            # min 1 and max `ratio` exactly, up to a power of two; a few
+            # entries in between, or ties at both ends, or both.
+            z = np.ones(owner.n)
+            z[:2] = ratio
+            if trial % 2:
+                z[2:5] = 1.0 + (ratio - 1.0) * rng.random(3)
+            z = rng.permutation(z) * 2.0 ** int(rng.integers(-40, 40))
+            want, fired = sequential_regularize(owner, z, delta, oracle, floor)
+            got, sorts = counting_sorts(monkeypatch, lambda: shrink(z))
+            assert np.array_equal(got, want)
+            assert got.min() == 1.0
+            assert sorts == (1 if where == "above" else 0)
+            assert fired == 0 or where == "above"
+
+    @pytest.mark.parametrize("problem", ["frame", "matrix"])
+    def test_firing_gap_equals_sequential(self, rng, problem):
+        delta = 0.01
+        owner, oracle, floor, shrink = self.setup(rng, problem, delta)
+        fired = 0
+        for _ in range(10):
+            z = 10.0 ** rng.uniform(-9.0, 9.0, size=owner.n)
+            want, shrinks = sequential_regularize(owner, z, delta, oracle, floor)
+            assert np.array_equal(shrink(z), want)
+            fired += shrinks
+        assert fired > 0
 
 
 class TestGrowthBound:

@@ -89,6 +89,31 @@ class TestSelectMarginSet:
         ms = margin_from_error([-0.5, -0.1, 0.1, 0.5])
         assert ms.k == 1  # gaps 0.4, 0.2, 0.4; first max wins
 
+    @pytest.mark.parametrize("imbalance, passes", [
+        (2e-8, True),     # above 1e-8, below the tolerance 1e-8 |c|_1 = 1e-7
+        (9e-8, True),
+        (1.1e-7, False),  # above 1e-8 |c|_1
+        (-1.1e-7, False),
+    ])
+    def test_balance_tolerance_scales_with_mass(self, imbalance, passes):
+        c = np.full(20, 0.5)  # |c|_1 = 10
+        lev = c + np.linspace(-0.1, 0.1, 20)
+        lev[3] += imbalance
+        total = float((lev - c).sum())
+        assert abs(total - imbalance) < 1e-14
+        if passes:
+            assert select_margin_set(lev, c).gamma > 0.0
+        else:
+            with pytest.raises(ValueError, match="must sum to 0"):
+                select_margin_set(lev, c)
+
+    def test_balance_tolerance_floor_on_small_mass(self):
+        # |c|_1 < 1: the tolerance is 1e-8, not 1e-8 |c|_1.
+        c = np.array([0.1, 0.2])
+        assert select_margin_set(c + [-0.05, 0.05 + 9e-9], c).k == 1
+        with pytest.raises(ValueError, match="must sum to 0"):
+            select_margin_set(c + [-0.05, 0.05 + 2e-8], c)
+
 
 class TestProxy:
     def test_scalar_formulas(self):
@@ -137,6 +162,23 @@ class TestProxy:
             assert (seeded.h(1.0), seeded.h_prime(1.0)) == (fresh.h(1.0), fresh.h_prime(1.0))
             # away from 1 the seeded proxy factors the shifted frame as before
             assert seeded.h(3.0) == fresh.h(3.0)
+
+    def test_scaling_validated_where_read(self, rng):
+        # z is checked when a scaled frame is factored: at construction
+        # without q, else at the first alpha != 1.
+        frame = random_frame(rng, 3, 6)
+        z = np.ones(6)
+        q = orthonormal_factor(frame, z)
+        bad = z.copy()
+        bad[2] = -1.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            ProxyContext(frame, bad, [0, 1])
+        ctx = ProxyContext(frame, bad, [0, 1], q=q)
+        assert ctx.h(1.0) == ProxyContext(frame, z, [0, 1], q=q).h(1.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            ctx.h(2.0)
+        with pytest.raises(ValueError, match="shape"):
+            ProxyContext(frame, z[:5], [0, 1], q=q).h_prime(2.0)
 
     def test_matches_spectral_oracle(self, rng):
         for _ in range(30):
