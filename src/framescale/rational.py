@@ -1,4 +1,4 @@
-"""Exact rational arithmetic for small-instance certificate verification.
+"""Exact rational arithmetic for certificate verification.
 
 Each decimal token is read as the binary64 value the solver reads, then
 taken as the exact Fraction of that float, so rank and mass comparisons
@@ -37,28 +37,26 @@ def parse_vector_tokens(path) -> list[Fraction]:
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by fraction-exact Gaussian elimination."""
-    mat = [row[:] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+
+    Each row is scaled by the lcm of its denominators, which keeps the rank.
+    Every elimination step then divides exactly by the previous pivot, so
+    each entry stays a minor of the integer matrix and no fraction is formed.
+    """
+    mat = []
+    for row in rows:
+        scale = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (scale // v.denominator) for v in row])
+    rank, prev = 0, 1
+    while mat and mat[0]:
+        k = next((i for i, r in enumerate(mat) if r[0]), None)
+        if k is None:
+            mat = [r[1:] for r in mat]
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
-        rank += 1
-        row += 1
-        if row == len(mat):
-            break
+        pivot = mat.pop(k)
+        p = pivot[0]
+        mat = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], pivot[1:])] for r in mat]
+        rank, prev = rank + 1, p
     return rank
 
 

@@ -159,7 +159,6 @@ class NDResult:
     alpha: float
     value: float
     n_iters: int
-    iterates: tuple = ()
 
 
 def newton_dinkelbach(f: Callable[[float], float], f_prime: Callable[[float], float],
@@ -178,7 +177,6 @@ def newton_dinkelbach(f: Callable[[float], float], f_prime: Callable[[float], fl
     val = f(alpha)
     if val > b_high + 1e-9:
         raise ValueError("starting guess already overshoots b_high")
-    iterates = [alpha]
     t = 0
     while val < b_low:
         if t >= max_iters:
@@ -192,9 +190,8 @@ def newton_dinkelbach(f: Callable[[float], float], f_prime: Callable[[float], fl
             )
         alpha = alpha + (b_high - val) / slope
         val = f(alpha)
-        iterates.append(alpha)
         t += 1
-    return NDResult(alpha=alpha, value=val, n_iters=t, iterates=tuple(iterates))
+    return NDResult(alpha=alpha, value=val, n_iters=t)
 
 
 def nd_iteration_cap(n: int, d: int) -> int:
@@ -259,20 +256,17 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p, D=D)
 
 
-def det_local_opt(frame: Frame, z, T, p: int, rank_t: int | None = None,
-                  q: np.ndarray | None = None) -> np.ndarray:
+def det_local_opt(frame: Frame, z, T, p: int, q: np.ndarray | None = None) -> np.ndarray:
     """Pivoted-QR greedy, then swaps: a 2-approximate determinant maximizer.
 
     Maximizes principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
     U sqrt(Z) = X^T X, with X = Q_T^T read off the thin orthonormal factor
     ``q = orthonormal_factor(frame, z)`` (factored here when None); the
     kernel's trace is h(1) and the kernel itself is never formed. Ties go
-    to the smallest index (pair) so reruns are reproducible. A caller that
-    holds rk(U_T) passes it as ``rank_t``.
+    to the smallest index (pair) so reruns are reproducible.
     """
     T = np.asarray(T, dtype=np.intp)
-    if rank_t is None:
-        rank_t = numerical_rank(frame.columns(T))
+    rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
     if q is None:

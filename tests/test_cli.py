@@ -224,6 +224,29 @@ class TestVerify:
         assert run_cli(["verify", "--result", out, "--input", tmp_path / "U.txt",
                         "--marginals", tmp_path / "c.txt"]) == 0
 
+    def test_exact_certificate_check_on_a_large_frame(self, tmp_path, capsys):
+        # A 4 x 13 tight pair: column 1 is twice column 0, with mass 1 + 5e-8
+        # against rank 1. Verify ranks certificates exactly at every size.
+        U = np.random.default_rng(0).standard_normal((4, 13))
+        U[:, 1] = 2.0 * U[:, 0]
+        c = np.full(13, (4.0 - (1.0 + 5e-8)) / 11.0)
+        c[0] = c[1] = (1.0 + 5e-8) / 2.0
+        fio.write_matrix_file(tmp_path / "U.txt", U)
+        fio.write_vector_file(tmp_path / "c.txt", c)
+        out = tmp_path / "res.json"
+        verify = ["verify", "--result", out, "--input", tmp_path / "U.txt",
+                  "--marginals", tmp_path / "c.txt"]
+        assert run_cli(["frame", "--input", tmp_path / "U.txt", "--marginals", tmp_path / "c.txt",
+                        "--eps", "1e-9", "--out", out]) == 3
+        doc = fio.read_result(out)
+        assert doc["certificate"] == [0, 1]
+        assert run_cli(verify) == 0
+        doc["certificate"] = [0]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(verify) == 2
+        assert "verify failed: certificate_rational_rank" in capsys.readouterr().err
+
     def test_fresh_result_passes(self, tmp_path):
         base = gen(tmp_path, "gaussian", d=3, n=9, seed=5)
         out = tmp_path / "res.json"

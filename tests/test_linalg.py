@@ -16,7 +16,8 @@ from framescale import (
     pinv_trace,
 )
 from framescale.linalg import _thin_qr, validate_scaling
-from framescale.rational import rational_rank
+from framescale.generate import gen_infeasible
+from framescale.rational import column_submatrix, rational_rank
 
 from conftest import fraction_inverse, random_frame, random_scaling
 
@@ -211,6 +212,57 @@ class TestNumericalRank:
             m = rng.integers(-2, 3, size=(d, k)).astype(np.float64)
             rows = [[Fraction(int(v)) for v in row] for row in m]
             assert numerical_rank(m) == rational_rank(rows), m
+
+
+def fractions_of(m) -> list[list[Fraction]]:
+    return [[Fraction(float(v)) for v in row] for row in np.asarray(m, dtype=np.float64)]
+
+
+class TestRationalRank:
+    def test_parallel_pair(self, rng):
+        x = rng.standard_normal(4)
+        assert rational_rank(fractions_of(np.column_stack([x, 2.0 * x]))) == 1
+
+    def test_pair_scaled_by_1e6_is_full_rank(self):
+        # 1e-6 * x rounds differently in each entry, so the binary64 columns
+        # are not exactly parallel, though a float rank reads them as one.
+        x = np.array([0.1, 0.7, -1.3])
+        m = np.column_stack([x, 1e-6 * x])
+        assert Fraction(m[0, 1]) / Fraction(m[0, 0]) != Fraction(m[1, 1]) / Fraction(m[1, 0])
+        assert numerical_rank(m) == 1
+        assert rational_rank(fractions_of(m)) == 2
+
+    def test_zero_rows_and_columns(self):
+        assert rational_rank([]) == 0
+        assert rational_rank([[]]) == 0
+        assert rational_rank(fractions_of(np.zeros((3, 4)))) == 0
+        m = np.zeros((4, 5))
+        m[1, 2], m[3, 4], m[3, 0] = 3.0, -1.0, 0.5
+        assert rational_rank(fractions_of(m)) == 2
+        assert rational_rank(fractions_of(m.T)) == 2
+
+    @pytest.mark.parametrize("d,n", [(3, 7), (8, 20), (16, 40)])
+    def test_gen_infeasible_cluster(self, d, n):
+        U, c = gen_infeasible(d, n, seed=0)
+        k = int(np.sum(c == c[0]))
+        rows = fractions_of(U)
+        assert rational_rank(column_submatrix(rows, range(k))) == 1
+        assert rational_rank(column_submatrix(rows, range(k - 1, n))) == d
+
+    def test_non_dyadic_entries(self):
+        third, seventh = Fraction(1, 3), Fraction(1, 7)
+        assert rational_rank([[third, 2 * third], [seventh, 2 * seventh]]) == 1
+        assert rational_rank([[third, Fraction(1, 5)], [seventh, Fraction(1, 11)]]) == 2
+        row = [Fraction(1, 3), Fraction(-2, 9), Fraction(5, 6)]
+        assert rational_rank([row, [v * Fraction(7, 3) for v in row], row[::-1]]) == 2
+
+    def test_matches_numerical_rank_when_well_conditioned(self, rng):
+        for d, k in [(1, 1), (2, 5), (4, 9), (6, 3), (8, 20), (16, 40)]:
+            for r in range(min(d, k) + 1):
+                m = rng.integers(-3, 4, (d, r)) @ rng.integers(-3, 4, (r, k))
+                assert rational_rank(fractions_of(m)) == numerical_rank(m.astype(float))
+            m = rng.standard_normal((d, k))
+            assert rational_rank(fractions_of(m)) == numerical_rank(m) == min(d, k)
 
 
 class TestLogdetPsd:

@@ -59,11 +59,18 @@ class TestNewtonDinkelbach:
             gamma = min(0.8 * (limit - h1), 1.0)
             if gamma <= 1e-3:
                 continue
-            res = newton_dinkelbach(f=ctx.h, f_prime=ctx.h_prime, alpha0=1.0,
+            visited = []  # newton_dinkelbach evaluates f once at each iterate
+
+            def f(alpha):
+                visited.append(alpha)
+                return ctx.h(alpha)
+
+            res = newton_dinkelbach(f=f, f_prime=ctx.h_prime, alpha0=1.0,
                                     b_low=h1 + gamma / 5.0, b_high=h1 + gamma,
                                     max_iters=200)
             assert h1 + gamma / 5.0 <= res.value <= h1 + gamma + 1e-9
-            alphas = np.array(res.iterates)
+            alphas = np.array(visited)
+            assert len(alphas) == res.n_iters + 1 and alphas[-1] == res.alpha
             assert np.all(np.diff(alphas) > 0.0)
             values = np.array([ctx.h(a) for a in alphas])
             assert np.all(np.diff(values) > -1e-12)
