@@ -101,8 +101,8 @@ def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
     """Raise FactorizationFailure(failure) when a diagonal entry of the k x k
     R in ``rh`` is at or below ``k * eps`` times the largest."""
-    rdiag = np.abs(np.diagonal(rh))
-    if rdiag.min(initial=np.inf) <= rh.shape[1] * _EPS * rdiag.max(initial=0.0):
+    rdiag = np.abs(rh.diagonal())
+    if rdiag.size and rdiag.min() <= rh.shape[1] * _EPS * rdiag.max():
         raise FactorizationFailure(failure)
 
 

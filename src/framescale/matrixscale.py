@@ -197,10 +197,10 @@ def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
     # A tight feasible set has supremum == gamma up to roundoff; the exact
     # crossing then sits at the last breakpoint, so solve for min(gamma, sup).
     target = min(gamma, supremum)
-    order = np.argsort(-mu, kind="stable")
+    order = (-mu).argsort(kind="stable")
     mu, mass = mu[order], mass[order]
-    prefix = np.cumsum(mass)                          # saturated mass through k
-    slope = np.cumsum((mass * mu)[::-1])[::-1]        # segment slope from k on
+    prefix = mass.cumsum()                            # saturated mass through k
+    slope = (mass * mu)[::-1].cumsum()[::-1]          # segment slope from k on
     # g at breakpoint k (alpha - 1 = 1/mu_k): terms through k saturated, and
     # the rest on their slope; at the last breakpoint there is no rest.
     g_at_break = prefix.copy()

@@ -99,10 +99,10 @@ def select_margin_set(lev, c) -> MarginSet:
     # The tolerance is at least 1e-8, so |c|_1 is summed only past that.
     if abs(total) > 1e-8 and abs(total) > 1e-8 * max(1.0, float(np.abs(c).sum())):
         raise ValueError(f"lev - c must sum to 0, got {total!r}")
-    order = np.argsort(x, kind="stable")
+    order = x.argsort(kind="stable")
     xs = x[order]
     gaps = xs[1:] - xs[:-1]
-    k = int(np.argmax(gaps))  # first maximum: smallest cut wins ties
+    k = int(gaps.argmax())  # first maximum: smallest cut wins ties
     gamma = float(gaps[k]) / 2.0
     nu = float(xs[k] + xs[k + 1]) / 2.0
     if gamma == 0.0 and float(np.abs(x).max()) > 0.0:
@@ -149,7 +149,7 @@ class SolverConfig:
         return math.ceil(40.0 * n**3 * math.log(max(n, 2) / eps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """Per-iteration measurements; error_sq is the value before the step."""
 
@@ -243,7 +243,8 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             it += 1
             ms = select_margin_set(marginals, c)
             T = ms.indices
-            key = np.sort(T)
+            key = T.copy()
+            key.sort()
             tag = key.tobytes()
             if tag not in decided:
                 decided[tag] = certificate(key)

@@ -1,10 +1,11 @@
 """Step-size computation: Newton root finding seeded by a coarse spectral sum.
 
-The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. When the
-proxy is already steep at 1 a single Newton step lands in the band, with
-alpha - 1 <= 4, and h there is read in closed form off the eigenvalues of
-the d x d matrix P = Q_T^T Q_T (LAPACK ``dsyevd``), so that step factors
-nothing.
+The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. Each step
+forms the d x d matrix P = Q_T^T Q_T once and reads h(1) and h'(1) off it.
+When the proxy is already steep at 1 a single Newton step lands in the
+band, with alpha - 1 <= 4, and h there is read in closed form off the
+eigenvalues of P (LAPACK ``dsyevd``), so that step factors nothing and
+builds no ``ProxyContext``.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 that sum is estimated without any eigendecomposition: round the trace to
 count the large eigenvalues, pick a representative column subset D, and
@@ -16,9 +17,9 @@ iterate's thin orthonormal factor Q, which also gives the leverage scores,
 h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
 is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``).
 
-This module owns the proxy h (``ProxyContext``) and the whole frame step;
-the step record ``UpdateResult`` that the margin loop reads lives in
-``solver``.
+This module owns the whole frame step and the proxy h of its guess branch
+(``ProxyContext``, one per guess step); the step record ``UpdateResult``
+that the margin loop reads lives in ``solver``.
 """
 
 from __future__ import annotations
@@ -57,30 +58,26 @@ class ProxyContext:
     accurate out to extreme alpha where forming the shifted Gram directly
     loses the small subspace.
 
-    At alpha = 1 the scaled frame is the iterate itself: a caller that
+    On a solve path this serves the guess branch of ``compute_update``
+    only, whose trial alphas are unbounded and each factored anew; the
+    steep step reads h off the spectrum of P without a context. At
+    alpha = 1 the scaled frame is the iterate itself: a caller that
     already holds ``q = orthonormal_factor(frame, z)`` passes it, and
-    otherwise it is factored here once. P at alpha = 1, h(1) and h'(1) are
-    kept; every other alpha is factored on demand and cached for the last
-    alpha asked. ``closed_form`` reads h at any alpha off the spectrum of
-    that same P, with no further QR.
+    otherwise it is factored here once. h(1) and h'(1) are read off it on
+    first use; every other alpha is factored on demand and cached for the
+    last alpha asked.
 
     z is validated where it is read, the first time a scaled frame is
     factored: here when q is None, else at the first alpha != 1. A q
-    comes from ``orthonormal_factor``, which has validated its z, so the
-    margin loop validates each iterate once and a steep step not at all.
+    comes from ``orthonormal_factor``, which has validated its z.
     """
 
     def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
         self.frame = frame
         self.z = z
         self.T = np.asarray(T, dtype=np.intp)
-        if self.T.size == 0 or self.T.size >= frame.n:
-            raise ValueError("T must be a nonempty proper subset of the columns")
-        mask = np.zeros(frame.n, dtype=bool)
-        mask[self.T] = True
-        self._mask = mask
-        self._p_one = self._gram(q if q is not None else _scaled_qr(frame, self._scaling)[0])
-        self._at_one = self._values(self._p_one, 1.0)
+        self._mask = _set_mask(frame.n, self.T)
+        self._q_one = q if q is not None else _scaled_qr(frame, self._scaling)[0]
         self._cache_alpha = None
         self._cache_vals = None
 
@@ -89,15 +86,9 @@ class ProxyContext:
         """z, validated on first read."""
         return validate_scaling(self.z, self.frame.n)
 
-    def _gram(self, q: np.ndarray) -> np.ndarray:
-        qt = q[self._mask, :]
-        return qt.T @ qt
-
-    @staticmethod
-    def _values(p: np.ndarray, alpha: float) -> tuple[float, float]:
-        h = float(np.trace(p))
-        hp = (h - float((p * p).sum())) / alpha
-        return h, max(hp, 0.0)
+    @cached_property
+    def _at_one(self) -> tuple[float, float]:
+        return _proxy_values(_set_gram(self._q_one, self._mask), 1.0)
 
     def _evaluate(self, alpha: float) -> tuple[float, float]:
         if alpha < 1.0:
@@ -108,7 +99,8 @@ class ProxyContext:
             return self._cache_vals
         w = self._scaling.copy()
         w[self._mask] *= alpha
-        self._cache_vals = self._values(self._gram(_scaled_qr(self.frame, w)[0]), alpha)
+        self._cache_vals = _proxy_values(
+            _set_gram(_scaled_qr(self.frame, w)[0], self._mask), alpha)
         self._cache_alpha = alpha
         return self._cache_vals
 
@@ -118,40 +110,27 @@ class ProxyContext:
     def h_prime(self, alpha: float) -> float:
         return self._evaluate(alpha)[1]
 
-    def closed_form(self) -> tuple[Callable[[float], float], Callable[[float], float],
-                                   Callable[[float], float]]:
-        """(gain, h, h') off the eigenvalues mu of P at alpha = 1, one d x d dsyevd.
 
-        gain(alpha) = h(alpha) - h(1) is ``solver.step_gain`` with
-        w_i = mu_i (1 - mu_i), summed directly rather than as a
-        difference; it keeps its last (alpha, gain), so the gain at the
-        alpha where Newton stopped is not summed again. h'(alpha) =
-        sum w_i / (1 + (alpha - 1) mu_i)^2. At
-        alpha = 1, h and h' return the values read off Q, so a Newton step
-        from 1 is the QR route's step. An absolute roundoff in a tiny mu_i is
-        multiplied by alpha - 1, so this form is for bounded alpha - 1.
-        mu comes from LAPACK ``dsyevd`` on the lower triangle of P, as in
-        numpy's eigvalsh; an error it reports raises FactorizationFailure.
-        """
-        h1, hp1 = self._at_one
-        mu, _, info = dsyevd(self._p_one, compute_v=0, lower=1)
-        if info != 0:
-            raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
-        w = mu * (1.0 - mu)
-        last = [math.nan, 0.0]
+def _set_mask(n: int, T: np.ndarray) -> np.ndarray:
+    """Mask of the index array T over n columns; T must be a nonempty proper subset."""
+    if T.size == 0 or T.size >= n:
+        raise ValueError("T must be a nonempty proper subset of the columns")
+    mask = np.zeros(n, dtype=bool)
+    mask[T] = True
+    return mask
 
-        def gain(alpha: float) -> float:
-            if alpha != last[0]:
-                last[:] = alpha, step_gain(mu, w, alpha)
-            return last[1]
 
-        def h(alpha: float) -> float:
-            return h1 if alpha == 1.0 else h1 + gain(alpha)
+def _set_gram(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """P = Q_T^T Q_T, the d x d Gram of the rows of q in the set, in index order."""
+    qt = q[mask]
+    return qt.T @ qt
 
-        def h_prime(alpha: float) -> float:
-            return hp1 if alpha == 1.0 else float((w / (1.0 + (alpha - 1.0) * mu) ** 2).sum())
 
-        return gain, h, h_prime
+def _proxy_values(p: np.ndarray, alpha: float) -> tuple[float, float]:
+    """(h, h') at alpha off the P of the alpha-scaled frame."""
+    h = float(p.trace())
+    hp = (h - float((p * p).sum())) / alpha
+    return h, max(hp, 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,10 +217,15 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     T = np.asarray(T, dtype=np.intp)
     if q is None:
         q = orthonormal_factor(frame, z)
-    ctx = ProxyContext(frame, z, T, q=q)
-    if ctx.h_prime(1.0) >= 0.25:
+    h1, hp1 = _proxy_values(_set_gram(q, _set_mask(frame.n, T)), 1.0)
+    return _small_eigen_sum(frame, T, q, h1, hp1)
+
+
+def _small_eigen_sum(frame: Frame, T: np.ndarray, q: np.ndarray, trace: float,
+                     hp1: float) -> EigenSumEstimate:
+    """``approx_small_eigen_sum`` given h(1) = ``trace`` and h'(1) = ``hp1`` off P."""
+    if hp1 >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
-    trace = ctx.h(1.0)
     p = _round_half_away(trace)
     rank_t = numerical_rank(frame.columns(T))
     if p > rank_t:
@@ -330,34 +314,54 @@ def compute_update(frame: Frame, z, T, gamma: float,
     mu_tilde <= 0, the gain's supremum rk(U_T) - h(1) is below gamma, so it
     raises InfeasibleSegment for the margin loop's zero-tolerance check.
     ``q`` is the iterate's ``orthonormal_factor(frame, z)``, factored here
-    when None; h(1) and h'(1) are read off it. When
-    h'(1) >= gamma/4 one Newton step from 1 reaches the band, with
-    alpha - 1 <= 4, and h is read off the spectrum of P in closed form:
-    that step takes no QR. Otherwise the seed is 1 + gamma / (2 mu_tilde),
-    alpha is unbounded, and every trial alpha is factored.
+    when None; P = Q_T^T Q_T is formed from it once, with h(1) = tr P and
+    h'(1) = tr P - ||P||_F^2. When h'(1) >= gamma/4 one Newton step from 1
+    reaches the band, with alpha - 1 <= 4, and h is read off the eigenvalues
+    mu of P (``dsyevd``, as in numpy's eigvalsh): h(alpha) - h(1) is
+    ``solver.step_gain`` with w = mu (1 - mu), and h'(alpha) =
+    sum w / (1 + (alpha - 1) mu)^2, a form for bounded alpha - 1 that takes
+    no QR. Otherwise the seed is 1 + gamma / (2 mu_tilde), alpha is
+    unbounded, and a ``ProxyContext`` factors every trial alpha.
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     if q is None:
         q = orthonormal_factor(frame, z)
-    ctx = ProxyContext(frame, z, T, q=q)
-    h1 = ctx.h(1.0)
-    hp1 = ctx.h_prime(1.0)
+    T = np.asarray(T, dtype=np.intp)
+    p = _set_gram(q, _set_mask(frame.n, T))
+    h1, hp1 = _proxy_values(p, 1.0)
     cap = nd_iteration_cap(frame.n, frame.d)
     if hp1 >= gamma / 4.0:
-        gain, h, h_prime = ctx.closed_form()
+        mu, _, info = dsyevd(p, compute_v=0, lower=1)
+        if info != 0:
+            raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
+        w = mu * (1.0 - mu)
+        gain = [0.0]  # the gain at the last alpha != 1 that Newton evaluated
+
+        def h(alpha: float) -> float:
+            if alpha == 1.0:
+                return h1
+            gain[0] = step_gain(mu, w, alpha)
+            return h1 + gain[0]
+
+        def h_prime(alpha: float) -> float:
+            return hp1 if alpha == 1.0 else float((w / (1.0 + (alpha - 1.0) * mu) ** 2).sum())
+
         res = newton_dinkelbach(h, h_prime, 1.0, h1 + gamma / 5.0, h1 + gamma, cap)
-        return UpdateResult(alpha=res.alpha, h_gain=gain(res.alpha), nd_iters=res.n_iters,
+        # Newton evaluates h last at the alpha it returns, unless it took no step.
+        h_gain = gain[0] if res.n_iters else step_gain(mu, w, res.alpha)
+        return UpdateResult(alpha=res.alpha, h_gain=h_gain, nd_iters=res.n_iters,
                             hp_one=hp1, seeded=False)
     if hp1 >= 0.25:
         raise GuessPreconditionViolated(
             f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
         )
-    est = approx_small_eigen_sum(frame, z, T, q=q)
+    est = _small_eigen_sum(frame, T, q, h1, hp1)
     if est.mu_tilde <= 0.0:
         raise InfeasibleSegment(
             "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
         )
+    ctx = ProxyContext(frame, z, T, q=q)
     alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)
     # Roundoff in mu_tilde can push the seed just past the band; pull it
     # back toward 1 (analysis guarantees the clean seed never overshoots).

@@ -2,6 +2,9 @@
 
 Oracles deliberately use eigendecompositions, matrix square roots, brute
 force, and exact rationals, none of which the library's solve paths touch.
+The exception is ``closed_form_oracle``: it keeps an earlier route to the
+steep step's numbers, so that the library's lean route can be checked
+against it bit for bit.
 """
 
 import math
@@ -9,10 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsyevd
 
 import framescale.linalg
 import framescale.update
-from framescale import FactorizationFailure, Frame, logdet_psd
+from framescale import FactorizationFailure, Frame, ProxyContext, logdet_psd, newton_dinkelbach
+from framescale.update import nd_iteration_cap
 
 
 def random_frame(rng, d, n, spread=1.0):
@@ -199,6 +204,64 @@ def det_local_opt_oracle(kernel, p):
         chosen = sorted(set(chosen) - {i} | {j})
         current = best_val
         swaps += 1
+
+
+def closed_form_oracle(frame, z, T, q):
+    """(gain, h, h') of the steep step by the older route, for bit-for-bit checks.
+
+    h(1) and h'(1) come from a ``ProxyContext`` on the iterate's factor q,
+    and the gain off the eigenvalues mu of P = Q_T^T Q_T (LAPACK ``dsyevd``,
+    P formed from the rows of T in index order), with w = mu (1 - mu):
+    gain(alpha) = sum (alpha - 1) w / (1 + (alpha - 1) mu), written out
+    here rather than called, and kept for the last alpha asked.
+    h'(alpha) = sum w / (1 + (alpha - 1) mu)^2.
+    """
+    ctx = ProxyContext(frame, z, T, q=q)
+    h1, hp1 = ctx.h(1.0), ctx.h_prime(1.0)
+    mask = np.zeros(frame.n, dtype=bool)
+    mask[T] = True
+    qt = q[mask, :]
+    mu, _, info = dsyevd(qt.T @ qt, compute_v=0, lower=1)
+    assert info == 0
+    w = mu * (1.0 - mu)
+    last = [math.nan, 0.0]
+
+    def gain(alpha):
+        if alpha != last[0]:
+            s = alpha - 1.0
+            last[:] = alpha, float((s * w / (1.0 + s * mu)).sum())
+        return last[1]
+
+    def h(alpha):
+        return h1 if alpha == 1.0 else h1 + gain(alpha)
+
+    def h_prime(alpha):
+        return hp1 if alpha == 1.0 else float((w / (1.0 + (alpha - 1.0) * mu) ** 2).sum())
+
+    return gain, h, h_prime
+
+
+def steep_update_oracle(frame, z, T, gamma, q):
+    """(alpha, h_gain, nd_iters, hp_one) of a steep step: Newton from 1 on the closed form."""
+    gain, h, h_prime = closed_form_oracle(frame, z, T, q)
+    h1 = h(1.0)
+    res = newton_dinkelbach(h, h_prime, 1.0, h1 + gamma / 5.0, h1 + gamma,
+                            nd_iteration_cap(frame.n, frame.d))
+    return res.alpha, gain(res.alpha), res.n_iters, h_prime(1.0)
+
+
+@pytest.fixture
+def proxy_contexts(monkeypatch):
+    """Records one entry per ``ProxyContext`` that ``update`` builds."""
+    built = []
+
+    class Counting(ProxyContext):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(framescale.update, "ProxyContext", Counting)
+    return built
 
 
 @pytest.fixture

@@ -11,8 +11,11 @@ from framescale import (
     FactorizationFailure,
     Frame,
     IterationCapExceeded,
+    Marginals,
     PreconditionViolated,
     ProxyContext,
+    ScalingError,
+    SolverConfig,
     approx_small_eigen_sum,
     compute_update,
     det_local_opt,
@@ -20,11 +23,15 @@ from framescale import (
     newton_dinkelbach,
     numerical_rank,
     orthonormal_factor,
+    scale_frame,
 )
 from framescale.update import _det_local_opt_columns, nd_iteration_cap
 
-from conftest import (det_local_opt_oracle, fraction_inverse, gapped_instance, mu_spectrum,
-                      random_frame, random_scaling, whitened)
+from framescale.generate import gen_gaussian
+
+from conftest import (det_local_opt_oracle, fraction_inverse, fuzz_recipe, gapped_instance,
+                      mu_spectrum, random_frame, random_scaling, steep_update_oracle,
+                      whitened)
 
 
 class TestNewtonDinkelbach:
@@ -166,6 +173,30 @@ class TestComputeUpdate:
             assert gamma / 5.0 - 1e-9 <= upd.h_gain <= gamma + 1e-9
             assert upd.nd_iters <= nd_iteration_cap(n, d)
 
+    def test_one_context_per_guess_step(self, monkeypatch, proxy_contexts):
+        # A steep step builds no ProxyContext and a guess step exactly one.
+        seeded = []
+        original = framescale.update.compute_update
+
+        def recording(*args, **kwargs):
+            upd = original(*args, **kwargs)
+            seeded.append(upd.seeded)
+            return upd
+
+        monkeypatch.setattr(framescale.update, "compute_update", recording)
+        for seed in range(40):
+            recipe = fuzz_recipe(seed)
+            if recipe is None:
+                continue
+            U, c = recipe
+            frame, marginals = Frame(U), Marginals(c, d=U.shape[0])
+            try:
+                scale_frame(frame, marginals, 1e-6, SolverConfig(max_iters=1000))
+            except ScalingError:
+                pass
+        assert len(seeded) > 1000 and sum(seeded) > 20
+        assert len(proxy_contexts) == sum(seeded)
+
     def test_rejects_bad_gamma(self, rng):
         frame = random_frame(rng, 2, 5)
         with pytest.raises(ValueError):
@@ -256,17 +287,72 @@ class TestSteepClosedForm:
             assert compute_update(frame, z, T, gamma) == upd
         assert counts == GUESS_QR_COUNTS
 
-    def test_spectrum_matches_numpy(self, rng):
-        for frame, z, T, q, _ in steep_instances(rng, 20):
-            ctx = ProxyContext(frame, z, T, q=q)
-            p = q[T].T @ q[T]
-            gain, _, h_prime = ctx.closed_form()
-            mu = np.linalg.eigvalsh(p)
+    def test_spectrum_matches_numpy(self, rng, monkeypatch):
+        # The h and h' that the steep step hands to Newton, off its own dsyevd,
+        # equal numpy's eigvalsh formulas bit for bit.
+        closures, gains = [], []
+        newton, gain = framescale.update.newton_dinkelbach, framescale.update.step_gain
+
+        def recording_newton(f, f_prime, *args):
+            closures.append((f, f_prime))
+            return newton(f, f_prime, *args)
+
+        def recording_gain(mu, w, alpha):
+            gains.append(gain(mu, w, alpha))
+            return gains[-1]
+
+        monkeypatch.setattr(framescale.update, "newton_dinkelbach", recording_newton)
+        monkeypatch.setattr(framescale.update, "step_gain", recording_gain)
+        for frame, z, T, q, gamma in steep_instances(rng, 20):
+            del closures[:]
+            compute_update(frame, z, T, gamma, q=q)
+            [(h, h_prime)] = closures
+            mu = np.linalg.eigvalsh(q[T].T @ q[T])
             w = mu * (1.0 - mu)
             for alpha in (1.5, 3.0):
                 s = alpha - 1.0
-                assert gain(alpha) == float((s * w / (1.0 + s * mu)).sum())
+                value = h(alpha)
+                assert gains[-1] == float((s * w / (1.0 + s * mu)).sum())
+                assert value == h(1.0) + gains[-1]
                 assert h_prime(alpha) == float((w / (1.0 + s * mu) ** 2).sum())
+
+    @staticmethod
+    def as_oracle(upd):
+        return upd.alpha, upd.h_gain, upd.nd_iters, upd.hp_one
+
+    def test_matches_closed_form_oracle(self, rng):
+        zero_steps = 0
+        for frame, z, T, q, gamma in steep_instances(rng, 40):
+            upd = compute_update(frame, z, T, gamma, q=q)
+            assert self.as_oracle(upd) == steep_update_oracle(frame, z, T, gamma, q)
+            # a permuted T is the same set: the step reads its rows in index order
+            upd = compute_update(frame, z, rng.permutation(T), gamma, q=q)
+            assert self.as_oracle(upd) == steep_update_oracle(frame, z, T, gamma, q)
+            # gamma of one ulp of h(1): gamma/5 rounds away, so Newton takes no step
+            gamma = float(np.spacing(leverage_scores(frame, z)[T].sum()))
+            upd = compute_update(frame, z, T, gamma, q=q)
+            if upd.nd_iters == 0:
+                zero_steps += 1
+            assert self.as_oracle(upd) == steep_update_oracle(frame, z, T, gamma, q)
+        assert zero_steps >= 20
+
+    def test_solve_iterates_match_closed_form_oracle(self, monkeypatch):
+        # Every step of this solve is steep; each equals the older route bit for bit.
+        steps = []
+        original = framescale.update.compute_update
+
+        def recording(frame, z, T, gamma, q=None):
+            upd = original(frame, z, T, gamma, q=q)
+            steps.append((upd, steep_update_oracle(frame, z, T, gamma, q)))
+            return upd
+
+        monkeypatch.setattr(framescale.update, "compute_update", recording)
+        U, c = gen_gaussian(5, 20, 0)
+        res = scale_frame(Frame(U), Marginals(c, d=5), 1e-6)
+        assert res.scaled and len(steps) == res.iterations > 1000
+        for upd, want in steps:
+            assert not upd.seeded
+            assert self.as_oracle(upd) == want
 
     @pytest.mark.parametrize("step", ["band", "tiny"])
     def test_gain_exact_to_roundoff(self, rng, step):
