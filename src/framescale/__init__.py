@@ -52,21 +52,21 @@ from .solver import (
 from .update import (
     EigenSumEstimate,
     NDResult,
-    ProxyContext,
     approx_small_eigen_sum,
     compute_update,
     det_local_opt,
     newton_dinkelbach,
+    proxy_at,
 )
 
 __all__ = [
     "Frame", "GramContext", "gram_context", "leverage_scores", "logdet_psd",
     "numerical_rank", "orthonormal_factor", "pinv_trace",
-    "Marginals", "MarginSet", "ProxyContext", "ScalingResult", "SolverConfig",
+    "Marginals", "MarginSet", "ScalingResult", "SolverConfig",
     "IterationRecord", "SCALED", "INFEASIBLE",
     "infeasibility_certificate", "scale_frame", "select_margin_set",
     "NDResult", "EigenSumEstimate", "newton_dinkelbach",
-    "compute_update", "approx_small_eigen_sum", "det_local_opt",
+    "compute_update", "proxy_at", "approx_small_eigen_sum", "det_local_opt",
     "regularize", "rho_overestimate",
     "NonnegMatrix", "MatrixMarginals", "column_sums", "neighborhood",
     "matrix_update", "matrix_regularize", "scale_matrix",

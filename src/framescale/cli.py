@@ -51,7 +51,7 @@ def _solve(args, kind: str, read, solve) -> int:
     """
     try:
         problem, marg = read()
-        config = SolverConfig(max_iters=args.max_iters, collect_trace=args.trace is not None)
+        config = SolverConfig(max_iters=args.max_iters)
         echo = {"eps": args.eps, "max_iters": config.iteration_cap(problem.n, args.eps)}
         try:
             result = solve(problem, marg, args.eps, config)

@@ -12,7 +12,7 @@ the column set alone, so the loop decides each set once per solve.
 
 This module owns ``UpdateResult``, the step record that every ``step``
 closure returns to the loop, and ``step_gain``, the gain both steps report.
-The step-size proxy ``ProxyContext`` and the frame step live in ``update``.
+The frame step and its step-size proxy ``proxy_at`` live in ``update``.
 """
 
 from __future__ import annotations
@@ -114,11 +114,13 @@ def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
     """Return sorted T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
 
     T is sorted first, so the rank (taken on the columns in sorted order),
-    the mass and the answer depend on the set alone.
+    the mass and the answer depend on the set alone. T must hold distinct
+    column indices in [0, n), the rule ``verify`` applies to a certificate:
+    a repeated index would count its marginal twice against one rank.
     """
     T = np.sort(np.asarray(T, dtype=np.intp))
-    if T.size == 0 or T.size > frame.n:
-        raise ValueError("T must be a nonempty subset")
+    if T.size == 0 or T[0] < 0 or T[-1] >= frame.n or (T[1:] == T[:-1]).any():
+        raise ValueError("T must be a nonempty set of distinct column indices in [0, n)")
     c = np.asarray(c, dtype=np.float64)
     if numerical_rank(frame.columns(T)) < float(c[T].sum()) - CERTIFICATE_TOL:
         return T
@@ -127,10 +129,9 @@ def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
 
 @dataclass
 class SolverConfig:
-    """The iteration cap (default 40 n^3 log(n/eps)) and trace collection."""
+    """The iteration cap, by default 40 n^3 log(n/eps)."""
 
     max_iters: int | None = None
-    collect_trace: bool = True
 
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
@@ -264,12 +265,11 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
             marginals, new_err_sq = measure(z)
-            if config.collect_trace:
-                trace.append(IterationRecord(
-                    error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
-                    progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
-                    log_z_inf=float(np.log(z.max())) if log_range else math.nan,
-                ))
+            trace.append(IterationRecord(
+                error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
+                progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
+                log_z_inf=float(np.log(z.max())) if log_range else math.nan,
+            ))
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:
@@ -294,7 +294,7 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     eps : float
         Stop once ||lev(z) - c||_2^2 <= eps^2.
     config : SolverConfig, optional
-        Iteration cap and trace collection.
+        The iteration cap.
 
     Returns
     -------

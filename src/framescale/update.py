@@ -1,32 +1,31 @@
 """Step-size computation: Newton root finding seeded by a coarse spectral sum.
 
-The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma. Each step
-forms the d x d matrix P = Q_T^T Q_T once and reads h(1) and h'(1) off it.
-When the proxy is already steep at 1 a single Newton step lands in the
-band, with alpha - 1 <= 4, and h there is read in closed form off the
-eigenvalues of P (LAPACK ``dsyevd``), so that step factors nothing and
-builds no ``ProxyContext``.
+The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma, where
+h(alpha) is the leverage mass of T after z is scaled by alpha on T. Each
+step forms the d x d matrix P = Q_T^T Q_T once and reads h(1) and h'(1)
+off it. When the proxy is already steep at 1 a single Newton step lands in
+the band, with alpha - 1 <= 4, and h there is read in closed form off the
+eigenvalues of P (LAPACK ``dsyevd``), so that step factors nothing.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
-that sum is estimated without any eigendecomposition: round the trace to
-count the large eigenvalues, pick a representative column subset D, and
-measure the leverage mass left outside its span. D is a 2-approximate
-local maximizer of the kernel determinant: a column-pivoted QR gives the
-greedy start, and swaps are priced in closed form off a thin QR of the
-chosen columns; each trial alpha is then factored anew. The start is the
+``approx_small_eigen_sum`` estimates that sum without any
+eigendecomposition: round the trace to count the large eigenvalues, pick a
+representative column subset D, and measure the leverage mass left outside
+its span. D is a 2-approximate local maximizer of the kernel determinant:
+a column-pivoted QR gives the greedy start, and swaps are priced in closed
+form off a thin QR of the chosen columns. Newton then starts from the
+seed, and ``proxy_at`` factors each trial alpha anew. The start is the
 iterate's thin orthonormal factor Q, which also gives the leverage scores,
 h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
 is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``).
 
-This module owns the whole frame step and the proxy h of its guess branch
-(``ProxyContext``, one per guess step); the step record ``UpdateResult``
-that the margin loop reads lives in ``solver``.
+The step record ``UpdateResult`` that the margin loop reads lives in
+``solver``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,68 +46,25 @@ DERIVATIVE_FLOOR = 1e-14
 SWAP_GAIN = math.exp(math.log(2.0) - 1e-12)
 
 
-class ProxyContext:
-    """Step-size proxy h for uniformly scaling up the columns in T.
+def proxy_at(frame: Frame, z, T, alpha: float) -> tuple[float, float]:
+    """(h, h') at alpha of the step-size proxy for uniformly scaling up T.
 
     h(alpha) is the total leverage mass of T after multiplying z on T by
     alpha; it is increasing and concave with h(1) the current mass and
-    lim h = rk(U_T). Both h and h' come from the thin orthonormal factor Q
-    of the alpha-scaled frame: with P the Gram of the T-rows of Q,
-    h = tr P and h' = (tr P - ||P||_F^2) / alpha. The QR route stays
-    accurate out to extreme alpha where forming the shifted Gram directly
-    loses the small subspace.
-
-    On a solve path this serves the guess branch of ``compute_update``
-    only, whose trial alphas are unbounded and each factored anew; the
-    steep step reads h off the spectrum of P without a context. At
-    alpha = 1 the scaled frame is the iterate itself: a caller that
-    already holds ``q = orthonormal_factor(frame, z)`` passes it, and
-    otherwise it is factored here once. h(1) and h'(1) are read off it on
-    first use; every other alpha is factored on demand and cached for the
-    last alpha asked.
-
-    z is validated where it is read, the first time a scaled frame is
-    factored: here when q is None, else at the first alpha != 1. A q
-    comes from ``orthonormal_factor``, which has validated its z.
+    lim h = rk(U_T). Both come from the thin orthonormal factor Q of the
+    alpha-scaled frame: with P the Gram of the T-rows of Q, h = tr P and
+    h' = (tr P - ||P||_F^2) / alpha. The QR route stays accurate out to
+    extreme alpha where forming the shifted Gram directly loses the small
+    subspace. Each call validates z and takes one thin QR; on a solve path
+    only the guess branch of ``compute_update`` calls it, once per trial
+    alpha.
     """
-
-    def __init__(self, frame: Frame, z, T, q: np.ndarray | None = None):
-        self.frame = frame
-        self.z = z
-        self.T = np.asarray(T, dtype=np.intp)
-        self._mask = _set_mask(frame.n, self.T)
-        self._q_one = q if q is not None else _scaled_qr(frame, self._scaling)[0]
-        self._cache_alpha = None
-        self._cache_vals = None
-
-    @cached_property
-    def _scaling(self) -> np.ndarray:
-        """z, validated on first read."""
-        return validate_scaling(self.z, self.frame.n)
-
-    @cached_property
-    def _at_one(self) -> tuple[float, float]:
-        return _proxy_values(_set_gram(self._q_one, self._mask), 1.0)
-
-    def _evaluate(self, alpha: float) -> tuple[float, float]:
-        if alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {alpha!r}")
-        if alpha == 1.0:
-            return self._at_one
-        if self._cache_alpha == alpha:
-            return self._cache_vals
-        w = self._scaling.copy()
-        w[self._mask] *= alpha
-        self._cache_vals = _proxy_values(
-            _set_gram(_scaled_qr(self.frame, w)[0], self._mask), alpha)
-        self._cache_alpha = alpha
-        return self._cache_vals
-
-    def h(self, alpha: float) -> float:
-        return self._evaluate(alpha)[0]
-
-    def h_prime(self, alpha: float) -> float:
-        return self._evaluate(alpha)[1]
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {alpha!r}")
+    mask = _set_mask(frame.n, np.asarray(T, dtype=np.intp))
+    w = validate_scaling(z, frame.n).copy()
+    w[mask] *= alpha
+    return _proxy_values(_set_gram(_scaled_qr(frame, w)[0], mask), alpha)
 
 
 def _set_mask(n: int, T: np.ndarray) -> np.ndarray:
@@ -217,13 +173,7 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     T = np.asarray(T, dtype=np.intp)
     if q is None:
         q = orthonormal_factor(frame, z)
-    h1, hp1 = _proxy_values(_set_gram(q, _set_mask(frame.n, T)), 1.0)
-    return _small_eigen_sum(frame, T, q, h1, hp1)
-
-
-def _small_eigen_sum(frame: Frame, T: np.ndarray, q: np.ndarray, trace: float,
-                     hp1: float) -> EigenSumEstimate:
-    """``approx_small_eigen_sum`` given h(1) = ``trace`` and h'(1) = ``hp1`` off P."""
+    trace, hp1 = _proxy_values(_set_gram(q, _set_mask(frame.n, T)), 1.0)
     if hp1 >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
     p = _round_half_away(trace)
@@ -320,8 +270,10 @@ def compute_update(frame: Frame, z, T, gamma: float,
     mu of P (``dsyevd``, as in numpy's eigvalsh): h(alpha) - h(1) is
     ``solver.step_gain`` with w = mu (1 - mu), and h'(alpha) =
     sum w / (1 + (alpha - 1) mu)^2, a form for bounded alpha - 1 that takes
-    no QR. Otherwise the seed is 1 + gamma / (2 mu_tilde), alpha is
-    unbounded, and a ``ProxyContext`` factors every trial alpha.
+    no QR. Otherwise Newton starts at 1 + gamma / (2 mu_tilde), with
+    mu_tilde from ``approx_small_eigen_sum``; alpha is unbounded, and
+    ``proxy_at`` factors each trial alpha once: the guess branch's closures
+    keep the last (alpha, h, h'), starting from (1, h(1), h'(1)).
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
@@ -356,21 +308,33 @@ def compute_update(frame: Frame, z, T, gamma: float,
         raise GuessPreconditionViolated(
             f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
         )
-    est = _small_eigen_sum(frame, T, q, h1, hp1)
+    est = approx_small_eigen_sum(frame, z, T, q=q)
     if est.mu_tilde <= 0.0:
         raise InfeasibleSegment(
             "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
         )
-    ctx = ProxyContext(frame, z, T, q=q)
+    memo = [1.0, h1, hp1]  # (alpha, h, h') at the last alpha evaluated
+
+    def at(alpha: float) -> list:
+        if alpha != memo[0]:
+            memo[:] = alpha, *proxy_at(frame, z, T, alpha)
+        return memo
+
+    def h(alpha: float) -> float:
+        return at(alpha)[1]
+
+    def h_prime(alpha: float) -> float:
+        return at(alpha)[2]
+
     alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)
     # Roundoff in mu_tilde can push the seed just past the band; pull it
     # back toward 1 (analysis guarantees the clean seed never overshoots).
     for _ in range(200):
-        if ctx.h(alpha0) <= h1 + gamma + 1e-9:
+        if h(alpha0) <= h1 + gamma + 1e-9:
             break
         alpha0 = 1.0 + (alpha0 - 1.0) / 2.0
     else:
         raise GuessPreconditionViolated("seed never entered the target band")
-    res = newton_dinkelbach(ctx.h, ctx.h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma, cap)
+    res = newton_dinkelbach(h, h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma, cap)
     return UpdateResult(alpha=res.alpha, h_gain=res.value - h1, nd_iters=res.n_iters,
                         hp_one=hp1, seeded=True)

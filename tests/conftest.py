@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dsyevd
 
 import framescale.linalg
 import framescale.update
-from framescale import FactorizationFailure, Frame, ProxyContext, logdet_psd, newton_dinkelbach
+from framescale import FactorizationFailure, Frame, logdet_psd, newton_dinkelbach, proxy_at
 from framescale.update import nd_iteration_cap
 
 
@@ -209,15 +209,14 @@ def det_local_opt_oracle(kernel, p):
 def closed_form_oracle(frame, z, T, q):
     """(gain, h, h') of the steep step by the older route, for bit-for-bit checks.
 
-    h(1) and h'(1) come from a ``ProxyContext`` on the iterate's factor q,
-    and the gain off the eigenvalues mu of P = Q_T^T Q_T (LAPACK ``dsyevd``,
-    P formed from the rows of T in index order), with w = mu (1 - mu):
+    h(1) and h'(1) come from ``proxy_at`` at alpha = 1, which factors z
+    afresh, and the gain off the eigenvalues mu of P = Q_T^T Q_T (LAPACK
+    ``dsyevd``, P formed from the rows of T in index order), w = mu (1 - mu):
     gain(alpha) = sum (alpha - 1) w / (1 + (alpha - 1) mu), written out
     here rather than called, and kept for the last alpha asked.
     h'(alpha) = sum w / (1 + (alpha - 1) mu)^2.
     """
-    ctx = ProxyContext(frame, z, T, q=q)
-    h1, hp1 = ctx.h(1.0), ctx.h_prime(1.0)
+    h1, hp1 = proxy_at(frame, z, T, 1.0)
     mask = np.zeros(frame.n, dtype=bool)
     mask[T] = True
     qt = q[mask, :]
@@ -251,17 +250,17 @@ def steep_update_oracle(frame, z, T, gamma, q):
 
 
 @pytest.fixture
-def proxy_contexts(monkeypatch):
-    """Records one entry per ``ProxyContext`` that ``update`` builds."""
-    built = []
+def proxy_evaluations(monkeypatch):
+    """Records the alpha of every ``proxy_at`` call that ``update`` makes."""
+    alphas = []
+    original = framescale.update.proxy_at
 
-    class Counting(ProxyContext):
-        def __init__(self, *args, **kwargs):
-            built.append(None)
-            super().__init__(*args, **kwargs)
+    def counting(frame, z, T, alpha):
+        alphas.append(alpha)
+        return original(frame, z, T, alpha)
 
-    monkeypatch.setattr(framescale.update, "ProxyContext", Counting)
-    return built
+    monkeypatch.setattr(framescale.update, "proxy_at", counting)
+    return alphas
 
 
 @pytest.fixture

@@ -13,14 +13,13 @@ from framescale import (
     IterationCapExceeded,
     IterationRecord,
     Marginals,
-    ProxyContext,
     ScalingResult,
     SolverConfig,
     compute_update,
     infeasibility_certificate,
     leverage_scores,
     numerical_rank,
-    orthonormal_factor,
+    proxy_at,
     regularize,
     scale_frame,
     select_margin_set,
@@ -118,13 +117,12 @@ class TestSelectMarginSet:
 class TestProxy:
     def test_scalar_formulas(self):
         frame = Frame(np.array([[1.0, 1.0]]))
-        ctx = ProxyContext(frame, np.ones(2), [0])
-        assert ctx.h(1.0) == pytest.approx(0.5, abs=1e-12)
-        assert ctx.h(3.0) == pytest.approx(0.75, abs=1e-12)
-        assert ctx.h_prime(1.0) == pytest.approx(0.25, abs=1e-12)
+        assert proxy_at(frame, np.ones(2), [0], 1.0) == pytest.approx((0.5, 0.25), abs=1e-12)
+        assert proxy_at(frame, np.ones(2), [0], 3.0)[0] == pytest.approx(0.75, abs=1e-12)
         for alpha in (1.0, 2.5, 10.0, 1e4):
-            assert ctx.h(alpha) == pytest.approx(alpha / (alpha + 1.0), abs=1e-10)
-            assert ctx.h_prime(alpha) == pytest.approx(1.0 / (alpha + 1.0) ** 2, abs=1e-10)
+            h, hp = proxy_at(frame, np.ones(2), [0], alpha)
+            assert h == pytest.approx(alpha / (alpha + 1.0), abs=1e-10)
+            assert hp == pytest.approx(1.0 / (alpha + 1.0) ** 2, abs=1e-10)
 
     def test_h_at_one_is_leverage_mass(self, rng):
         for _ in range(20):
@@ -133,14 +131,12 @@ class TestProxy:
             frame = random_frame(rng, d, n)
             z = random_scaling(rng, n)
             T = rng.permutation(n)[: int(rng.integers(1, n))]
-            ctx = ProxyContext(frame, z, T)
             lev = leverage_scores(frame, z)
-            assert ctx.h(1.0) == pytest.approx(lev[T].sum(), abs=1e-10)
+            assert proxy_at(frame, z, T, 1.0)[0] == pytest.approx(lev[T].sum(), abs=1e-10)
 
     def test_block_sum_invariant(self, rng):
         # h(1) = tr(M_T (M_T + M_Tbar)^{-1}) and h'(1) = tr(A - A^2) with
-        # A = (M_T + M_Tbar)^{-1} M_T, from Gram blocks formed here; a proxy
-        # seeded with the iterate's factor agrees bit for bit at alpha = 1.
+        # A = (M_T + M_Tbar)^{-1} M_T, from Gram blocks formed here.
         for _ in range(20):
             d = int(rng.integers(1, 6))
             n = int(rng.integers(d + 1, 14))
@@ -155,30 +151,20 @@ class TestProxy:
             gram = (U * z) @ U.T
             assert np.abs(m_t + m_tbar - gram).max() <= 1e-10 * np.abs(gram).max()
             a = np.linalg.solve(m_t + m_tbar, m_t)
-            fresh = ProxyContext(frame, z, T)
-            assert fresh.h(1.0) == pytest.approx(np.trace(a), abs=1e-9)
-            assert fresh.h_prime(1.0) == pytest.approx(np.trace(a - a @ a), abs=1e-9)
-            seeded = ProxyContext(frame, z, T, q=orthonormal_factor(frame, z))
-            assert (seeded.h(1.0), seeded.h_prime(1.0)) == (fresh.h(1.0), fresh.h_prime(1.0))
-            # away from 1 the seeded proxy factors the shifted frame as before
-            assert seeded.h(3.0) == fresh.h(3.0)
+            h, hp = proxy_at(frame, z, T, 1.0)
+            assert h == pytest.approx(np.trace(a), abs=1e-9)
+            assert hp == pytest.approx(np.trace(a - a @ a), abs=1e-9)
 
     def test_scaling_validated_where_read(self, rng):
-        # z is checked when a scaled frame is factored: at construction
-        # without q, else at the first alpha != 1.
+        # proxy_at validates z on every call, alpha = 1 included.
         frame = random_frame(rng, 3, 6)
-        z = np.ones(6)
-        q = orthonormal_factor(frame, z)
-        bad = z.copy()
+        bad = np.ones(6)
         bad[2] = -1.0
-        with pytest.raises(ValueError, match="strictly positive"):
-            ProxyContext(frame, bad, [0, 1])
-        ctx = ProxyContext(frame, bad, [0, 1], q=q)
-        assert ctx.h(1.0) == ProxyContext(frame, z, [0, 1], q=q).h(1.0)
-        with pytest.raises(ValueError, match="strictly positive"):
-            ctx.h(2.0)
-        with pytest.raises(ValueError, match="shape"):
-            ProxyContext(frame, z[:5], [0, 1], q=q).h_prime(2.0)
+        for alpha in (1.0, 2.0):
+            with pytest.raises(ValueError, match="strictly positive"):
+                proxy_at(frame, bad, [0, 1], alpha)
+            with pytest.raises(ValueError, match="shape"):
+                proxy_at(frame, np.ones(5), [0, 1], alpha)
 
     def test_matches_spectral_oracle(self, rng):
         for _ in range(30):
@@ -188,10 +174,10 @@ class TestProxy:
             z = random_scaling(rng, n)
             T = rng.permutation(n)[: int(rng.integers(1, n))]
             mu = mu_spectrum(frame.matrix, z, T)
-            ctx = ProxyContext(frame, z, T)
             for alpha in (1.0, 1.7, 5.0, 40.0):
-                assert ctx.h(alpha) == pytest.approx(oracle_h(mu, alpha), abs=5e-9)
-                assert ctx.h_prime(alpha) == pytest.approx(oracle_h_prime(mu, alpha), abs=5e-9)
+                h, hp = proxy_at(frame, z, T, alpha)
+                assert h == pytest.approx(oracle_h(mu, alpha), abs=5e-9)
+                assert hp == pytest.approx(oracle_h_prime(mu, alpha), abs=5e-9)
 
     def test_finite_difference(self, rng):
         s = 1e-5
@@ -199,10 +185,10 @@ class TestProxy:
             frame = random_frame(rng, 3, 9)
             z = random_scaling(rng, 9)
             T = rng.permutation(9)[:4]
-            ctx = ProxyContext(frame, z, T)
             for alpha in (1.5, 3.0, 8.0):
-                fd = (ctx.h(alpha + s) - ctx.h(alpha - s)) / (2 * s)
-                assert ctx.h_prime(alpha) == pytest.approx(fd, abs=1e-7, rel=1e-5)
+                fd = (proxy_at(frame, z, T, alpha + s)[0]
+                      - proxy_at(frame, z, T, alpha - s)[0]) / (2 * s)
+                assert proxy_at(frame, z, T, alpha)[1] == pytest.approx(fd, abs=1e-7, rel=1e-5)
 
     def test_limit_is_rank(self, rng):
         hits = 0
@@ -225,8 +211,7 @@ class TestProxy:
                 continue  # limit not yet reached at alpha = 1e12
             hits += 1
             rank = numerical_rank(frame.columns(T))
-            ctx = ProxyContext(frame, z, T)
-            assert abs(ctx.h(1e12) - rank) <= 1e-6
+            assert abs(proxy_at(frame, z, T, 1e12)[0] - rank) <= 1e-6
 
     def test_monotone_leverage_under_subset_scale_up(self, rng):
         for _ in range(20):
@@ -249,25 +234,24 @@ class TestProxy:
             frame = random_frame(rng, 3, 9)
             z = random_scaling(rng, 9)
             T = rng.permutation(9)[:3]
-            ctx = ProxyContext(frame, z, T)
             a1, a2, a3 = np.sort(1.0 + 20.0 * rng.random(3))
             if a3 - a1 < 1e-6:
                 continue
+            h1, h2, h3 = (proxy_at(frame, z, T, a)[0] for a in (a1, a2, a3))
             t = (a2 - a1) / (a3 - a1)
-            interp = (1 - t) * ctx.h(a1) + t * ctx.h(a3)
-            assert ctx.h(a2) >= interp - 1e-9
+            assert h2 >= (1 - t) * h1 + t * h3 - 1e-9
 
     def test_bregman_sandwich(self, rng):
         for _ in range(30):
             frame = random_frame(rng, 3, 9)
             z = random_scaling(rng, 9)
             T = rng.permutation(9)[:3]
-            ctx = ProxyContext(frame, z, T)
             a = 1.0 + 5.0 * rng.random()
             ap = a + 5.0 * rng.random()
-            d_breg = ctx.h_prime(a) * (ap - a) + ctx.h(a) - ctx.h(ap)
+            (h_a, hp_a), h_ap = proxy_at(frame, z, T, a), proxy_at(frame, z, T, ap)[0]
+            d_breg = hp_a * (ap - a) + h_a - h_ap
             assert d_breg >= -1e-9
-            assert d_breg <= (ap / a - 1.0) * (ctx.h(ap) - ctx.h(a)) + 1e-9
+            assert d_breg <= (ap / a - 1.0) * (h_ap - h_a) + 1e-9
 
     def test_margin_mass_slack(self, rng):
         # <c, 1_T> - h(1) >= gamma for the selected margin set
@@ -286,12 +270,11 @@ class TestProxy:
     def test_rejects_improper_subset(self, rng):
         frame = random_frame(rng, 2, 4)
         with pytest.raises(ValueError):
-            ProxyContext(frame, np.ones(4), [])
+            proxy_at(frame, np.ones(4), [], 2.0)
         with pytest.raises(ValueError):
-            ProxyContext(frame, np.ones(4), [0, 1, 2, 3])
-        ctx = ProxyContext(frame, np.ones(4), [0])
+            proxy_at(frame, np.ones(4), [0, 1, 2, 3], 2.0)
         with pytest.raises(ValueError):
-            ctx.h(0.5)
+            proxy_at(frame, np.ones(4), [0], 0.5)
 
 
 class TestInfeasibilityCertificate:
@@ -312,6 +295,16 @@ class TestInfeasibilityCertificate:
         c = np.array([1.2, 0.4, 0.4])
         cert = infeasibility_certificate(frame, c, [0])
         assert cert is not None and list(cert) == [0]
+
+    def test_rejects_repeated_and_out_of_range_indices(self):
+        # [0, 0] would count c_0 twice against rank 1, and [-1] would read
+        # column n - 1; [0] alone is no certificate.
+        frame = Frame(np.random.default_rng(0).standard_normal((2, 4)))
+        c = np.array([0.9, 0.3, 0.4, 0.4])
+        assert infeasibility_certificate(frame, c, [0]) is None
+        for T in ([0, 0], [2, 1, 2], [-1], [4], []):
+            with pytest.raises(ValueError, match="distinct column indices"):
+                infeasibility_certificate(frame, c, T)
 
 
 class TestScaleFrame:

@@ -13,7 +13,6 @@ from framescale import (
     IterationCapExceeded,
     Marginals,
     PreconditionViolated,
-    ProxyContext,
     ScalingError,
     SolverConfig,
     approx_small_eigen_sum,
@@ -23,6 +22,7 @@ from framescale import (
     newton_dinkelbach,
     numerical_rank,
     orthonormal_factor,
+    proxy_at,
     scale_frame,
 )
 from framescale.update import _det_local_opt_columns, nd_iteration_cap
@@ -59,8 +59,7 @@ class TestNewtonDinkelbach:
     def test_band_and_monotonicity(self, rng):
         for _ in range(40):
             frame, z, T = gapped_instance(rng, int(rng.integers(3, 6)), int(rng.integers(6, 12)))
-            ctx = ProxyContext(frame, z, T)
-            h1 = ctx.h(1.0)
+            h1 = proxy_at(frame, z, T, 1.0)[0]
             mu = mu_spectrum(frame.matrix, z, T)
             limit = float(np.sum(mu > 1e-9))
             gamma = min(0.8 * (limit - h1), 1.0)
@@ -70,19 +69,21 @@ class TestNewtonDinkelbach:
 
             def f(alpha):
                 visited.append(alpha)
-                return ctx.h(alpha)
+                return proxy_at(frame, z, T, alpha)[0]
 
-            res = newton_dinkelbach(f=f, f_prime=ctx.h_prime, alpha0=1.0,
+            def f_prime(alpha):
+                return proxy_at(frame, z, T, alpha)[1]
+
+            res = newton_dinkelbach(f=f, f_prime=f_prime, alpha0=1.0,
                                     b_low=h1 + gamma / 5.0, b_high=h1 + gamma,
                                     max_iters=200)
             assert h1 + gamma / 5.0 <= res.value <= h1 + gamma + 1e-9
             alphas = np.array(visited)
             assert len(alphas) == res.n_iters + 1 and alphas[-1] == res.alpha
             assert np.all(np.diff(alphas) > 0.0)
-            values = np.array([ctx.h(a) for a in alphas])
+            values, derivs = np.array([proxy_at(frame, z, T, a) for a in alphas]).T
             assert np.all(np.diff(values) > -1e-12)
             # derivative contracts by at least 1/5 per non-terminating step
-            derivs = np.array([ctx.h_prime(a) for a in alphas])
             for t in range(1, len(derivs) - 1):
                 assert derivs[t] <= derivs[t - 1] / 5.0 + 1e-15
 
@@ -123,8 +124,7 @@ class TestComputeUpdate:
             frame = random_frame(rng, d, n)
             z = random_scaling(rng, n)
             T = rng.permutation(n)[: int(rng.integers(1, n))]
-            ctx = ProxyContext(frame, z, T)
-            h1 = ctx.h(1.0)
+            h1 = proxy_at(frame, z, T, 1.0)[0]
             limit = numerical_rank(frame.columns(T))
             gamma = min(1.0, 0.7 * (limit - h1))
             if gamma <= 1e-6:
@@ -142,10 +142,9 @@ class TestComputeUpdate:
             frame = random_frame(rng, d, n)
             z = random_scaling(rng, n)
             T = rng.permutation(n)[: int(rng.integers(1, n))]
-            ctx = ProxyContext(frame, z, T)
-            hp1 = ctx.h_prime(1.0)
+            h1, hp1 = proxy_at(frame, z, T, 1.0)
             limit = numerical_rank(frame.columns(T))
-            room = limit - ctx.h(1.0)
+            room = limit - h1
             gamma = min(1.0, 4.0 * hp1, 0.9 * room)
             if gamma <= 1e-6 or hp1 < gamma / 4.0:
                 continue
@@ -160,10 +159,9 @@ class TestComputeUpdate:
             d = int(rng.integers(3, 6))
             n = int(rng.integers(d + 2, 12))
             frame, z, T = gapped_instance(rng, d, n)
-            ctx = ProxyContext(frame, z, T)
-            hp1 = ctx.h_prime(1.0)
+            h1, hp1 = proxy_at(frame, z, T, 1.0)
             limit = numerical_rank(frame.columns(T))
-            room = limit - ctx.h(1.0)
+            room = limit - h1
             gamma = min(1.0, 0.8 * room)
             if gamma <= 4.0 * hp1 or gamma <= 1e-4:
                 continue
@@ -173,16 +171,29 @@ class TestComputeUpdate:
             assert gamma / 5.0 - 1e-9 <= upd.h_gain <= gamma + 1e-9
             assert upd.nd_iters <= nd_iteration_cap(n, d)
 
-    def test_one_context_per_guess_step(self, monkeypatch, proxy_contexts):
-        # A steep step builds no ProxyContext and a guess step exactly one.
-        seeded = []
-        original = framescale.update.compute_update
+    def test_one_context_per_guess_step(self, monkeypatch, proxy_evaluations):
+        # A steep step evaluates no proxy. A guess step calls proxy_at once
+        # per distinct trial alpha: each seed the band check rejects, then
+        # every alpha that Newton asks h or h' about.
+        steps, asked = [], []
+        update, newton = framescale.update.compute_update, framescale.update.newton_dinkelbach
+
+        def asking(g):
+            def wrapped(alpha):
+                asked.append(alpha)
+                return g(alpha)
+            return wrapped
+
+        def recording_newton(f, f_prime, *args):
+            return newton(asking(f), asking(f_prime), *args)
 
         def recording(*args, **kwargs):
-            upd = original(*args, **kwargs)
-            seeded.append(upd.seeded)
+            del proxy_evaluations[:], asked[:]
+            upd = update(*args, **kwargs)
+            steps.append((upd.seeded, list(proxy_evaluations), list(dict.fromkeys(asked))))
             return upd
 
+        monkeypatch.setattr(framescale.update, "newton_dinkelbach", recording_newton)
         monkeypatch.setattr(framescale.update, "compute_update", recording)
         for seed in range(40):
             recipe = fuzz_recipe(seed)
@@ -194,8 +205,17 @@ class TestComputeUpdate:
                 scale_frame(frame, marginals, 1e-6, SolverConfig(max_iters=1000))
             except ScalingError:
                 pass
-        assert len(seeded) > 1000 and sum(seeded) > 20
-        assert len(proxy_contexts) == sum(seeded)
+        seeded = [step for step in steps if step[0]]
+        assert len(steps) > 1000 and len(seeded) > 20
+        for is_seeded, evaluated, trials in steps:
+            if not is_seeded:
+                assert evaluated == []
+                continue
+            assert len(set(evaluated)) == len(evaluated) and min(evaluated) > 1.0
+            rejected = len(evaluated) - len(trials)
+            assert evaluated[rejected:] == trials
+            for a, b in zip(evaluated[:rejected], evaluated[1:]):
+                assert b == 1.0 + (a - 1.0) / 2.0
 
     def test_rejects_bad_gamma(self, rng):
         frame = random_frame(rng, 2, 5)
@@ -214,9 +234,9 @@ def steep_instances(rng, count, max_d=4, max_n=11):
         z = random_scaling(rng, n)
         T = np.sort(rng.permutation(n)[: int(rng.integers(1, n))])
         q = orthonormal_factor(frame, z)
-        ctx = ProxyContext(frame, z, T, q=q)
-        room = numerical_rank(frame.columns(T)) - ctx.h(1.0)
-        gamma = min(1.0, 4.0 * ctx.h_prime(1.0), 0.9 * room)
+        h1, hp1 = proxy_at(frame, z, T, 1.0)
+        room = numerical_rank(frame.columns(T)) - h1
+        gamma = min(1.0, 4.0 * hp1, 0.9 * room)
         if gamma <= 1e-6:
             continue
         count -= 1
@@ -276,9 +296,9 @@ class TestSteepClosedForm:
         while len(counts) < 8:
             frame, z, T = gapped_instance(rng, int(rng.integers(3, 6)), int(rng.integers(7, 12)))
             q = orthonormal_factor(frame, z)
-            ctx = ProxyContext(frame, z, T, q=q)
-            gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - ctx.h(1.0)))
-            if gamma <= 4.0 * ctx.h_prime(1.0) or gamma <= 1e-4:
+            h1, hp1 = proxy_at(frame, z, T, 1.0)
+            gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - h1))
+            if gamma <= 4.0 * hp1 or gamma <= 1e-4:
                 continue
             del qr_calls[:]
             upd = compute_update(frame, z, T, gamma, q=q)
@@ -359,7 +379,7 @@ class TestSteepClosedForm:
         # "tiny" puts alpha - 1 near 1e-6, where h(alpha) and h(1) nearly cancel.
         for frame, z, T, q, gamma in steep_instances(rng, 15, max_n=9):
             if step == "tiny":
-                gamma = 1e-6 * ProxyContext(frame, z, T, q=q).h_prime(1.0)
+                gamma = 1e-6 * proxy_at(frame, z, T, 1.0)[1]
             upd = compute_update(frame, z, T, gamma, q=q)
             assert upd.nd_iters == 1
             exact = exact_h(frame, z, T, upd.alpha) - exact_h(frame, z, T, 1.0)

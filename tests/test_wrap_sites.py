@@ -16,7 +16,7 @@ import framescale.matrixscale  # noqa: F401
 import framescale.perceptron  # noqa: F401
 import framescale.solver  # noqa: F401
 import framescale.update  # noqa: F401
-from framescale import ProxyContext, numerical_rank
+from framescale import numerical_rank, proxy_at
 
 from conftest import gapped_instance
 
@@ -36,9 +36,9 @@ def test_traced_update_feeds_the_observer(rng):
         seeded = nd_steps = 0
         while seeded < 3:
             frame, z, T = gapped_instance(rng, 4, 8)
-            ctx = ProxyContext(frame, z, T)
-            gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - ctx.h(1.0)))
-            if gamma <= 4.0 * ctx.h_prime(1.0) or gamma <= 1e-4:
+            h1, hp1 = proxy_at(frame, z, T, 1.0)
+            gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - h1))
+            if gamma <= 4.0 * hp1 or gamma <= 1e-4:
                 continue
             upd = framescale.update.compute_update(frame, z, T, gamma)
             assert upd.seeded
