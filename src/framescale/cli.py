@@ -2,12 +2,22 @@
 
 Exit codes: 0 scaled / checks passed, 1 usage, I/O or numeric failure, 2 a
 verify check failed, 3 infeasible (certificate written in the result document).
-All indices in output are 0-based.
+A scaled document whose scaling holds a non-finite entry (``Infinity``,
+``-Infinity`` or ``NaN``, which ``json`` reads) fails verify with 2, for
+frames and matrices alike. All indices in output are 0-based.
+
+``main`` builds its parser once per process, at its first call, and keeps
+it. That saves time only for a caller that runs ``main`` many times in one
+process, such as an in-process verifier; the ``framescale`` command calls
+it once and builds one parser, as before. The parser holds no function
+objects; ``main`` looks ``cmd_<command>`` up in this module at each call,
+so a command replaced afterwards is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -136,13 +146,17 @@ def _doc_number(value, name: str) -> float:
 
 
 def _check_scaled(doc, key: str, n: int, eps: float, error_sq) -> None:
-    """Checks that ``doc[key]`` lists n positive numbers whose recomputed
-    ``error_sq`` is within eps and matches the document's ``final_error_sq``."""
+    """Checks that ``doc[key]`` lists n finite positive numbers whose recomputed
+    ``error_sq`` is within eps and matches the document's ``final_error_sq``.
+
+    ``json`` reads ``Infinity`` and ``NaN``, so finiteness is a check of its
+    own, taken before anything is recomputed from the scaling."""
     reported = _doc_number(doc["final_error_sq"], "final_error_sq")
     s = doc[key]
     if type(s) is not list or any(type(v) not in (int, float) for v in s):
         raise ValueError(f"result document field {key!r} is not a list of numbers")
     s = np.asarray(s, dtype=np.float64)
+    _require("scaling_finite", bool(np.isfinite(s).all()))
     _require("scaling_positive", s.size == n and bool(np.all(s > 0)))
     err_sq = error_sq(s)
     _require("error_within_eps", err_sq <= eps * eps * (1.0 + 1e-9))
@@ -234,6 +248,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the four commands; ``args.command`` names the one given."""
     parser = _Parser(prog="framescale")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="frame file: 'd n' header + rows")
     p.add_argument("--marginals", required=True, help="marginals file")
     add_common(p)
-    p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("matrix", help="scale a nonnegative matrix to (r, c)")
     p.add_argument("--input", required=True)
     p.add_argument("--rows", required=True, help="row-sum targets file")
     p.add_argument("--cols", required=True, help="column-sum targets file")
     add_common(p)
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
     p.add_argument("kind", choices=["gaussian", "infeasible", "bipartite"])
@@ -263,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="re-check a result document")
     p.add_argument("--result", required=True)
@@ -271,17 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginals", default=None)
     p.add_argument("--rows", default=None)
     p.add_argument("--cols", default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built at its first call and kept for the process."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR
-    return args.func(args)
+    # Looked up at call time, so a cmd_* replaced after the parser was built runs.
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

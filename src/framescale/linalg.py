@@ -1,15 +1,16 @@
-"""Dense linear-algebra primitives: thin QR factors, leverage, rank.
+"""Dense linear-algebra primitives: thin and pivoted QR factors, leverage, rank.
 
 Leverage, proxy values, kernels, condition estimates and solves against
 UZU^T are all read off the thin QR of sqrt(Z) U^T: its Q factor carries the
 leverage scores, and since UZU^T = R^T R its R factor turns a Gram solve
-into two triangular solves. Nothing here factors a Cholesky. The thin QR
-calls LAPACK ``dgeqrf`` and ``dorgqr`` directly, through
-``scipy.linalg.lapack``: at the sizes of a frame iterate numpy's wrapper
-costs several times the factorization, and the LAPACK routines are the
-ones numpy's reduced QR runs, so Q is the same bit for bit. Everything is
-deterministic and pure; binary64 throughout. Rank and eigenvalue cutoffs
-follow the usual machine-epsilon scaling.
+into two triangular solves. Nothing here factors a Cholesky. Both QRs call
+LAPACK directly, through ``scipy.linalg.lapack``: the thin QR is
+``dgeqrf`` and ``dorgqr``, and the column-pivoted QR behind ranks and the
+determinant search is ``dgeqp3``. At the sizes of a frame iterate the
+numpy and scipy wrappers cost several times the factorization, and the
+LAPACK calls are the ones those wrappers make, so the factors are the same
+bit for bit. Everything is deterministic and pure; binary64 throughout.
+Rank and eigenvalue cutoffs follow the usual machine-epsilon scaling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr
 
 from .errors import FactorizationFailure, NotSymmetric
 
@@ -96,6 +97,24 @@ def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # dorgqr returns Q in Fortran order; einsum over its rows would sum in
     # another order than over numpy's C-ordered Q and change the last bits.
     return np.ascontiguousarray(q), rh
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-pivoted QR of an m x k matrix a by LAPACK dgeqp3.
+
+    Returns (Rh, piv): the upper triangle of the m x k Rh is R, Householder
+    vectors lie below it, and column j of R belongs to column piv[j] of a
+    (0-based). a itself is left alone. The workspace is queried first, as
+    scipy's pivoted ``qr`` does: with less of it LAPACK leaves its blocked
+    path on large inputs and R changes in the last bits, while with it R and
+    piv equal that wrapper's bit for bit. Raises FactorizationFailure when
+    LAPACK reports an error.
+    """
+    lwork = int(dgeqp3(a, lwork=-1)[3][0])
+    rh, jpvt, _, _, info = dgeqp3(a, lwork=lwork)
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dgeqp3 failed (info={info})")
+    return rh, jpvt - 1
 
 
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
@@ -179,8 +198,7 @@ def numerical_rank(columns) -> int:
     max_norm = float(col_norms.max(initial=0.0))
     if max_norm == 0.0:
         return 0
-    r = scipy.linalg.qr(m, mode="r", pivoting=True, check_finite=False)[0]
-    diag = np.abs(np.diag(r))
+    diag = np.abs(_pivoted_qr(m)[0].diagonal())
     return int(np.count_nonzero(diag > max(d, k) * _EPS * max_norm))
 
 

@@ -16,7 +16,8 @@ form off a thin QR of the chosen columns. Newton then starts from the
 seed, and ``proxy_at`` factors each trial alpha anew. The start is the
 iterate's thin orthonormal factor Q, which also gives the leverage scores,
 h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
-is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``).
+is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), and the greedy's
+pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``).
 
 The step record ``UpdateResult`` that the margin loop reads lives in
 ``solver``.
@@ -36,8 +37,8 @@ from .errors import (DerivativeVanished, FactorizationFailure, GuessPrecondition
                      InfeasibleSegment, IterationCapExceeded, PreconditionViolated)
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, _require_full_rank, _scaled_qr, _thin_qr,  # noqa: F401
-                     gram_context, logdet_psd, numerical_rank, orthonormal_factor,
+from .linalg import (_EPS, Frame, _pivoted_qr, _require_full_rank, _scaled_qr,  # noqa: F401
+                     _thin_qr, gram_context, logdet_psd, numerical_rank, orthonormal_factor,
                      validate_scaling)
 from .solver import UpdateResult, step_gain
 
@@ -236,7 +237,7 @@ def _det_local_opt_columns(x: np.ndarray,
     ((X_D^T X_D)^{-1})_ii ||r_j||^2, so one thin QR of X_D prices every
     swap; the row-major argmax takes the smallest (i, j) among ties.
     """
-    r, piv = scipy.linalg.qr(x, mode="r", pivoting=True, check_finite=False)
+    r, piv = _pivoted_qr(x)
     if abs(r[p - 1, p - 1]) <= p * _EPS * abs(r[0, 0]):
         raise FactorizationFailure("greedy pivot vanished in determinant search")
     chosen, swaps = np.sort(piv[:p]), 0

@@ -2,9 +2,9 @@
 
 Oracles deliberately use eigendecompositions, matrix square roots, brute
 force, and exact rationals, none of which the library's solve paths touch.
-The exception is ``closed_form_oracle``: it keeps an earlier route to the
-steep step's numbers, so that the library's lean route can be checked
-against it bit for bit.
+The exceptions are ``closed_form_oracle`` and ``scipy_pivoted_qr``: they
+keep earlier routes to the steep step's numbers and to the pivoted QR, so
+that the library's lean routes can be checked against them bit for bit.
 """
 
 import math
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg.lapack import dsyevd
 
 import framescale.linalg
@@ -33,6 +34,31 @@ def random_frame(rng, d, n, spread=1.0):
 
 def random_scaling(rng, n, decades=1.0):
     return 10.0 ** rng.uniform(-decades, decades, size=n)
+
+
+def scipy_pivoted_qr(a):
+    """(R, piv) of scipy's column-pivoted QR, the route ``linalg._pivoted_qr``
+    replaced; it stands in for that kernel wherever only R and piv are read."""
+    return scipy.linalg.qr(a, mode="r", pivoting=True, check_finite=False)
+
+
+def pivoted_qr_inputs(rng, count=400):
+    """Matrices to hold the pivoted-QR kernel to ``scipy_pivoted_qr``: in
+    turn random, with a parallel pair, rank-deficient and scaled by
+    1e+-150, up to 8 x 13; then one 300 x 300, past LAPACK's blocked cutoff."""
+    for i in range(count):
+        d, k = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+        a = rng.standard_normal((d, k))
+        kind = i % 4
+        if kind == 1 and k > 1:
+            a[:, 1] = a[:, 0] * rng.choice([1.0, -2.0, 1e-6])
+        elif kind == 2:
+            r = int(rng.integers(0, min(d, k)))
+            a = rng.standard_normal((d, r)) @ rng.standard_normal((r, k))
+        elif kind == 3:
+            a *= 10.0 ** rng.choice([-150.0, 150.0])
+        yield a
+    yield rng.standard_normal((300, 300))
 
 
 def gram_inv_half(U, z):

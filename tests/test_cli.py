@@ -1,13 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framescale.cli as cli
 from framescale import io as fio
 from framescale.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -387,6 +394,23 @@ class TestVerify:
         assert run_cli(["verify", "--result", out, *flags]) == 1
         assert capsys.readouterr().err.startswith(f"error: {named}")
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["infinity", "minus-infinity", "nan"])
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_non_finite_scaling_fails_check(self, tmp_path, capsys, kind, value):
+        # json reads Infinity and NaN; either problem fails the same named
+        # check before recomputing anything from the scaling.
+        args = solve_args(tmp_path, kind)
+        out = tmp_path / "res.json"
+        assert run_cli(args + ["--eps", "1e-6", "--out", out]) == 0
+        doc = fio.read_result(out)
+        key = "z" if kind == "frame" else "y"
+        doc[key][1] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, *args[1:]]) == 2
+        assert capsys.readouterr().err == "verify failed: scaling_finite\n"
+
     def test_missing_file_is_error(self, tmp_path):
         assert run_cli(["verify", "--result", tmp_path / "nope.json",
                         "--input", tmp_path / "nope.txt",
@@ -433,3 +457,82 @@ class TestResultRoundTrip:
         fio.write_matrix_file(tmp_path / "m.txt", m)
         back = fio.read_matrix_file(tmp_path / "m.txt")
         assert np.array_equal(m, back)
+
+
+def fresh_process(args):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "framescale.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserCache:
+    """``main`` builds one parser per process and dispatches at call time."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(None)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        args = solve_args(tmp_path, "frame")
+        out = tmp_path / "res.json"
+        for _ in range(3):
+            assert run_cli(args + ["--eps", "1e-6", "--out", out]) == 0
+            assert run_cli(["verify", "--result", out, *args[1:]]) == 0
+            assert run_cli(["verify", "--input", out]) == 1
+        assert len(built) == 1
+
+    def test_build_parser_is_fresh(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_replaced_command_runs(self, tmp_path, monkeypatch):
+        gen(tmp_path, "gaussian", d=3, n=4, seed=0)  # the parser exists now
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args) or 42)
+        assert run_cli(["verify", "--result", "r.json", "--input", "U.txt"]) == 42
+        assert [(a.command, a.result, a.marginals) for a in seen] == [
+            ("verify", "r.json", None)]
+
+    @pytest.mark.parametrize("argv", [
+        ["frame", "--help"],
+        ["--help"],
+        ["verify", "--input", "U.txt"],
+        ["frame", "--input", "U.txt", "--marginals", "c.txt", "--eps", "abc"],
+        ["solve"],
+        [],
+    ], ids=["frame-help", "help", "missing-flag", "bad-eps", "unknown-command", "no-command"])
+    def test_same_as_a_fresh_process(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        gen(tmp_path, "gaussian", d=3, n=4, seed=0)
+        capsys.readouterr()
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh_process(argv)
+
+    def test_matrix_verify_after_frame_verify(self, tmp_path, capsys):
+        frame, matrix = solve_args(tmp_path, "frame"), solve_args(tmp_path, "matrix")
+        f_out, m_out = tmp_path / "frame.json", tmp_path / "matrix.json"
+        assert run_cli(frame + ["--eps", "1e-6", "--out", f_out]) == 0
+        assert run_cli(matrix + ["--eps", "1e-6", "--out", m_out]) == 0
+        for _ in range(2):
+            assert run_cli(["verify", "--result", f_out, *frame[1:]]) == 0
+            assert run_cli(["verify", "--result", m_out, *matrix[1:]]) == 0
+        # no flag of an earlier call carries over
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", f_out, "--input", frame[2]]) == 1
+        assert "frame verification needs --marginals" in capsys.readouterr().err

@@ -15,11 +15,13 @@ from framescale import (
     numerical_rank,
     pinv_trace,
 )
-from framescale.linalg import _thin_qr, validate_scaling
+import framescale.linalg
+from framescale.linalg import _pivoted_qr, _thin_qr, validate_scaling
 from framescale.generate import gen_infeasible
 from framescale.rational import column_submatrix, rational_rank
 
-from conftest import fraction_inverse, random_frame, random_scaling
+from conftest import (fraction_inverse, pivoted_qr_inputs, random_frame, random_scaling,
+                      scipy_pivoted_qr)
 
 
 class TestGramContext:
@@ -101,6 +103,29 @@ class TestThinQR:
         before = b.copy()
         _thin_qr(b)
         assert np.array_equal(b, before)
+
+
+class TestPivotedQR:
+    def test_matches_scipy_bit_for_bit(self, rng):
+        for a in pivoted_qr_inputs(rng):
+            rh, piv = _pivoted_qr(a)
+            r_sp, piv_sp = scipy_pivoted_qr(a)
+            assert np.array_equal(np.triu(rh), r_sp), a.shape
+            assert np.array_equal(piv, piv_sp), a.shape
+
+    def test_ranks_match_the_scipy_route(self, rng, monkeypatch):
+        inputs = list(pivoted_qr_inputs(rng))
+        ranks = [numerical_rank(a) for a in inputs]
+        monkeypatch.setattr(framescale.linalg, "_pivoted_qr", scipy_pivoted_qr)
+        assert ranks == [numerical_rank(a) for a in inputs]
+        assert set(ranks) >= {0, 1, 300}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_untouched(self, rng, order):
+        a = np.asarray(rng.standard_normal((4, 9)), order=order)
+        before = a.copy()
+        _pivoted_qr(a)
+        assert np.array_equal(a, before)
 
 
 class TestValidateScaling:

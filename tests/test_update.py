@@ -30,8 +30,8 @@ from framescale.update import _det_local_opt_columns, nd_iteration_cap
 from framescale.generate import gen_gaussian
 
 from conftest import (det_local_opt_oracle, fraction_inverse, fuzz_recipe, gapped_instance,
-                      mu_spectrum, random_frame, random_scaling, steep_update_oracle,
-                      whitened)
+                      mu_spectrum, pivoted_qr_inputs, random_frame, random_scaling,
+                      scipy_pivoted_qr, steep_update_oracle, whitened)
 
 
 class TestNewtonDinkelbach:
@@ -636,3 +636,30 @@ class TestDetLocalOptOracle:
             swaps += s
             assert list(det_local_opt(frame, z, T, p, q=q)) == list(np.sort(T[chosen]))
         assert swaps >= 10
+
+    def test_picks_match_the_scipy_route(self, rng, monkeypatch):
+        # The greedy's pivoted QR is LAPACK dgeqp3 called directly; with
+        # scipy's wrapper in its place every pick, swap count and final
+        # factor is the same, and so is every failure.
+        def search(x, p):
+            try:
+                return _det_local_opt_columns(x, p)
+            except FactorizationFailure as exc:
+                return str(exc)
+
+        picks = 0
+        for x in pivoted_qr_inputs(rng, count=200):
+            for p in sorted({1, min(x.shape) // 2, min(x.shape) - 1} - {0}):
+                if p >= x.shape[1]:
+                    continue
+                got = search(x, p)
+                with monkeypatch.context() as m:
+                    m.setattr(framescale.update, "_pivoted_qr", scipy_pivoted_qr)
+                    want = search(x, p)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                picks += 1
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+                assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        assert picks >= 100

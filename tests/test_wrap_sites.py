@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-import framescale.cli  # noqa: F401  (loads io, rational and regularize too)
+import framescale.cli  # (loads io, rational and regularize too)
 import framescale.matrixscale  # noqa: F401
 import framescale.perceptron  # noqa: F401
 import framescale.solver  # noqa: F401
@@ -19,6 +19,8 @@ import framescale.update  # noqa: F401
 from framescale import numerical_rank, proxy_at
 
 from conftest import gapped_instance
+from framescale import io as fio
+from framescale.generate import gen_infeasible
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -51,3 +53,25 @@ def test_traced_update_feeds_the_observer(rng):
     assert tracer.observed["update.nd_steps"] == nd_steps
     assert {"update.compute_update", "update.approx_small_eigen_sum"} <= set(tracer.names)
     assert np.all(np.frombuffer(tracer.end, dtype=np.int64) > 0)
+
+
+def test_traced_verify_after_an_untraced_one(tmp_path):
+    # The CLI keeps its parser across calls; a verify traced after the
+    # parser was built must still run through the wrapped cmd_verify.
+    U, c = gen_infeasible(3, 7, 0)
+    u_path, c_path, out = tmp_path / "U.txt", tmp_path / "c.txt", tmp_path / "res.json"
+    fio.write_matrix_file(u_path, U)
+    fio.write_vector_file(c_path, c)
+    argv = ["--input", str(u_path), "--marginals", str(c_path)]
+    assert framescale.cli.main(["frame", *argv, "--eps", "1e-6", "--out", str(out)]) == 3
+    verify = ["verify", "--result", str(out), *argv]
+    assert framescale.cli.main(verify) == 0
+    tracer = spans.Tracer()
+    tracer.begin_group("verify", "after an untraced verify")
+    tracer.install()
+    try:
+        assert framescale.cli.main(verify) == 0
+    finally:
+        tracer.restore()
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("cli.main") == 1 and names.count("cli.verify") == 1
