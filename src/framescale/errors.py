@@ -23,7 +23,8 @@ class NotSymmetric(ScalingError):
 
 
 class DegenerateMargin(ScalingError):
-    """Margin selection found a zero gap on a nonzero error vector."""
+    """A margin too small to act on: a zero gap on a nonzero error vector, or
+    a gamma so small beside h(1) that the step's band is empty in binary64."""
 
 
 class IterationCapExceeded(ScalingError):

@@ -125,16 +125,12 @@ def _require_full_rank(rh: np.ndarray, failure: str) -> None:
         raise FactorizationFailure(failure)
 
 
-def _full_rank_qr(b: np.ndarray, failure: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_thin_qr`` of b, checked by ``_require_full_rank``."""
-    q, rh = _thin_qr(b)
-    _require_full_rank(rh, failure)
+def _scaled_qr(frame: Frame, z) -> tuple[np.ndarray, np.ndarray]:
+    """``_thin_qr`` of sqrt(Z) U^T after ``validate_scaling``, checked by
+    ``_require_full_rank``."""
+    q, rh = _thin_qr((frame.matrix * np.sqrt(validate_scaling(z, frame.n))).T)
+    _require_full_rank(rh, "scaled frame numerically rank-deficient")
     return q, rh
-
-
-def _scaled_qr(frame: Frame, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_full_rank_qr`` of sqrt(Z) U^T for a z the caller has already validated."""
-    return _full_rank_qr((frame.matrix * np.sqrt(z)).T, "scaled frame numerically rank-deficient")
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ class GramContext:
 
 def gram_context(frame: Frame, z) -> GramContext:
     """R^T R = UZU^T off the thin QR of sqrt(Z) U^T; fails as ``orthonormal_factor`` does."""
-    return GramContext(r=np.triu(_scaled_qr(frame, validate_scaling(z, frame.n))[1]))
+    return GramContext(r=np.triu(_scaled_qr(frame, z)[1]))
 
 
 def orthonormal_factor(frame: Frame, z) -> np.ndarray:
@@ -164,7 +160,7 @@ def orthonormal_factor(frame: Frame, z) -> np.ndarray:
     ``d * eps`` times the largest, i.e. the scaled frame is numerically
     rank-deficient.
     """
-    return _scaled_qr(frame, validate_scaling(z, frame.n))[0]
+    return _scaled_qr(frame, z)[0]
 
 
 def leverage_scores(frame: Frame, z) -> np.ndarray:

@@ -167,24 +167,22 @@ def _mu_weights(matrix: NonnegMatrix, r, y, T):
     return part[nbr] / total, np.asarray(r, dtype=np.float64)[nbr]
 
 
-def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> float:
-    """Solve g(alpha) = gamma on the piecewise-linear surrogate.
+def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> UpdateResult:
+    """Solve g(alpha) = gamma on the piecewise-linear surrogate; the step's
+    ``UpdateResult``, or InfeasibleSegment when g stays below gamma.
 
     g(alpha) = sum_i r_i (1 - mu_i) min(1, (alpha-1) mu_i) over N(T), which
     sandwiches the true proxy gain within a factor 2. Runs one sort of the
-    mu values plus prefix sums; ties share a breakpoint.
+    mu values plus prefix sums; ties share a breakpoint. ``h_gain`` is the
+    proxy gain at alpha in closed form (``step_gain``); ``nd_iters`` is 0,
+    since no root finding runs.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    T = np.asarray(T, dtype=np.intp)
-    return _surrogate_step(*_mu_weights(matrix, r, y, T), gamma)
-
-
-def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
-    """matrix_update on precomputed mu weights."""
+    mu, w = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp))
     mass = w * (1.0 - mu)
     keep = mass > 0.0  # rows fully inside T contribute nothing
-    mu, mass = mu[keep], mass[keep]
+    mu_k, mass = mu[keep], mass[keep]
     supremum = float(mass.sum())
     # On a Hall-feasible margin set the true supremum is >= gamma; only
     # summation roundoff (absolute, at the r-mass scale) can undercut it.
@@ -197,19 +195,20 @@ def _surrogate_step(mu: np.ndarray, w: np.ndarray, gamma: float) -> float:
     # A tight feasible set has supremum == gamma up to roundoff; the exact
     # crossing then sits at the last breakpoint, so solve for min(gamma, sup).
     target = min(gamma, supremum)
-    order = (-mu).argsort(kind="stable")
-    mu, mass = mu[order], mass[order]
+    order = (-mu_k).argsort(kind="stable")
+    mu_k, mass = mu_k[order], mass[order]
     prefix = mass.cumsum()                            # saturated mass through k
-    slope = (mass * mu)[::-1].cumsum()[::-1]          # segment slope from k on
+    slope = (mass * mu_k)[::-1].cumsum()[::-1]        # segment slope from k on
     # g at breakpoint k (alpha - 1 = 1/mu_k): terms through k saturated, and
     # the rest on their slope; at the last breakpoint there is no rest.
     g_at_break = prefix.copy()
-    g_at_break[:-1] += slope[1:] / mu[:-1]
+    g_at_break[:-1] += slope[1:] / mu_k[:-1]
     k = int(np.searchsorted(g_at_break, target, side="left"))
-    k = min(k, mu.size - 1)
+    k = min(k, mu_k.size - 1)
     p_prev = float(prefix[k - 1]) if k > 0 else 0.0
-    a = (target - p_prev) / float(slope[k])
-    return 1.0 + float(a)
+    alpha = 1.0 + (target - p_prev) / float(slope[k])
+    return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * (1.0 - mu), alpha),
+                        nd_iters=0, hp_one=math.nan, seeded=False)
 
 
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
@@ -259,9 +258,9 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     the row scaling r_i / (Ay)_i is implicit, so the row sums are met by
     construction and the error compared against eps^2 is ||c(B) - c||^2.
     Runs the shared margin loop of ``solver``: the certificate is the Hall
-    check c(T) > r(N(T)), which the loop decides once per set, the step
-    solves the surrogate (whose InfeasibleSegment the loop answers with a
-    zero-tolerance Hall check), and the shrink is ``matrix_regularize``.
+    check c(T) > r(N(T)) + tol, which the loop decides once per set, the
+    step is ``matrix_update`` (whose InfeasibleSegment the loop answers
+    with the Hall check at tol 0), and the shrink is ``matrix_regularize``.
     """
     m, n = matrix.matrix.shape
     r, c = marginals.r, marginals.c
@@ -270,18 +269,13 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     s = marginals.s
 
     def measure(y):
-        cs = column_sums(matrix, r, y)
-        return cs, float(((cs - c) ** 2).sum())
+        return column_sums(matrix, r, y)
 
-    def certificate(T, zero_tol=False):
-        tol = 0.0 if zero_tol else HALL_TOL_REL * s
+    def certificate(T, tol=HALL_TOL_REL * s):
         return T if float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol else None
 
     def step(y, T, gamma):
-        mu, w = _mu_weights(matrix, r, y, T)
-        alpha = _surrogate_step(mu, w, gamma)
-        return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * (1.0 - mu), alpha),
-                            nd_iters=0, hp_one=math.nan, seeded=False)
+        return matrix_update(matrix, r, y, T, gamma)
 
     def shrink(y, gamma):
         return matrix_regularize(matrix, y, gamma / (15.0 * s * n**3))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateMargin, InfeasibleSegment, IterationCapExceeded, ScalingError
+from .errors import (DegenerateMargin, InfeasibleSegment, IterationCapExceeded,
+                     PreconditionViolated, ScalingError)
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
 from .linalg import Frame, leverage_scores, numerical_rank, orthonormal_factor  # noqa: F401
@@ -110,19 +111,22 @@ def select_margin_set(lev, c) -> MarginSet:
     return MarginSet(order=order, k=k + 1, gamma=gamma, nu=nu)
 
 
-def infeasibility_certificate(frame: Frame, c, T) -> np.ndarray | None:
-    """Return sorted T as a certificate iff rk(U_T) < <c, 1_T> beyond tolerance.
+def infeasibility_certificate(frame: Frame, c, T,
+                              tol: float = CERTIFICATE_TOL) -> np.ndarray | None:
+    """Return sorted T as a certificate iff rk(U_T) < <c, 1_T> - tol.
 
     T is sorted first, so the rank (taken on the columns in sorted order),
     the mass and the answer depend on the set alone. T must hold distinct
     column indices in [0, n), the rule ``verify`` applies to a certificate:
-    a repeated index would count its marginal twice against one rank.
+    a repeated index would count its marginal twice against one rank. The
+    margin loop decides with the default guard and, after a step proves
+    the band unreachable, once more with ``tol=0.0``.
     """
     T = np.sort(np.asarray(T, dtype=np.intp))
     if T.size == 0 or T[0] < 0 or T[-1] >= frame.n or (T[1:] == T[:-1]).any():
         raise ValueError("T must be a nonempty set of distinct column indices in [0, n)")
     c = np.asarray(c, dtype=np.float64)
-    if numerical_rank(frame.columns(T)) < float(c[T].sum()) - CERTIFICATE_TOL:
+    if numerical_rank(frame.columns(T)) < float(c[T].sum()) - tol:
         return T
     return None
 
@@ -213,29 +217,39 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                  step, shrink, log_range: bool = False) -> ScalingResult:
     """The margin loop shared by the frame and the matrix solver.
 
-    ``measure(z)`` gives the marginals of z and their squared error against
-    c, ``certificate(T, zero_tol=False)`` a certificate or None, ``step(z,
-    T, gamma)`` an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized
+    ``measure(z)`` gives the marginals m of z (the loop owns the error
+    ||m - c||^2), ``certificate(T)`` a certificate or None, ``step(z, T,
+    gamma)`` an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized
     z, whose min must be exactly 1. With ``log_range`` the trace records
     ||log z||_inf, which for min z = 1 is log max z. A ScalingError leaving
-    the loop carries the trace.
+    the loop carries the trace. <m, 1> does not move with z, and ||m -
+    c||^2 >= (<m, 1> - <c, 1>)^2 / n, so a first measurement that puts this
+    bound above eps^2 raises PreconditionViolated.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
     decided once per solve, with every later visit reusing that decision.
     A set infeasible by less than that decision's roundoff guard reaches
-    ``step``, which raises InfeasibleSegment; the loop then decides T with
-    ``zero_tol=True`` and certifies, or re-raises when T still passes.
+    ``step``, which raises InfeasibleSegment; the loop then decides T by
+    ``certificate(T, tol=0.0)``, and certifies or re-raises.
     """
     n = c.shape[0]
     eps_sq = eps * eps
     cap = config.iteration_cap(n, eps)
     z = np.ones(n)
-    marginals, err_sq = measure(z)
+    marginals = measure(z)
+    err_sq = float(((marginals - c) ** 2).sum())
     trace: list[IterationRecord] = []
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
     try:
+        m_total, c_total = float(marginals.sum()), float(c.sum())
+        least = (m_total - c_total) ** 2 / n
+        if least > eps_sq:
+            raise PreconditionViolated(
+                f"eps unreachable: marginals total {m_total!r} against target total "
+                f"{c_total!r}, so error^2 >= {least:g} > eps^2 {eps_sq:g}"
+            )
         while err_sq > eps_sq:
             if it >= cap:
                 raise IterationCapExceeded(
@@ -254,7 +268,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 try:
                     upd = step(z, T, ms.gamma)
                 except InfeasibleSegment:
-                    cert = certificate(key, zero_tol=True)
+                    cert = certificate(key, tol=0.0)
                     if cert is None:
                         raise
             if cert is not None:
@@ -264,7 +278,8 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 )
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
-            marginals, new_err_sq = measure(z)
+            marginals = measure(z)
+            new_err_sq = float(((marginals - c) ** 2).sum())
             trace.append(IterationRecord(
                 error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
                 progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
@@ -308,6 +323,9 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     ValueError
         If eps is not a positive finite number, or the marginals do not
         match the frame.
+    PreconditionViolated
+        If the leverage total (d up to roundoff) is so far from <c, 1> that
+        no scaling reaches eps.
     IterationCapExceeded
         If the cap is hit; signals numerical breakdown. Like every
         ScalingError raised inside the loop, it carries the trace so far.
@@ -327,16 +345,13 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     def measure(z):
         nonlocal q
         q = orthonormal_factor(frame, z)
-        lev = np.einsum("ij,ij->i", q, q)
-        return lev, float(((lev - c) ** 2).sum())
+        return np.einsum("ij,ij->i", q, q)
 
-    def certificate(T, zero_tol=False):
-        if not zero_tol:
-            return infeasibility_certificate(frame, c, T)
-        return T if numerical_rank(frame.columns(T)) < float(c[T].sum()) else None
+    def certificate(T, tol=CERTIFICATE_TOL):
+        return infeasibility_certificate(frame, c, T, tol)
 
     def step(z, T, gamma):
-        return compute_update(frame, z, T, gamma, q=q)
+        return compute_update(frame, z, T, gamma, q)
 
     def shrink(z, gamma):
         return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)

@@ -33,8 +33,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dsyevd
 
-from .errors import (DerivativeVanished, FactorizationFailure, GuessPreconditionViolated,
-                     InfeasibleSegment, IterationCapExceeded, PreconditionViolated)
+from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
+                     GuessPreconditionViolated, InfeasibleSegment, IterationCapExceeded,
+                     PreconditionViolated)
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, _pivoted_qr, _require_full_rank, _scaled_qr,  # noqa: F401
@@ -257,16 +258,16 @@ def _det_local_opt_columns(x: np.ndarray,
         swaps += 1
 
 
-def compute_update(frame: Frame, z, T, gamma: float,
-                   q: np.ndarray | None = None) -> UpdateResult:
+def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateResult:
     """Find alpha >= 1 with gamma/5 <= h(alpha) - h(1) <= gamma.
 
     Expects a T the rank check did not certify. Where the guess branch finds
     mu_tilde <= 0, the gain's supremum rk(U_T) - h(1) is below gamma, so it
     raises InfeasibleSegment for the margin loop's zero-tolerance check.
-    ``q`` is the iterate's ``orthonormal_factor(frame, z)``, factored here
-    when None; P = Q_T^T Q_T is formed from it once, with h(1) = tr P and
-    h'(1) = tr P - ||P||_F^2. When h'(1) >= gamma/4 one Newton step from 1
+    ``q`` is the iterate's ``orthonormal_factor(frame, z)``; P = Q_T^T Q_T
+    is formed from it once, with h(1) = tr P and h'(1) = tr P - ||P||_F^2.
+    Raises DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma,
+    a band binary64 cannot hold. When h'(1) >= gamma/4 one Newton step from 1
     reaches the band, with alpha - 1 <= 4, and h is read off the eigenvalues
     mu of P (``dsyevd``, as in numpy's eigvalsh): h(alpha) - h(1) is
     ``solver.step_gain`` with w = mu (1 - mu), and h'(alpha) =
@@ -278,11 +279,11 @@ def compute_update(frame: Frame, z, T, gamma: float,
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-    if q is None:
-        q = orthonormal_factor(frame, z)
     T = np.asarray(T, dtype=np.intp)
     p = _set_gram(q, _set_mask(frame.n, T))
     h1, hp1 = _proxy_values(p, 1.0)
+    if not h1 + gamma / 5.0 < h1 + gamma:
+        raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
     cap = nd_iteration_cap(frame.n, frame.d)
     if hp1 >= gamma / 4.0:
         mu, _, info = dsyevd(p, compute_v=0, lower=1)

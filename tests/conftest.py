@@ -293,7 +293,7 @@ def proxy_evaluations(monkeypatch):
 def qr_calls(monkeypatch):
     """Records one entry per thin QR, i.e. per ``linalg._thin_qr`` call.
 
-    The helper is looked up in ``linalg`` (by ``_full_rank_qr``) and in
+    The helper is looked up in ``linalg`` (by ``_scaled_qr``) and in
     ``update`` (by the swap search), so it is replaced in both.
     """
     calls = []

@@ -14,6 +14,7 @@ from framescale import (
     IterationRecord,
     MatrixMarginals,
     NonnegMatrix,
+    PreconditionViolated,
     ScalingResult,
     SolverConfig,
     ZeroRowSum,
@@ -161,7 +162,7 @@ class TestMatrixUpdate:
         A = NonnegMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
         y = np.ones(2)
         r = np.array([1.0, 1.0])
-        alpha = matrix_update(A, r, y, [0], 0.2)
+        alpha = matrix_update(A, r, y, [0], 0.2).alpha
         assert alpha == pytest.approx(1.8)
 
     def test_gamma_near_supremum(self, rng):
@@ -172,9 +173,22 @@ class TestMatrixUpdate:
         part = A.matrix[:, T] @ y[T]
         mu = part / (A.matrix @ y)
         sup = float((r * (1 - mu)).sum())
-        alpha = matrix_update(A, r, y, T, sup - 1e-15)
+        alpha = matrix_update(A, r, y, T, sup - 1e-15).alpha
         assert np.isfinite(alpha)
         assert alpha <= 1.0 + 1.0 / mu.min() + 1e-6
+
+    def test_step_record(self, rng):
+        # The gain is step_gain over every row of N(T), as matrix_proxy_gain
+        # sums it, bit for bit; no root finding runs.
+        for _ in range(20):
+            A = NonnegMatrix(rng.random((5, 6)) + 0.05)
+            r = rng.random(5) + 0.5
+            y = 10.0 ** rng.uniform(-2, 2, size=6)
+            T = rng.permutation(6)[:3]
+            mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
+            upd = matrix_update(A, r, y, T, 0.5 * float((r * (1 - mu)).sum()))
+            assert upd.h_gain == matrix_proxy_gain(A, r, y, T, upd.alpha)
+            assert upd.nd_iters == 0 and math.isnan(upd.hp_one) and not upd.seeded
 
     def test_saturated_rows_infeasible(self):
         # T touches every row's full mass: supremum 0
@@ -195,7 +209,7 @@ class TestMatrixUpdate:
             mu = part / (A.matrix @ y)
             sup = float((r * (1 - mu)).sum())
             gamma = 0.9 * sup * rng.random() + 1e-9
-            alpha = matrix_update(A, r, y, T, gamma)
+            alpha = matrix_update(A, r, y, T, gamma).alpha
             gain = matrix_proxy_gain(A, r, y, T, alpha)
             assert gamma / 2.0 - 1e-9 <= gain <= gamma + 1e-9
 
@@ -212,7 +226,7 @@ class TestMatrixUpdate:
             mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
             sup = float((r * (1 - mu)).sum())
             gamma = 0.95 * sup * rng.random() + 1e-9
-            alpha = matrix_update(A, r, y, T, gamma)
+            alpha = matrix_update(A, r, y, T, gamma).alpha
             g = sum(ri * (1.0 - mi) * min(1.0, (alpha - 1.0) * mi) for ri, mi in zip(r, mu))
             assert g == pytest.approx(gamma, rel=1e-9, abs=1e-12)
 
@@ -252,13 +266,26 @@ class TestMatrixUpdate:
                 sup = float((r * (1 - mu))[part > 0].sum())
                 if sup <= 0.0:
                     continue
-                alpha = matrix_update(A, r, y, T, 0.9 * sup * rng.random() + 1e-9)
+                alpha = matrix_update(A, r, y, T, 0.9 * sup * rng.random() + 1e-9).alpha
             exact = exact_t_mass(a, r, y, T, alpha) - exact_t_mass(a, r, y, T, 1.0)
             gain = matrix_proxy_gain(A, r, y, T, alpha)
             assert abs(Fraction(gain) - exact) <= Fraction(1e-10) * exact
 
 
 class TestScaleMatrix:
+    def test_unreachable_eps_fails_fast(self):
+        # Column sums always total r's sum, s, so a c that MatrixMarginals
+        # accepts within 1e-9 s of s can hold the error above eps^2 for good.
+        A = NonnegMatrix(np.random.default_rng(0).random((4, 4)) + 0.1)
+        c = np.ones(4)
+        c[0] += 3e-9
+        with pytest.raises(PreconditionViolated, match="eps unreachable") as info:
+            scale_matrix(A, MatrixMarginals(np.ones(4), c), 1e-10)
+        assert "4.000000003" in str(info.value) and "2.25e-18" in str(info.value)
+        assert info.value.trace == []
+        res = scale_matrix(A, MatrixMarginals(np.ones(4), c), 1e-8)
+        assert res.scaled and res.final_error_sq <= 1e-16
+
     def test_symmetric_instant(self):
         A = NonnegMatrix(np.ones((2, 2)))
         res = scale_matrix(A, MatrixMarginals(np.ones(2), np.ones(2)), 1e-8)
@@ -585,7 +612,7 @@ def reference_scale_matrix(matrix, marginals, eps, config=None):
         if float(c[T].sum()) > float(r[nbr].sum()) + HALL_TOL_REL * s:
             return certified(T, it, err_sq, trace)
         try:
-            alpha = matrix_update(matrix, r, y, T, ms.gamma)
+            alpha = matrix_update(matrix, r, y, T, ms.gamma).alpha
         except InfeasibleSegment:
             if float(c[T].sum()) > float(r[nbr].sum()):
                 return certified(T, it, err_sq, trace)

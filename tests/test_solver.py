@@ -13,12 +13,14 @@ from framescale import (
     IterationCapExceeded,
     IterationRecord,
     Marginals,
+    PreconditionViolated,
     ScalingResult,
     SolverConfig,
     compute_update,
     infeasibility_certificate,
     leverage_scores,
     numerical_rank,
+    orthonormal_factor,
     proxy_at,
     regularize,
     scale_frame,
@@ -27,7 +29,7 @@ from framescale import (
 from framescale.generate import gen_gaussian, gen_infeasible
 from framescale.rational import rational_rank
 from framescale.regularize import RhoCache
-from framescale.solver import UpdateResult, _margin_loop
+from framescale.solver import CERTIFICATE_TOL, UpdateResult, _margin_loop
 
 from conftest import (
     fuzz_recipe,
@@ -379,7 +381,7 @@ class TestScaleFrame:
             while err_sq > 1e-12:
                 ms = select_margin_set(leverage_scores(frame, z), c)
                 assert infeasibility_certificate(frame, c, ms.indices) is None
-                upd = compute_update(frame, z, ms.indices, ms.gamma)
+                upd = compute_update(frame, z, ms.indices, ms.gamma, orthonormal_factor(frame, z))
                 z = z.copy()
                 z[ms.indices] *= upd.alpha
                 assert err_sq - error_sq(frame, z, c) >= 2.0 * ms.gamma * upd.h_gain - 1e-8
@@ -479,9 +481,9 @@ def visited_margin_sets(monkeypatch, seeds):
             visited.append(ms.indices.copy())
             return ms
 
-        def recording_certify(frame, c, T):
+        def recording_certify(frame, c, T, *tol):
             calls.append(tuple(T))
-            return certify(frame, c, T)
+            return certify(frame, c, T, *tol)
 
         monkeypatch.setattr(framescale.solver, "select_margin_set", recording_select)
         monkeypatch.setattr(framescale.solver, "infeasibility_certificate", recording_certify)
@@ -531,7 +533,7 @@ class TestCertificateMemo:
 def reference_scale_frame(frame, marginals, eps, config=None):
     """The frame loop from public pieces, each doing its own work.
 
-    A fresh-QR proxy (no factor passed), an unmemoized rank check, the
+    A proxy on a freshly factored q, an unmemoized rank check, the
     gap-by-gap regularizer and a leverage recompute from z; the result must
     match scale_frame exactly.
     """
@@ -555,7 +557,7 @@ def reference_scale_frame(frame, marginals, eps, config=None):
         if cert is not None:
             return ScalingResult(status=INFEASIBLE, scaling=None, certificate=cert,
                                  iterations=it, final_error_sq=err_sq, trace=trace)
-        upd = compute_update(frame, z, T, ms.gamma)
+        upd = compute_update(frame, z, T, ms.gamma, orthonormal_factor(frame, z))
         z = z.copy()
         z[T] *= upd.alpha
         delta = ms.gamma / (15.0 * n**2.5 * frame.d)
@@ -629,6 +631,28 @@ class TestStepInfeasibleExit:
         res = scale_frame(frame, marginals, 1e-6)
         assert res.scaled and res.iterations == 287
 
+    def test_zero_tolerance_decision_is_the_certificate_rule(self, monkeypatch):
+        # The 4 x 13 tight pair: the loop's one zero-tolerance decision is
+        # infeasibility_certificate itself, called with tol=0.0.
+        import framescale.solver
+
+        decisions = []
+        certify = framescale.solver.infeasibility_certificate
+
+        def recording(frame, c, T, *tol):
+            decisions.append((list(T), *tol))
+            return certify(frame, c, T, *tol)
+
+        monkeypatch.setattr(framescale.solver, "infeasibility_certificate", recording)
+        U = np.random.default_rng(0).standard_normal((4, 13))
+        U[:, 1] = 2.0 * U[:, 0]
+        c = np.full(13, (4.0 - (1.0 + 5e-8)) / 11.0)
+        c[0] = c[1] = (1.0 + 5e-8) / 2.0
+        res = scale_frame(Frame(U), Marginals(c, d=4), 1e-9)
+        assert res.status == INFEASIBLE and list(res.certificate) == [0, 1]
+        assert [(T, tol) for T, tol in decisions if tol != CERTIFICATE_TOL] == [([0, 1], 0.0)]
+        assert decisions[-1] == ([0, 1], 0.0)
+
     @pytest.mark.parametrize("zero_tol_certifies", [False, True])
     def test_loop_answers_infeasible_step(self, zero_tol_certifies):
         # Stub callbacks: the error vector never moves, so T = [0] every
@@ -639,11 +663,11 @@ class TestStepInfeasibleExit:
         raised = InfeasibleSegment("stub step")
 
         def measure(z):
-            return c + error, float((error**2).sum())
+            return c + error
 
-        def certificate(T, zero_tol=False):
-            decisions.append((list(T), zero_tol))
-            return T if zero_tol and zero_tol_certifies else None
+        def certificate(T, tol=0.25):
+            decisions.append((list(T), tol))
+            return T if tol == 0.0 and zero_tol_certifies else None
 
         def step(z, T, gamma):
             steps.append(list(T))
@@ -666,4 +690,19 @@ class TestStepInfeasibleExit:
             assert info.value is raised
             assert len(info.value.trace) == 1
         assert steps == [[0], [0]]
-        assert decisions == [([0], False), ([0], True)]
+        assert decisions == [([0], 0.25), ([0], 0.0)]
+
+
+class TestUnreachableEps:
+    # ||lev - c||^2 >= (<lev, 1> - <c, 1>)^2 / n, and <lev, 1> = d at every
+    # z, so marginals that Marginals accepts (within 1e-9 d of d) can put
+    # eps out of reach; the solve then fails before its first iteration.
+    def test_fails_fast(self):
+        U, c = gen_gaussian(3, 6, 0)
+        c[0] += 2.5e-9
+        with pytest.raises(PreconditionViolated, match="eps unreachable") as info:
+            scale_frame(Frame(U), Marginals(c, d=3), 1e-10)
+        assert "3.0000000025" in str(info.value) and "1.04167e-18" in str(info.value)
+        assert info.value.trace == []
+        res = scale_frame(Frame(U), Marginals(c, d=3), 1e-8)
+        assert res.scaled and res.final_error_sq <= 1e-16

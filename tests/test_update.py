@@ -7,6 +7,7 @@ import pytest
 
 import framescale.update
 from framescale import (
+    DegenerateMargin,
     DerivativeVanished,
     FactorizationFailure,
     Frame,
@@ -111,7 +112,7 @@ class TestNewtonDinkelbach:
 class TestComputeUpdate:
     def test_scalar_example(self):
         frame = Frame(np.array([[1.0, 1.0]]))
-        upd = compute_update(frame, np.ones(2), [0], 0.2)
+        upd = compute_update(frame, np.ones(2), [0], 0.2, orthonormal_factor(frame, np.ones(2)))
         assert upd.alpha == pytest.approx(1.8)
         assert upd.nd_iters == 1
         assert not upd.seeded
@@ -130,7 +131,7 @@ class TestComputeUpdate:
             if gamma <= 1e-6:
                 continue
             count += 1
-            upd = compute_update(frame, z, np.sort(T), gamma)
+            upd = compute_update(frame, z, np.sort(T), gamma, orthonormal_factor(frame, z))
             assert upd.alpha >= 1.0
             assert gamma / 5.0 - 1e-9 <= upd.h_gain <= gamma + 1e-9
 
@@ -149,7 +150,7 @@ class TestComputeUpdate:
             if gamma <= 1e-6 or hp1 < gamma / 4.0:
                 continue
             seen += 1
-            upd = compute_update(frame, z, np.sort(T), gamma)
+            upd = compute_update(frame, z, np.sort(T), gamma, orthonormal_factor(frame, z))
             assert upd.nd_iters == 1
             assert not upd.seeded
 
@@ -166,7 +167,7 @@ class TestComputeUpdate:
             if gamma <= 4.0 * hp1 or gamma <= 1e-4:
                 continue
             seen += 1
-            upd = compute_update(frame, z, T, gamma)
+            upd = compute_update(frame, z, T, gamma, orthonormal_factor(frame, z))
             assert upd.seeded
             assert gamma / 5.0 - 1e-9 <= upd.h_gain <= gamma + 1e-9
             assert upd.nd_iters <= nd_iteration_cap(n, d)
@@ -219,10 +220,28 @@ class TestComputeUpdate:
 
     def test_rejects_bad_gamma(self, rng):
         frame = random_frame(rng, 2, 5)
+        q = orthonormal_factor(frame, np.ones(5))
         with pytest.raises(ValueError):
-            compute_update(frame, np.ones(5), [0], 0.0)
+            compute_update(frame, np.ones(5), [0], 0.0, q)
         with pytest.raises(ValueError):
-            compute_update(frame, np.ones(5), [0], 1.5)
+            compute_update(frame, np.ones(5), [0], 1.5, q)
+
+    def test_band_lost_in_h_one(self):
+        # gamma/5 and gamma both round off against h(1): the band is empty in
+        # binary64. The solve raises DegenerateMargin; newton_dinkelbach,
+        # called directly on such a band, keeps its ValueError.
+        U = np.random.default_rng(3).standard_normal((3, 3))
+        with pytest.raises(DegenerateMargin, match="gamma .* h\\(1\\)") as info:
+            scale_frame(Frame(U), Marginals(np.ones(3), d=3), 1e-17)
+        assert info.value.trace == []
+        frame = Frame(U)
+        q = orthonormal_factor(frame, np.ones(3))
+        h1 = float((q[:1] ** 2).sum())
+        gamma = float(np.spacing(h1)) / 4.0  # h(1) + gamma rounds to h(1)
+        with pytest.raises(DegenerateMargin):
+            compute_update(frame, np.ones(3), [0], gamma, q)
+        with pytest.raises(ValueError, match="b_low < b_high"):
+            newton_dinkelbach(math.log, lambda a: 1.0 / a, 1.0, h1 + gamma / 5.0, h1 + gamma, 5)
 
 
 def steep_instances(rng, count, max_d=4, max_n=11):
@@ -274,7 +293,7 @@ class TestSteepClosedForm:
             upd = compute_update(frame, z, T, gamma, q=q)
             assert len(qr_calls) == 0
             assert not upd.seeded and upd.nd_iters == 1
-            assert compute_update(frame, z, T, gamma) == upd
+            assert compute_update(frame, z, T, gamma, orthonormal_factor(frame, z)) == upd
 
     def test_steep_gain_summed_once(self, rng, monkeypatch):
         # Newton's last h(alpha) and the reported h_gain share one sum.
@@ -304,7 +323,7 @@ class TestSteepClosedForm:
             upd = compute_update(frame, z, T, gamma, q=q)
             counts.append(len(qr_calls))
             assert upd.seeded
-            assert compute_update(frame, z, T, gamma) == upd
+            assert compute_update(frame, z, T, gamma, orthonormal_factor(frame, z)) == upd
         assert counts == GUESS_QR_COUNTS
 
     def test_spectrum_matches_numpy(self, rng, monkeypatch):
@@ -361,8 +380,8 @@ class TestSteepClosedForm:
         steps = []
         original = framescale.update.compute_update
 
-        def recording(frame, z, T, gamma, q=None):
-            upd = original(frame, z, T, gamma, q=q)
+        def recording(frame, z, T, gamma, q):
+            upd = original(frame, z, T, gamma, q)
             steps.append((upd, steep_update_oracle(frame, z, T, gamma, q)))
             return upd
 

@@ -16,11 +16,11 @@ import framescale.matrixscale  # noqa: F401
 import framescale.perceptron  # noqa: F401
 import framescale.solver  # noqa: F401
 import framescale.update  # noqa: F401
-from framescale import numerical_rank, proxy_at
+from framescale import MatrixMarginals, NonnegMatrix, numerical_rank, orthonormal_factor, proxy_at
 
 from conftest import gapped_instance
 from framescale import io as fio
-from framescale.generate import gen_infeasible
+from framescale.generate import gen_bipartite, gen_infeasible
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -42,7 +42,8 @@ def test_traced_update_feeds_the_observer(rng):
             gamma = min(1.0, 0.8 * (numerical_rank(frame.columns(T)) - h1))
             if gamma <= 4.0 * hp1 or gamma <= 1e-4:
                 continue
-            upd = framescale.update.compute_update(frame, z, T, gamma)
+            upd = framescale.update.compute_update(frame, z, T, gamma,
+                                                   orthonormal_factor(frame, z))
             assert upd.seeded
             seeded += 1
             nd_steps += upd.nd_iters
@@ -53,6 +54,23 @@ def test_traced_update_feeds_the_observer(rng):
     assert tracer.observed["update.nd_steps"] == nd_steps
     assert {"update.compute_update", "update.approx_small_eigen_sum"} <= set(tracer.names)
     assert np.all(np.frombuffer(tracer.end, dtype=np.int64) > 0)
+
+
+def test_traced_matrix_solve_spans_each_step():
+    # scale_matrix's step looks matrix_update up at call time, so a traced
+    # solve records one matrixscale.matrix_update span per iteration.
+    A, r, c = gen_bipartite(6, 6, 0)
+    tracer = spans.Tracer()
+    tracer.begin_group("solve", "one traced matrix solve")
+    tracer.install()
+    try:
+        res = framescale.matrixscale.scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
+    finally:
+        tracer.restore()
+    names = [tracer.names[i] for i in tracer.name]
+    assert res.scaled and res.iterations > 10
+    assert names.count("matrixscale.matrix_update") == res.iterations
+    assert names.count("matrixscale.scale_matrix") == 1
 
 
 def test_traced_verify_after_an_untraced_one(tmp_path):
