@@ -69,8 +69,8 @@ class NonnegMatrix:
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "matrix", a)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError("expected a nonempty 2-d array")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         if np.any(a < 0.0):
@@ -109,7 +109,7 @@ def _connected(support: np.ndarray) -> bool:
 
 def _rho_floor(a: np.ndarray, support: np.ndarray) -> float:
     """``NonnegMatrix.rho_floor`` of a validated matrix and its support."""
-    if a.size == 0 or not _connected(support):
+    if not _connected(support):
         return 0.0
     a_min = np.where(support, a, np.inf).min(axis=1)
     least = float((a_min / a.sum(axis=1)).min())
@@ -129,8 +129,8 @@ class MatrixMarginals:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "c", c)
         for name, v in (("r", r), ("c", c)):
-            if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-                raise ValueError(f"{name} must be a positive finite vector")
+            if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+                raise ValueError(f"{name} must be a nonempty positive finite vector")
         s = float(r.sum())
         if abs(float(c.sum()) - s) > 1e-9 * s:
             raise ValueError("row and column marginals must have equal sums")
@@ -269,12 +269,12 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
     s = marginals.s
 
     def measure(y):
-        return column_sums(matrix, r, y)
+        return column_sums(matrix, r, y), None
 
     def certificate(T, tol=HALL_TOL_REL * s):
         return T if float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol else None
 
-    def step(y, T, gamma):
+    def step(y, T, gamma, _):
         return matrix_update(matrix, r, y, T, gamma)
 
     def shrink(y, gamma):

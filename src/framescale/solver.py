@@ -17,6 +17,7 @@ The frame step and its step-size proxy ``proxy_at`` live in ``update``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -217,14 +218,17 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                  step, shrink, log_range: bool = False) -> ScalingResult:
     """The margin loop shared by the frame and the matrix solver.
 
-    ``measure(z)`` gives the marginals m of z (the loop owns the error
-    ||m - c||^2), ``certificate(T)`` a certificate or None, ``step(z, T,
-    gamma)`` an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized
-    z, whose min must be exactly 1. With ``log_range`` the trace records
-    ||log z||_inf, which for min z = 1 is log max z. A ScalingError leaving
-    the loop carries the trace. <m, 1> does not move with z, and ||m -
-    c||^2 >= (<m, 1> - <c, 1>)^2 / n, so a first measurement that puts this
-    bound above eps^2 raises PreconditionViolated.
+    ``measure(z)`` gives the marginals m of z and a factor of z (the loop
+    owns the error ||m - c||^2), ``certificate(T)`` a certificate or None,
+    ``step(z, T, gamma, factor)`` an ``UpdateResult``, and ``shrink(z,
+    gamma)`` the regularized z, whose min must be exactly 1. ``step`` gets
+    the factor that ``measure`` returned for the z it steps from; the loop
+    never reads it. With ``log_range`` the trace records ||log z||_inf,
+    which for min z = 1 is log max z. A ScalingError leaving the loop
+    carries the trace. <m, 1> does not move with z, and ||m - c||^2 >= (<m,
+    1> - <c, 1>)^2 / n; when the first measurement puts this bound above
+    eps^2, the loop decides the first margin set and, if it does not
+    certify, raises PreconditionViolated in place of the first step.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
@@ -237,19 +241,14 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     eps_sq = eps * eps
     cap = config.iteration_cap(n, eps)
     z = np.ones(n)
-    marginals = measure(z)
+    marginals, factor = measure(z)
     err_sq = float(((marginals - c) ** 2).sum())
+    m_total, c_total = float(marginals.sum()), float(c.sum())
+    least = (m_total - c_total) ** 2 / n
     trace: list[IterationRecord] = []
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
     try:
-        m_total, c_total = float(marginals.sum()), float(c.sum())
-        least = (m_total - c_total) ** 2 / n
-        if least > eps_sq:
-            raise PreconditionViolated(
-                f"eps unreachable: marginals total {m_total!r} against target total "
-                f"{c_total!r}, so error^2 >= {least:g} > eps^2 {eps_sq:g}"
-            )
         while err_sq > eps_sq:
             if it >= cap:
                 raise IterationCapExceeded(
@@ -265,8 +264,13 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 decided[tag] = certificate(key)
             cert = decided[tag]
             if cert is None:
+                if least > eps_sq:
+                    raise PreconditionViolated(
+                        f"eps unreachable: marginals total {m_total!r} against target total "
+                        f"{c_total!r}, so error^2 >= {least:g} > eps^2 {eps_sq:g}"
+                    )
                 try:
-                    upd = step(z, T, ms.gamma)
+                    upd = step(z, T, ms.gamma, factor)
                 except InfeasibleSegment:
                     cert = certificate(key, tol=0.0)
                     if cert is None:
@@ -278,7 +282,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 )
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
-            marginals = measure(z)
+            marginals, factor = measure(z)
             new_err_sq = float(((marginals - c) ** 2).sum())
             trace.append(IterationRecord(
                 error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
@@ -325,7 +329,7 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         match the frame.
     PreconditionViolated
         If the leverage total (d up to roundoff) is so far from <c, 1> that
-        no scaling reaches eps.
+        no scaling reaches eps, and the first margin set does not certify.
     IterationCapExceeded
         If the cap is hit; signals numerical breakdown. Like every
         ScalingError raised inside the loop, it carries the trace so far.
@@ -338,23 +342,18 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     n = frame.n
     c = marginals.values
     rho_cache = RhoCache(frame)
-    q = None
 
-    # q is the current iterate's thin orthonormal factor: it gives the
-    # leverage scores here and h(1), h'(1) to the step-size proxy.
+    # The factor is the iterate's thin orthonormal factor Q: it gives the
+    # leverage scores here and P = Q_T^T Q_T to ``compute_update``.
     def measure(z):
-        nonlocal q
         q = orthonormal_factor(frame, z)
-        return np.einsum("ij,ij->i", q, q)
+        return np.einsum("ij,ij->i", q, q), q
 
     def certificate(T, tol=CERTIFICATE_TOL):
         return infeasibility_certificate(frame, c, T, tol)
 
-    def step(z, T, gamma):
-        return compute_update(frame, z, T, gamma, q)
-
     def shrink(z, gamma):
         return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)
 
-    return _margin_loop(c, eps, config or SolverConfig(), measure, certificate, step, shrink,
-                        log_range=True)
+    return _margin_loop(c, eps, config or SolverConfig(), measure, certificate,
+                        functools.partial(compute_update, frame), shrink, log_range=True)

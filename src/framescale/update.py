@@ -272,8 +272,9 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     mu of P (``dsyevd``, as in numpy's eigvalsh): h(alpha) - h(1) is
     ``solver.step_gain`` with w = mu (1 - mu), and h'(alpha) =
     sum w / (1 + (alpha - 1) mu)^2, a form for bounded alpha - 1 that takes
-    no QR. Otherwise Newton starts at 1 + gamma / (2 mu_tilde), with
-    mu_tilde from ``approx_small_eigen_sum``; alpha is unbounded, and
+    no QR. Otherwise h'(1) < gamma/4 (below 1/4 for gamma <= 1), the gapped
+    regime ``approx_small_eigen_sum`` checks, and Newton starts at 1 + gamma /
+    (2 mu_tilde), with mu_tilde from that estimate; alpha is unbounded, and
     ``proxy_at`` factors each trial alpha once: the guess branch's closures
     keep the last (alpha, h, h'), starting from (1, h(1), h'(1)).
     """
@@ -306,10 +307,6 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
         h_gain = gain[0] if res.n_iters else step_gain(mu, w, res.alpha)
         return UpdateResult(alpha=res.alpha, h_gain=h_gain, nd_iters=res.n_iters,
                             hp_one=hp1, seeded=False)
-    if hp1 >= 0.25:
-        raise GuessPreconditionViolated(
-            f"h'(1)={hp1:g} >= 1/4 in the guess branch; gamma={gamma!r} invalid"
-        )
     est = approx_small_eigen_sum(frame, z, T, q=q)
     if est.mu_tilde <= 0.0:
         raise InfeasibleSegment(

@@ -286,6 +286,24 @@ class TestScaleMatrix:
         res = scale_matrix(A, MatrixMarginals(np.ones(4), c), 1e-8)
         assert res.scaled and res.final_error_sq <= 1e-16
 
+    @pytest.mark.parametrize("seed", [1, 0])
+    def test_unreachable_eps_decides_first_set(self, seed):
+        # Columns 0 and 1 reach only row 0, so c(T) = 1.6 > r(N(T)) = 1 on
+        # T = [0, 1]. The loop decides the first margin set before the
+        # unreachable-eps error: seed 1 certifies T there, while seed 0
+        # reaches T only at iteration 2 and so gets the named error.
+        a = np.random.default_rng(seed).random((4, 4)) + 0.1
+        a[1:, :2] = 0.0
+        marginals = MatrixMarginals(np.ones(4), np.array([0.8 + 3e-9, 0.8, 1.2, 1.2]))
+        if seed == 1:
+            res = scale_matrix(NonnegMatrix(a), marginals, 1e-10)
+            assert res.status == INFEASIBLE and list(res.certificate) == [0, 1]
+            assert res.iterations == 1 and res.trace == []
+        else:
+            with pytest.raises(PreconditionViolated, match="eps unreachable") as info:
+                scale_matrix(NonnegMatrix(a), marginals, 1e-10)
+            assert info.value.trace == []
+
     def test_symmetric_instant(self):
         A = NonnegMatrix(np.ones((2, 2)))
         res = scale_matrix(A, MatrixMarginals(np.ones(2), np.ones(2)), 1e-8)
@@ -309,6 +327,11 @@ class TestScaleMatrix:
             NonnegMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             NonnegMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            NonnegMatrix(np.zeros(shape))
 
     def test_tight_hall_set_still_converges(self):
         # column 1 touches only row 0, so T = {1} is exactly Hall-tight;
@@ -396,6 +419,9 @@ class TestScaleMatrix:
             MatrixMarginals(np.ones(2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             MatrixMarginals(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
+        for r, c in (([], []), ([1.0], []), ([], [1.0])):
+            with pytest.raises(ValueError, match="nonempty"):
+                MatrixMarginals(r, c)
 
 
 class TestMatrixRegularize:

@@ -663,13 +663,13 @@ class TestStepInfeasibleExit:
         raised = InfeasibleSegment("stub step")
 
         def measure(z):
-            return c + error
+            return c + error, None
 
         def certificate(T, tol=0.25):
             decisions.append((list(T), tol))
             return T if tol == 0.0 and zero_tol_certifies else None
 
-        def step(z, T, gamma):
+        def step(z, T, gamma, factor):
             steps.append(list(T))
             if len(steps) == 2:
                 raise raised
@@ -693,10 +693,51 @@ class TestStepInfeasibleExit:
         assert decisions == [([0], 0.25), ([0], 0.0)]
 
 
+class TestFactorContract:
+    def test_step_gets_the_factor_measured_for_its_z(self):
+        # Stub callbacks: every measurement returns a fresh token, the error
+        # shrinks as z[0] grows, and T = [0] every iteration.
+        c = np.array([0.5, 0.5])
+        error = np.array([-0.1, 0.1])
+        measured, stepped = [], []
+
+        def measure(z):
+            token = object()
+            measured.append((z.copy(), token))
+            return c + error / z[0], token
+
+        def step(z, T, gamma, factor):
+            stepped.append((z.copy(), factor))
+            return UpdateResult(alpha=2.0, h_gain=gamma, nd_iters=0, hp_one=0.0, seeded=False)
+
+        res = _margin_loop(c, 1e-3, SolverConfig(), measure, lambda T, tol=0.25: None,
+                           step, lambda z, gamma: z / z.min())
+        assert res.scaled and res.iterations == 8
+        assert len(stepped) == 8 and len(measured) == 9
+        for (z, factor), (measured_z, token) in zip(stepped, measured):
+            assert np.array_equal(z, measured_z) and factor is token
+
+    def test_frame_step_gets_the_factor_of_its_z(self, monkeypatch):
+        import framescale.update
+
+        equal, original = [], framescale.update.compute_update
+
+        def checking(frame, z, T, gamma, q):
+            equal.append(np.array_equal(q, orthonormal_factor(frame, z)))
+            return original(frame, z, T, gamma, q)
+
+        monkeypatch.setattr(framescale.update, "compute_update", checking)
+        U, c = gen_gaussian(4, 12, 0)
+        res = scale_frame(Frame(U), Marginals(c, d=4), 1e-8)
+        assert res.scaled and len(equal) == res.iterations == 821
+        assert all(equal)
+
+
 class TestUnreachableEps:
     # ||lev - c||^2 >= (<lev, 1> - <c, 1>)^2 / n, and <lev, 1> = d at every
     # z, so marginals that Marginals accepts (within 1e-9 d of d) can put
-    # eps out of reach; the solve then fails before its first iteration.
+    # eps out of reach; the solve then fails in place of its first step,
+    # unless the first margin set certifies.
     def test_fails_fast(self):
         U, c = gen_gaussian(3, 6, 0)
         c[0] += 2.5e-9
@@ -706,3 +747,12 @@ class TestUnreachableEps:
         assert info.value.trace == []
         res = scale_frame(Frame(U), Marginals(c, d=3), 1e-8)
         assert res.scaled and res.final_error_sq <= 1e-16
+
+    def test_first_set_certifies_first(self):
+        # The same bound holds here, but the first margin set is decided
+        # before the error, and it certifies.
+        U, c = gen_infeasible(3, 7, 0)
+        c[-1] += 2.5e-9
+        res = scale_frame(Frame(U), Marginals(c, d=3), 1e-10)
+        assert res.status == INFEASIBLE and list(res.certificate) == [0, 1]
+        assert res.iterations == 1 and res.trace == []
