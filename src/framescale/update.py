@@ -3,9 +3,10 @@
 The target is an alpha with gamma/5 <= h(alpha) - h(1) <= gamma, where
 h(alpha) is the leverage mass of T after z is scaled by alpha on T. Each
 step forms the d x d matrix P = Q_T^T Q_T once and reads h(1) and h'(1)
-off it. When the proxy is already steep at 1 a single Newton step lands in
-the band, with alpha - 1 <= 4, and h there is read in closed form off the
-eigenvalues of P (LAPACK ``dsyevd``), so that step factors nothing.
+off it. When the proxy is already steep at 1 the step is a single Newton
+step from 1, written out in closed form: it lands in the band, with
+alpha - 1 <= 4, and h there is read off the eigenvalues of P (LAPACK
+``dsyevd``), so that step factors nothing and runs no Newton loop.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 ``approx_small_eigen_sum`` estimates that sum without any
 eigendecomposition: round the trace to count the large eigenvalues, pick a
@@ -13,7 +14,8 @@ representative column subset D, and measure the leverage mass left outside
 its span. D is a 2-approximate local maximizer of the kernel determinant:
 a column-pivoted QR gives the greedy start, and swaps are priced in closed
 form off a thin QR of the chosen columns. Newton then starts from the
-seed, and ``proxy_at`` factors each trial alpha anew. The start is the
+seed, and ``proxy_at`` factors each trial alpha anew; this guess branch is
+the only caller of ``newton_dinkelbach``. The start is the
 iterate's thin orthonormal factor Q, which also gives the leverage scores,
 h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
 is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), and the greedy's
@@ -267,16 +269,24 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     ``q`` is the iterate's ``orthonormal_factor(frame, z)``; P = Q_T^T Q_T
     is formed from it once, with h(1) = tr P and h'(1) = tr P - ||P||_F^2.
     Raises DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma,
-    a band binary64 cannot hold. When h'(1) >= gamma/4 one Newton step from 1
-    reaches the band, with alpha - 1 <= 4, and h is read off the eigenvalues
-    mu of P (``dsyevd``, as in numpy's eigvalsh): h(alpha) - h(1) is
-    ``solver.step_gain`` with w = mu (1 - mu), and h'(alpha) =
-    sum w / (1 + (alpha - 1) mu)^2, a form for bounded alpha - 1 that takes
-    no QR. Otherwise h'(1) < gamma/4 (below 1/4 for gamma <= 1), the gapped
-    regime ``approx_small_eigen_sum`` checks, and Newton starts at 1 + gamma /
-    (2 mu_tilde), with mu_tilde from that estimate; alpha is unbounded, and
-    ``proxy_at`` factors each trial alpha once: the guess branch's closures
-    keep the last (alpha, h, h'), starting from (1, h(1), h'(1)).
+    a band binary64 cannot hold.
+
+    When h'(1) >= gamma/4 the step is Newton's first step from 1, taken in
+    closed form: alpha = 1 + gamma / h'(1), with gamma written
+    (h(1) + gamma) - h(1) as Newton's (b_high - h(1)) / h'(1). It lands in
+    the band. With mu the eigenvalues of P (``dsyevd``, as in numpy's
+    eigvalsh) and w = mu (1 - mu), h'(1) = sum w and the gain is
+    ``solver.step_gain``, h(alpha) - h(1) = sum s w / (1 + s mu) with
+    s = alpha - 1 = gamma / h'(1) <= 4. As 0 <= mu <= 1, each denominator
+    lies in [1, alpha], so the gain lies in [gamma / alpha, gamma], and
+    gamma / alpha >= gamma/5. No QR is taken and no Newton loop runs.
+
+    Otherwise h'(1) < gamma/4 (below 1/4 for gamma <= 1), the gapped regime
+    ``approx_small_eigen_sum`` checks, and ``newton_dinkelbach`` starts at
+    1 + gamma / (2 mu_tilde), with mu_tilde from that estimate; alpha is
+    unbounded, and ``proxy_at`` factors each trial alpha once: the guess
+    branch's closures keep the last (alpha, h, h'), starting from
+    (1, h(1), h'(1)).
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
@@ -285,28 +295,14 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     h1, hp1 = _proxy_values(p, 1.0)
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
-    cap = nd_iteration_cap(frame.n, frame.d)
     if hp1 >= gamma / 4.0:
         mu, _, info = dsyevd(p, compute_v=0, lower=1)
         if info != 0:
             raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
-        w = mu * (1.0 - mu)
-        gain = [0.0]  # the gain at the last alpha != 1 that Newton evaluated
-
-        def h(alpha: float) -> float:
-            if alpha == 1.0:
-                return h1
-            gain[0] = step_gain(mu, w, alpha)
-            return h1 + gain[0]
-
-        def h_prime(alpha: float) -> float:
-            return hp1 if alpha == 1.0 else float((w / (1.0 + (alpha - 1.0) * mu) ** 2).sum())
-
-        res = newton_dinkelbach(h, h_prime, 1.0, h1 + gamma / 5.0, h1 + gamma, cap)
-        # Newton evaluates h last at the alpha it returns, unless it took no step.
-        h_gain = gain[0] if res.n_iters else step_gain(mu, w, res.alpha)
-        return UpdateResult(alpha=res.alpha, h_gain=h_gain, nd_iters=res.n_iters,
-                            hp_one=hp1, seeded=False)
+        alpha = 1.0 + ((h1 + gamma) - h1) / hp1
+        return UpdateResult(alpha=alpha, h_gain=step_gain(mu, mu * (1.0 - mu), alpha),
+                            nd_iters=1, hp_one=hp1, seeded=False)
+    cap = nd_iteration_cap(frame.n, frame.d)
     est = approx_small_eigen_sum(frame, z, T, q=q)
     if est.mu_tilde <= 0.0:
         raise InfeasibleSegment(

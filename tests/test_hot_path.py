@@ -1,12 +1,13 @@
 """Per-iteration work budgets on solves whose every iteration takes the same route.
 
-A steep frame step (h'(1) >= gamma/4) reads h off the spectrum of P, one
-``dsyevd``, factors nothing and evaluates no ``update.proxy_at``. So a
-solve whose every step is steep takes one thin QR, counted at
-``linalg._thin_qr``, per measured iterate (the start and each step) plus
-the regularizer's factor of the unscaled frame. The matrix solver's
-budget, no ``matrix_rho_prefixes`` pass on the bipartite matrices, is
-checked in ``test_matrixscale.py``.
+A steep frame step (h'(1) >= gamma/4) takes its one Newton step in closed
+form and reads h off the spectrum of P, one ``dsyevd``: it factors
+nothing, evaluates no ``update.proxy_at`` and runs no
+``update.newton_dinkelbach``. So a solve whose every step is steep takes
+one thin QR, counted at ``linalg._thin_qr``, per measured iterate (the
+start and each step) plus the regularizer's factor of the unscaled frame.
+The matrix solver's budget, no ``matrix_rho_prefixes`` pass on the
+bipartite matrices, is checked in ``test_matrixscale.py``.
 """
 
 import pytest
@@ -18,14 +19,18 @@ from framescale.generate import gen_gaussian
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, monkeypatch):
-    eigensolves = []
-    original = framescale.update.dsyevd
+    eigensolves, newton_loops = [], []
 
-    def counting(*args, **kwargs):
-        eigensolves.append(None)
-        return original(*args, **kwargs)
+    def counting(calls, original):
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(framescale.update, "dsyevd", counting)
+    monkeypatch.setattr(framescale.update, "dsyevd",
+                        counting(eigensolves, framescale.update.dsyevd))
+    monkeypatch.setattr(framescale.update, "newton_dinkelbach",
+                        counting(newton_loops, framescale.update.newton_dinkelbach))
     U, c = gen_gaussian(5, 20, seed)
     res = scale_frame(Frame(U), Marginals(c, d=5), 1e-6)
     assert res.scaled and res.iterations > 1000
@@ -33,3 +38,4 @@ def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, mon
     assert len(qr_calls) == res.iterations + 2
     assert len(eigensolves) == res.iterations
     assert proxy_evaluations == []
+    assert newton_loops == []

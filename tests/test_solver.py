@@ -7,6 +7,7 @@ import pytest
 from framescale import (
     INFEASIBLE,
     SCALED,
+    DegenerateMargin,
     DerivativeVanished,
     Frame,
     InfeasibleSegment,
@@ -756,3 +757,21 @@ class TestUnreachableEps:
         res = scale_frame(Frame(U), Marginals(c, d=3), 1e-10)
         assert res.status == INFEASIBLE and list(res.certificate) == [0, 1]
         assert res.iterations == 1 and res.trace == []
+
+
+class TestSmallEpsSteps:
+    # At eps 1e-15 gamma nears one ulp of h(1). While gamma/5 rounds away
+    # against h(1) but gamma does not, the steep step still moves z: the
+    # margin loop never repeats a step with alpha_hat = 1.
+    def test_scales_without_no_op_steps(self):
+        U, c = gen_gaussian(3, 4, 0)
+        res = scale_frame(Frame(U), Marginals(c, d=3), 1e-15, SolverConfig(max_iters=2000))
+        assert res.scaled and res.final_error_sq <= 1e-30
+        assert all(rec.alpha_hat > 1.0 for rec in res.trace)
+
+    def test_empty_band_fails_fast(self):
+        U, c = gen_gaussian(3, 6, 0)
+        with pytest.raises(DegenerateMargin, match="band is empty") as info:
+            scale_frame(Frame(U), Marginals(c, d=3), 1e-15, SolverConfig(max_iters=5000))
+        assert 0 < len(info.value.trace) < 5000
+        assert all(rec.alpha_hat > 1.0 for rec in info.value.trace)

@@ -30,8 +30,8 @@ from framescale.update import _det_local_opt_columns, nd_iteration_cap
 
 from framescale.generate import gen_gaussian
 
-from conftest import (det_local_opt_oracle, fraction_inverse, fuzz_recipe, gapped_instance,
-                      mu_spectrum, pivoted_qr_inputs, random_frame, random_scaling,
+from conftest import (closed_form_oracle, det_local_opt_oracle, fraction_inverse, fuzz_recipe,
+                      gapped_instance, mu_spectrum, pivoted_qr_inputs, random_frame, random_scaling,
                       scipy_pivoted_qr, steep_update_oracle, whitened)
 
 
@@ -296,7 +296,7 @@ class TestSteepClosedForm:
             assert compute_update(frame, z, T, gamma, orthonormal_factor(frame, z)) == upd
 
     def test_steep_gain_summed_once(self, rng, monkeypatch):
-        # Newton's last h(alpha) and the reported h_gain share one sum.
+        # The steep step sums the gain once, at the alpha it returns.
         alphas = []
         original = framescale.update.step_gain
 
@@ -326,34 +326,20 @@ class TestSteepClosedForm:
             assert compute_update(frame, z, T, gamma, orthonormal_factor(frame, z)) == upd
         assert counts == GUESS_QR_COUNTS
 
-    def test_spectrum_matches_numpy(self, rng, monkeypatch):
-        # The h and h' that the steep step hands to Newton, off its own dsyevd,
-        # equal numpy's eigvalsh formulas bit for bit.
-        closures, gains = [], []
-        newton, gain = framescale.update.newton_dinkelbach, framescale.update.step_gain
-
-        def recording_newton(f, f_prime, *args):
-            closures.append((f, f_prime))
-            return newton(f, f_prime, *args)
-
-        def recording_gain(mu, w, alpha):
-            gains.append(gain(mu, w, alpha))
-            return gains[-1]
-
-        monkeypatch.setattr(framescale.update, "newton_dinkelbach", recording_newton)
-        monkeypatch.setattr(framescale.update, "step_gain", recording_gain)
+    def test_spectrum_matches_numpy(self, rng):
+        # The steep step is Newton's first step from 1, and its gain, off its
+        # own dsyevd, equals numpy's eigvalsh formula bit for bit.
         for frame, z, T, q, gamma in steep_instances(rng, 20):
-            del closures[:]
-            compute_update(frame, z, T, gamma, q=q)
-            [(h, h_prime)] = closures
-            mu = np.linalg.eigvalsh(q[T].T @ q[T])
+            upd = compute_update(frame, z, T, gamma, q=q)
+            p = q[T].T @ q[T]
+            h1 = float(p.trace())
+            hp1 = h1 - float((p * p).sum())
+            assert upd.hp_one == hp1
+            assert upd.alpha == 1.0 + ((h1 + gamma) - h1) / hp1
+            mu = np.linalg.eigvalsh(p)
             w = mu * (1.0 - mu)
-            for alpha in (1.5, 3.0):
-                s = alpha - 1.0
-                value = h(alpha)
-                assert gains[-1] == float((s * w / (1.0 + s * mu)).sum())
-                assert value == h(1.0) + gains[-1]
-                assert h_prime(alpha) == float((w / (1.0 + s * mu) ** 2).sum())
+            s = upd.alpha - 1.0
+            assert upd.h_gain == float((s * w / (1.0 + s * mu)).sum())
 
     @staticmethod
     def as_oracle(upd):
@@ -367,12 +353,18 @@ class TestSteepClosedForm:
             # a permuted T is the same set: the step reads its rows in index order
             upd = compute_update(frame, z, rng.permutation(T), gamma, q=q)
             assert self.as_oracle(upd) == steep_update_oracle(frame, z, T, gamma, q)
-            # gamma of one ulp of h(1): gamma/5 rounds away, so Newton takes no step
+            # gamma of one ulp of h(1): gamma/5 rounds away, so the older
+            # route's Newton loop takes no step; the closed form still steps.
             gamma = float(np.spacing(leverage_scores(frame, z)[T].sum()))
             upd = compute_update(frame, z, T, gamma, q=q)
-            if upd.nd_iters == 0:
+            want = steep_update_oracle(frame, z, T, gamma, q)
+            if want[2] == 0:
                 zero_steps += 1
-            assert self.as_oracle(upd) == steep_update_oracle(frame, z, T, gamma, q)
+                gain = closed_form_oracle(frame, z, T, q)[0]
+                assert upd.nd_iters == 1 and upd.alpha > 1.0
+                assert upd.h_gain == gain(upd.alpha)
+            else:
+                assert self.as_oracle(upd) == want
         assert zero_steps >= 20
 
     def test_solve_iterates_match_closed_form_oracle(self, monkeypatch):
