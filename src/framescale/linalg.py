@@ -15,6 +15,7 @@ Rank and eigenvalue cutoffs follow the usual machine-epsilon scaling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +105,23 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (Rh, piv): the upper triangle of the m x k Rh is R, Householder
     vectors lie below it, and column j of R belongs to column piv[j] of a
-    (0-based). a itself is left alone. The workspace is queried first, as
-    scipy's pivoted ``qr`` does: with less of it LAPACK leaves its blocked
-    path on large inputs and R changes in the last bits, while with it R and
-    piv equal that wrapper's bit for bit. Raises FactorizationFailure when
-    LAPACK reports an error.
+    (0-based). a itself is left alone. The workspace is the size LAPACK
+    asks for, as in scipy's pivoted ``qr``: with less of it LAPACK leaves
+    its blocked path on large inputs and R changes in the last bits, while
+    with it R and piv equal that wrapper's bit for bit. Raises
+    FactorizationFailure when LAPACK reports an error.
     """
-    lwork = int(dgeqp3(a, lwork=-1)[3][0])
-    rh, jpvt, _, _, info = dgeqp3(a, lwork=lwork)
+    rh, jpvt, _, _, info = dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
     if info != 0:
         raise FactorizationFailure(f"LAPACK dgeqp3 failed (info={info})")
     return rh, jpvt - 1
+
+
+@functools.cache
+def _dgeqp3_lwork(m: int, n: int) -> int:
+    """The optimal ``dgeqp3`` workspace for an m x n input; it depends on the
+    shape alone, so each shape is queried once per process."""
+    return int(dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
 
 
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:

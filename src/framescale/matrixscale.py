@@ -8,9 +8,12 @@ c(T) <= r(N(T)), and the step size solves a piecewise-linear surrogate g
 with g/2 <= h - h(1) <= g exactly at its breakpoints, so no root finding
 is needed.
 
-An iteration makes a few whole-array passes over A, O(mn), plus two sorts:
-the margin set's and the step's. The regularizer is the prefix-gap shrink
-of ``regularize`` with floor max(rho_floor, delta), where
+An iteration makes a few whole-array passes over A, O(mn), plus the
+margin set's sort. The measurement's row sums A y serve as the iterate's
+factor, which the step reads mu off. The step sorts the mu values only
+when the crossing lies past the surrogate's first breakpoint; before it,
+g is linear and alpha is read off in closed form. The regularizer is the
+prefix-gap shrink of ``regularize`` with floor max(rho_floor, delta), where
 ``NonnegMatrix.rho_floor`` is a lower bound on every prefix rho proven once
 per matrix. Only a gap above that floor's threshold can fire. The shrink
 sorts y only when max y / min y is above it, and takes the rho values of
@@ -142,12 +145,17 @@ class MatrixMarginals:
 
 def column_sums(matrix: NonnegMatrix, r, y) -> np.ndarray:
     """Column sums of X A Y where X matches the row sums r exactly."""
+    return _column_and_row_sums(matrix, r, y)[0]
+
+
+def _column_and_row_sums(matrix: NonnegMatrix, r, y) -> tuple[np.ndarray, np.ndarray]:
+    """``column_sums`` and the row sums A y it divides r by."""
     y = np.asarray(y, dtype=np.float64)
     a = matrix.matrix
     row = a @ y
-    if np.any(row <= 0.0):
+    if (row <= 0.0).any():
         raise ZeroRowSum("a row has zero weighted sum under this scaling")
-    return y * (a.T @ (np.asarray(r, dtype=np.float64) / row))
+    return y * (a.T @ (np.asarray(r, dtype=np.float64) / row)), row
 
 
 def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
@@ -158,36 +166,50 @@ def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
     return np.flatnonzero(matrix.support[:, T].any(axis=1))
 
 
-def _mu_weights(matrix: NonnegMatrix, r, y, T):
-    """Per-row T-mass fractions mu_i and weights r_i over N(T)."""
+def _mu_weights(matrix: NonnegMatrix, r, y, T, row=None):
+    """Per-row T-mass fractions mu_i and weights r_i over N(T).
+
+    ``row`` is A y when the caller has it; otherwise the full product is
+    formed here, so both routes divide by the same row sums bit for bit.
+    """
     a = matrix.matrix
-    part = a[:, T] @ np.asarray(y)[T]
+    y = np.asarray(y)
+    part = a[:, T] @ y[T]
     nbr = part > 0.0
-    total = a[nbr] @ np.asarray(y)
-    return part[nbr] / total, np.asarray(r, dtype=np.float64)[nbr]
+    if row is None:
+        row = a @ y
+    return part[nbr] / row[nbr], np.asarray(r, dtype=np.float64)[nbr]
 
 
-def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> UpdateResult:
+def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row=None) -> UpdateResult:
     """Solve g(alpha) = gamma on the piecewise-linear surrogate; the step's
     ``UpdateResult``, or InfeasibleSegment when g stays below gamma.
 
     g(alpha) = sum_i r_i (1 - mu_i) min(1, (alpha-1) mu_i) over N(T), which
-    sandwiches the true proxy gain within a factor 2. Runs one sort of the
-    mu values plus prefix sums; ties share a breakpoint. ``h_gain`` is the
-    proxy gain at alpha in closed form (``step_gain``); ``nd_iters`` is 0,
-    since no root finding runs.
+    sandwiches the true proxy gain within a factor 2. ``row`` is A y, the
+    row sums that ``measure`` formed for this y; without it they are formed
+    here, with the same result bit for bit. Up to the first breakpoint,
+    (alpha - 1) max mu <= 1, g is (alpha - 1) sum_i r_i (1 - mu_i) mu_i, so
+    when the crossing lies there alpha is read off in closed form; past it,
+    ``_breakpoint_walk`` sorts the mu values. ``h_gain`` is the proxy gain
+    at alpha in closed form (``step_gain``); ``nd_iters`` is 0, since no
+    root finding runs.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    mu, w = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp))
-    mass = w * (1.0 - mu)
+    mu, w = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp), row)
+    rest = 1.0 - mu
+    mass = w * rest
     keep = mass > 0.0  # rows fully inside T contribute nothing
     mu_k, mass = mu[keep], mass[keep]
     supremum = float(mass.sum())
     # On a Hall-feasible margin set the true supremum is >= gamma; only
     # summation roundoff (absolute, at the r-mass scale) can undercut it.
-    noise = 1e-9 * gamma + 1e-12 * float(w.sum())
-    if supremum < gamma - noise:
+    # The r-mass term only lowers the threshold, so it is summed only below
+    # gamma's own term. A supremum of 0, no row of N(T) keeping mass outside
+    # T, leaves no step to take whatever gamma is.
+    if supremum == 0.0 or (supremum < gamma - 1e-9 * gamma
+                           and supremum < gamma - (1e-9 * gamma + 1e-12 * float(w.sum()))):
         raise InfeasibleSegment(
             f"surrogate supremum {supremum:g} < gamma {gamma:g}; "
             "the Hall check should have certified this set"
@@ -195,20 +217,31 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float) -> UpdateResult:
     # A tight feasible set has supremum == gamma up to roundoff; the exact
     # crossing then sits at the last breakpoint, so solve for min(gamma, sup).
     target = min(gamma, supremum)
-    order = (-mu_k).argsort(kind="stable")
-    mu_k, mass = mu_k[order], mass[order]
+    slope = float((mass * mu_k).sum())
+    if target * float(mu_k.max()) <= slope:
+        alpha = 1.0 + target / slope
+    else:
+        alpha = _breakpoint_walk(mu_k, mass, target)
+    return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * rest, alpha),
+                        nd_iters=0, hp_one=math.nan, seeded=False)
+
+
+def _breakpoint_walk(mu: np.ndarray, mass: np.ndarray, target: float) -> float:
+    """alpha with g(alpha) = target, for positive masses and target <= their sum.
+
+    One sort of the mu values plus prefix sums; ties share a breakpoint.
+    """
+    order = (-mu).argsort(kind="stable")
+    mu, mass = mu[order], mass[order]
     prefix = mass.cumsum()                            # saturated mass through k
-    slope = (mass * mu_k)[::-1].cumsum()[::-1]        # segment slope from k on
+    slope = (mass * mu)[::-1].cumsum()[::-1]          # segment slope from k on
     # g at breakpoint k (alpha - 1 = 1/mu_k): terms through k saturated, and
     # the rest on their slope; at the last breakpoint there is no rest.
     g_at_break = prefix.copy()
-    g_at_break[:-1] += slope[1:] / mu_k[:-1]
-    k = int(np.searchsorted(g_at_break, target, side="left"))
-    k = min(k, mu_k.size - 1)
+    g_at_break[:-1] += slope[1:] / mu[:-1]
+    k = min(int(g_at_break.searchsorted(target, side="left")), mu.size - 1)
     p_prev = float(prefix[k - 1]) if k > 0 else 0.0
-    alpha = 1.0 + (target - p_prev) / float(slope[k])
-    return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * (1.0 - mu), alpha),
-                        nd_iters=0, hp_one=math.nan, seeded=False)
+    return 1.0 + (target - p_prev) / float(slope[k])
 
 
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
@@ -268,14 +301,15 @@ def scale_matrix(matrix: NonnegMatrix, marginals: MatrixMarginals, eps: float,
         raise ValueError("marginals do not match matrix dimensions")
     s = marginals.s
 
+    # The factor is the row sums A y: the step reads mu off them.
     def measure(y):
-        return column_sums(matrix, r, y), None
+        return _column_and_row_sums(matrix, r, y)
 
     def certificate(T, tol=HALL_TOL_REL * s):
         return T if float(c[T].sum()) > float(r[neighborhood(matrix, T)].sum()) + tol else None
 
-    def step(y, T, gamma, _):
-        return matrix_update(matrix, r, y, T, gamma)
+    def step(y, T, gamma, row):
+        return matrix_update(matrix, r, y, T, gamma, row)
 
     def shrink(y, gamma):
         return matrix_regularize(matrix, y, gamma / (15.0 * s * n**3))

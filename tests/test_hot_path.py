@@ -6,15 +6,21 @@ nothing, evaluates no ``update.proxy_at`` and runs no
 ``update.newton_dinkelbach``. So a solve whose every step is steep takes
 one thin QR, counted at ``linalg._thin_qr``, per measured iterate (the
 start and each step) plus the regularizer's factor of the unscaled frame.
-The matrix solver's budget, no ``matrix_rho_prefixes`` pass on the
-bipartite matrices, is checked in ``test_matrixscale.py``.
+
+A matrix step whose crossing lies on the surrogate's first segment takes
+alpha in closed form, reading mu off the row sums A y that the loop's
+measurement formed: it sorts nothing. On the bipartite matrices every step
+does, so a solve never enters ``matrixscale._breakpoint_walk``. The matrix
+solver's other budget, no ``matrix_rho_prefixes`` pass on those matrices,
+is checked in ``test_matrixscale.py``.
 """
 
 import pytest
 
+import framescale.matrixscale
 import framescale.update
-from framescale import Frame, Marginals, scale_frame
-from framescale.generate import gen_gaussian
+from framescale import Frame, Marginals, MatrixMarginals, NonnegMatrix, scale_frame, scale_matrix
+from framescale.generate import gen_bipartite, gen_gaussian
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -39,3 +45,28 @@ def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, mon
     assert len(eigensolves) == res.iterations
     assert proxy_evaluations == []
     assert newton_loops == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_steps_take_the_closed_form(seed, monkeypatch):
+    walks, steps = [], []
+    walk, update = framescale.matrixscale._breakpoint_walk, framescale.matrixscale.matrix_update
+
+    def counting_walk(*args):
+        walks.append(None)
+        return walk(*args)
+
+    def checking_update(matrix, r, y, T, gamma, row=None):
+        # The loop hands every step its row sums, and they change nothing.
+        upd = update(matrix, r, y, T, gamma, row)
+        assert row is not None and upd == update(matrix, r, y, T, gamma)
+        steps.append(None)
+        return upd
+
+    monkeypatch.setattr(framescale.matrixscale, "_breakpoint_walk", counting_walk)
+    monkeypatch.setattr(framescale.matrixscale, "matrix_update", checking_update)
+    A, r, c = gen_bipartite(20, 20, seed)
+    res = scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
+    assert res.scaled and res.iterations > 1000
+    assert len(steps) == res.iterations
+    assert walks == []

@@ -230,6 +230,35 @@ class TestMatrixUpdate:
             g = sum(ri * (1.0 - mi) * min(1.0, (alpha - 1.0) * mi) for ri, mi in zip(r, mu))
             assert g == pytest.approx(gamma, rel=1e-9, abs=1e-12)
 
+    def test_closed_form_matches_walk(self, rng, monkeypatch):
+        # Random draws reach both branches; where the crossing lies on the
+        # first segment, the closed form agrees with the breakpoint walk.
+        walk = framescale.matrixscale._breakpoint_walk
+        walked = []
+
+        def counting(*args):
+            walked.append(None)
+            return walk(*args)
+
+        monkeypatch.setattr(framescale.matrixscale, "_breakpoint_walk", counting)
+        first = 0
+        for _ in range(200):
+            m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            A = NonnegMatrix(rng.random((m, n)) * (rng.random((m, n)) < 0.7) + 0.01)
+            r = rng.random(m) + 0.5
+            y = 10.0 ** rng.uniform(-2, 2, size=n)
+            T = rng.permutation(n)[:int(rng.integers(1, n))]
+            mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
+            mass = r * (1.0 - mu)
+            gamma = 0.95 * float(mass.sum()) * rng.random() + 1e-9
+            before = len(walked)
+            alpha = matrix_update(A, r, y, T, gamma).alpha
+            if len(walked) == before:
+                first += 1
+                want = walk(mu, mass, gamma)  # every row is in N(T) and keeps mass
+                assert abs(alpha - want) <= 4.0 * np.spacing(want)
+        assert 0 < first < 200 and len(walked) == 200 - first
+
     def test_limit_identity(self, rng):
         for _ in range(20):
             A = NonnegMatrix(rng.random((5, 6)) + 0.05)
@@ -321,6 +350,15 @@ class TestScaleMatrix:
         res = scale_matrix(A, MatrixMarginals(np.ones(2), np.array([1.5, 0.5])), 1e-8)
         assert res.status == "infeasible"
         assert list(res.certificate) == [0]
+
+    def test_hairline_violation_with_no_mass_outside(self):
+        # T = {0} violates Hall by 1e-13, below the comparison guard, and
+        # its one row keeps no mass outside T: the step has no surrogate to
+        # solve, so the loop certifies T at zero tolerance.
+        marginals = MatrixMarginals(np.array([1.0 - 1e-13, 1.0 + 1e-13]), np.ones(2))
+        res = scale_matrix(NonnegMatrix(np.eye(2)), marginals, 1e-15)
+        assert res.status == INFEASIBLE and list(res.certificate) == [0]
+        assert res.iterations == 1
 
     def test_zero_row_rejected_at_load(self):
         with pytest.raises(ValueError):
