@@ -45,6 +45,7 @@ from .solver import (
     MarginSet,
     ScalingResult,
     SolverConfig,
+    Trace,
     infeasibility_certificate,
     scale_frame,
     select_margin_set,
@@ -63,7 +64,7 @@ __all__ = [
     "Frame", "GramContext", "gram_context", "leverage_scores", "logdet_psd",
     "numerical_rank", "orthonormal_factor", "pinv_trace",
     "Marginals", "MarginSet", "ScalingResult", "SolverConfig",
-    "IterationRecord", "SCALED", "INFEASIBLE",
+    "IterationRecord", "Trace", "SCALED", "INFEASIBLE",
     "infeasibility_certificate", "scale_frame", "select_margin_set",
     "NDResult", "EigenSumEstimate", "newton_dinkelbach",
     "compute_update", "proxy_at", "approx_small_eigen_sum", "det_local_opt",

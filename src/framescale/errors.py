@@ -4,8 +4,9 @@
 class ScalingError(Exception):
     """Base class for all framescale errors.
 
-    ``trace`` holds the iteration records a solve collected before the
-    error, when the error left a solve loop; otherwise it is None.
+    ``trace`` holds the ``solver.Trace`` a solve collected before the
+    error, a read-only sequence of its iteration records, when the error
+    left a solve loop; otherwise it is None.
     """
 
     def __init__(self, *args, trace=None):

@@ -12,6 +12,8 @@ the column set alone, so the loop decides each set once per solve.
 
 This module owns ``UpdateResult``, the step record that every ``step``
 closure returns to the loop, and ``step_gain``, the gain both steps report.
+Every solve keeps its ``Trace``: eight binary64 values per iteration in one
+array, read back as ``IterationRecord`` objects built on access.
 The frame step and its step-size proxy ``proxy_at`` live in ``update``.
 """
 
@@ -19,6 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -119,11 +124,16 @@ def infeasibility_certificate(frame: Frame, c, T,
     T is sorted first, so the rank (taken on the columns in sorted order),
     the mass and the answer depend on the set alone. T must hold distinct
     column indices in [0, n), the rule ``verify`` applies to a certificate:
-    a repeated index would count its marginal twice against one rank. The
-    margin loop decides with the default guard and, after a step proves
-    the band unreachable, once more with ``tol=0.0``.
+    a repeated index would count its marginal twice against one rank, and
+    T's own dtype must be integer, so a boolean mask or float indices are
+    rejected rather than cast. The margin loop decides with the default
+    guard and, after a step proves the band unreachable, once more with
+    ``tol=0.0``.
     """
-    T = np.sort(np.asarray(T, dtype=np.intp))
+    T = np.asarray(T)
+    if T.size and T.dtype.kind not in "iu":
+        raise ValueError(f"T must hold integer column indices, got dtype {T.dtype}")
+    T = np.sort(T.astype(np.intp, copy=False))
     if T.size == 0 or T[0] < 0 or T[-1] >= frame.n or (T[1:] == T[:-1]).any():
         raise ValueError("T must be a nonempty set of distinct column indices in [0, n)")
     c = np.asarray(c, dtype=np.float64)
@@ -139,7 +149,11 @@ class SolverConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
+        if self.max_iters is None:
+            return
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an int, got {self.max_iters!r}")
+        if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
     def iteration_cap(self, n: int, eps: float) -> int:
@@ -177,6 +191,56 @@ class IterationRecord:
         return out
 
 
+_WIDTH = len(fields(IterationRecord))
+_ND_SLOT = [f.name for f in fields(IterationRecord)].index("nd_iters")
+
+
+class Trace(Sequence):
+    """The iteration records of one solve: a read-only sequence of IterationRecord.
+
+    One ``array('d')`` holds each iteration's eight fields in
+    ``IterationRecord`` field order, and a record is built only when it is
+    read. ``nd_iters`` reads back as an int, and a NaN field as the
+    ``math.nan`` object, the solver's "not computed" marker, so the records
+    read back equal those the loop would have built. A trace equals any
+    sequence of equal records.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self):
+        self._values = array("d")
+
+    def _write(self, error_sq, gamma, alpha_hat, h_gain, progress, nd_iters, hp_one, log_z_inf):
+        """Append one iteration's fields; the margin loop's one write."""
+        self._values.extend((error_sq, gamma, alpha_hat, h_gain, progress, nd_iters, hp_one,
+                             log_z_inf))
+
+    def _at(self, i: int) -> IterationRecord:
+        values = [math.nan if math.isnan(v) else v
+                  for v in self._values[i * _WIDTH:(i + 1) * _WIDTH]]
+        values[_ND_SLOT] = int(values[_ND_SLOT])
+        return IterationRecord(*values)
+
+    def __len__(self) -> int:
+        return len(self._values) // _WIDTH
+
+    def __getitem__(self, index):
+        """The record at an int index, or a list of records for a slice."""
+        positions = range(len(self))[index]
+        if isinstance(positions, range):
+            return [self._at(i) for i in positions]
+        return self._at(positions)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<Trace of {len(self)} iterations>"
+
+
 @dataclass
 class ScalingResult:
     """Outcome of a scaling run: a scaling vector or a certificate set."""
@@ -186,7 +250,7 @@ class ScalingResult:
     certificate: np.ndarray | None
     iterations: int
     final_error_sq: float
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: Trace = field(default_factory=Trace)
 
     @property
     def scaled(self) -> bool:
@@ -245,7 +309,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     err_sq = float(((marginals - c) ** 2).sum())
     m_total, c_total = float(marginals.sum()), float(c.sum())
     least = (m_total - c_total) ** 2 / n
-    trace: list[IterationRecord] = []
+    trace = Trace()
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
     try:
@@ -284,11 +348,8 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             z = shrink(z, ms.gamma)
             marginals, factor = measure(z)
             new_err_sq = float(((marginals - c) ** 2).sum())
-            trace.append(IterationRecord(
-                error_sq=err_sq, gamma=ms.gamma, alpha_hat=upd.alpha, h_gain=upd.h_gain,
-                progress=err_sq - new_err_sq, nd_iters=upd.nd_iters, hp_one=upd.hp_one,
-                log_z_inf=float(np.log(z.max())) if log_range else math.nan,
-            ))
+            trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, err_sq - new_err_sq,
+                         upd.nd_iters, upd.hp_one, np.log(z.max()) if log_range else math.nan)
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:

@@ -309,6 +309,17 @@ class TestInfeasibilityCertificate:
             with pytest.raises(ValueError, match="distinct column indices"):
                 infeasibility_certificate(frame, c, T)
 
+    def test_rejects_masks_and_float_indices(self):
+        # Cast to intp, the mask [True, False] and the floats [0.7, 1.2] would
+        # both read as the certificate [0, 1] of this frame.
+        U, c = gen_infeasible(3, 7, 0)
+        frame = Frame(U)
+        assert list(infeasibility_certificate(frame, c, [1, 0])) == [0, 1]
+        assert list(infeasibility_certificate(frame, c, np.array([1, 0], np.uint8))) == [0, 1]
+        for T in (np.array([True, False]), np.array([0.7, 1.2]), [0.0, 1.0]):
+            with pytest.raises(ValueError, match="integer column indices"):
+                infeasibility_certificate(frame, c, T)
+
 
 class TestScaleFrame:
     def test_identity_zero_iterations(self):
@@ -453,6 +464,16 @@ class TestSolverConfig:
     def test_rejects_cap_below_one(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             SolverConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [True, 2.5, 3.0, "3"])
+    def test_rejects_cap_that_is_not_an_int(self, max_iters):
+        # Unchecked, True would be the cap itself and 2.5 would run 3 iterations.
+        with pytest.raises(ValueError, match="max_iters must be an int"):
+            SolverConfig(max_iters=max_iters)
+
+    def test_accepts_integer_caps(self):
+        assert SolverConfig(max_iters=5).iteration_cap(5, 1e-6) == 5
+        assert SolverConfig(max_iters=np.int64(5)).iteration_cap(5, 1e-6) == 5
 
 
 class TestMarginals:
