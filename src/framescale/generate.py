@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import numerical_rank
+
 
 def gen_gaussian(d: int, n: int, seed: int):
     """Standard normal frame with uniform marginals d/n; feasible a.s."""
@@ -48,7 +50,7 @@ def gen_infeasible(d: int, n: int, seed: int):
         U = np.empty((d, n))
         U[:, :k] = np.outer(v, mult)
         U[:, k:] = rng.standard_normal((d, n - k))
-        if np.linalg.matrix_rank(U) == d:
+        if numerical_rank(U) == d:
             return U, c
 
 

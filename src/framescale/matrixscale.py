@@ -26,7 +26,6 @@ per set within a solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,8 +191,8 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row=None) -> Upda
     (alpha - 1) max mu <= 1, g is (alpha - 1) sum_i r_i (1 - mu_i) mu_i, so
     when the crossing lies there alpha is read off in closed form; past it,
     ``_breakpoint_walk`` sorts the mu values. ``h_gain`` is the proxy gain
-    at alpha in closed form (``step_gain``); ``nd_iters`` is 0, since no
-    root finding runs.
+    at alpha in closed form (``step_gain``), ``hp_one`` its slope h'(1) =
+    sum_i r_i mu_i (1 - mu_i), which is g's first slope, and ``nd_iters`` 0.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -223,7 +222,7 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row=None) -> Upda
     else:
         alpha = _breakpoint_walk(mu_k, mass, target)
     return UpdateResult(alpha=alpha, h_gain=step_gain(mu, w * mu * rest, alpha),
-                        nd_iters=0, hp_one=math.nan, seeded=False)
+                        nd_iters=0, hp_one=slope, seeded=False)
 
 
 def _breakpoint_walk(mu: np.ndarray, mass: np.ndarray, target: float) -> float:

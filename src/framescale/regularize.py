@@ -8,8 +8,8 @@ singular values of the unscaled frame's thin orthonormal factor; the exact
 condition measures are NP-hard and never needed. ``prefix_gap_shrink`` is
 the one shrink body: ``regularize`` runs it for frames and
 ``matrixscale.matrix_regularize`` for matrices, each with its own rho. It
-sorts z only when max z / min z is large enough for some gap to fire;
-otherwise it snaps z to the grid entry by entry.
+sorts z only when max z / min z is large enough for some gap to fire, and
+rejects a scaling that is not strictly positive and finite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 # gram_context and pinv_trace stay module attributes: perfbench/spans.py wraps them here.
-from .linalg import _EPS, Frame, gram_context, orthonormal_factor, pinv_trace  # noqa: F401
+from .linalg import (_EPS, Frame, gram_context, orthonormal_factor, pinv_trace,  # noqa: F401
+                     validate_scaling)
 
 
 def rho_overestimate(frame: Frame, T, q0: np.ndarray | None = None) -> float:
@@ -60,12 +61,13 @@ class RhoCache:
 def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.ndarray:
     """Cap each sorted prefix gap of z at max(rho, floor)/delta, then snap.
 
-    Entries are sorted descending and normalized so the smallest is 1. A gap
-    k whose ratio overshoots its threshold max(rho_k, floor)/delta by more
-    than a (1 + 2 delta) factor, more than grid rounding perturbs it, has
-    the prefix ``order[:k]`` multiplied down until the gap equals the
-    threshold. Rounding to the nearest multiple of delta (clamped to stay >=
-    delta) then keeps the order, and dividing by the last makes the min 1.0.
+    z is divided by its min z[lo], and with ``order`` its descending sort, a
+    gap k whose ratio overshoots its threshold max(rho_k, floor)/delta by
+    more than a (1 + 2 delta) factor, more than grid rounding perturbs it,
+    has the prefix ``order[:k]`` multiplied down in place until the gap
+    equals the threshold. Rounding to the nearest multiple of delta (clamped
+    to stay >= delta) then keeps the order, and since no cap touches a
+    minimal entry, dividing by the snapped z[lo] makes the min 1.0.
 
     ``floor`` is the clamp, and it is also a proven lower bound on every
     rho after the caller's own clamp c, max(rho, c). A caller with a proven
@@ -77,40 +79,35 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     A shrink at gap k scales only the first k entries, so no later ratio
     changes and all ratios are taken up front. Thresholds are at least
     floor/delta, so only gaps with ratio * (delta/floor) above the headroom
-    are candidates. ``rhos(order, candidates)``, called only when there is
-    one, maps that mask over the n - 1 gaps to an array whose entry k - 1
-    is the rho of ``order[:k]`` at each candidate gap k.
-
-    Rounding is monotone, so no sorted ratio exceeds the rounded max/min.
-    When that ratio is no candidate, no gap is, and z is normalized and
-    snapped in place without sorting: every entry gets the same operations
-    as on the sorted path, so the result is the same bit for bit.
+    are candidates, and z is sorted only when max/min is one.
+    ``rhos(order, candidates)``, called only when there is one, maps that
+    mask over the n - 1 gaps to an array whose entry k - 1 is the rho of
+    ``order[:k]`` at each candidate gap k. A z that is not positive and
+    finite, or whose max/min overflows binary64, raises ValueError.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
     headroom = 1.0 + 2.0 * delta
     lo = int(z.argmin())
-    # A NaN, zero or negative min fails the first test and an infinite max
-    # the second, so such a z takes the sorted path.
-    if z[lo] > 0.0 and z.max() / z[lo] * (delta / floor) <= headroom:
-        zs = z / z[lo]
-        _snap(zs, delta)
-        zs /= zs[lo]
-        return zs
-    order = np.argsort(-z, kind="stable")
-    zs = z[order]
-    zs /= zs[-1]
-    ratios = zs[:-1] / zs[1:]
-    candidates = ratios * (delta / floor) > headroom
-    if candidates.any():
-        thresholds = np.maximum(rhos(order, candidates), floor) / delta
-        for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
-            zs[:k + 1] *= thresholds[k] / ratios[k]
+    low = float(z[lo])
+    # max/min, NaN for a NaN, zero or negative min and inf for an infinite
+    # max; as Python floats it overflows to inf without a warning.
+    span = float(z.max()) / low if low > 0.0 else np.nan
+    if not span < np.inf:
+        validate_scaling(z, len(z))
+        raise ValueError("scaling max/min overflows binary64")
+    zs = z / low
+    if span * (delta / floor) > headroom:
+        order = np.argsort(-z, kind="stable")
+        ratios = zs[order[:-1]] / zs[order[1:]]
+        candidates = ratios * (delta / floor) > headroom
+        if candidates.any():
+            thresholds = np.maximum(rhos(order, candidates), floor) / delta
+            for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
+                zs[order[:k + 1]] *= thresholds[k] / ratios[k]
     _snap(zs, delta)
-    zs /= zs[-1]
-    out = np.empty_like(zs)
-    out[order] = zs
-    return out
+    zs /= zs[lo]
+    return zs
 
 
 def _snap(zs: np.ndarray, delta: float) -> None:

@@ -142,9 +142,9 @@ def infeasibility_certificate(frame: Frame, c, T,
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """The iteration cap, by default 40 n^3 log(n/eps)."""
+    """The iteration cap, by default 40 n^3 log(n/eps); frozen, so the check holds."""
 
     max_iters: int | None = None
 
@@ -179,16 +179,12 @@ class IterationRecord:
     h_gain: float
     progress: float
     nd_iters: int
-    hp_one: float = math.nan
-    log_z_inf: float = math.nan
+    hp_one: float
+    log_z_inf: float
 
     def as_dict(self) -> dict:
-        """Every field, with NaN (a value the solver did not compute) as None."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = None if isinstance(value, float) and math.isnan(value) else value
-        return out
+        """Every field by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _WIDTH = len(fields(IterationRecord))
@@ -200,10 +196,8 @@ class Trace(Sequence):
 
     One ``array('d')`` holds each iteration's eight fields in
     ``IterationRecord`` field order, and a record is built only when it is
-    read. ``nd_iters`` reads back as an int, and a NaN field as the
-    ``math.nan`` object, the solver's "not computed" marker, so the records
-    read back equal those the loop would have built. A trace equals any
-    sequence of equal records.
+    read, with ``nd_iters`` as an int. A trace equals any sequence of equal
+    records.
     """
 
     __slots__ = ("_values",)
@@ -217,8 +211,7 @@ class Trace(Sequence):
                              log_z_inf))
 
     def _at(self, i: int) -> IterationRecord:
-        values = [math.nan if math.isnan(v) else v
-                  for v in self._values[i * _WIDTH:(i + 1) * _WIDTH]]
+        values = self._values[i * _WIDTH:(i + 1) * _WIDTH].tolist()
         values[_ND_SLOT] = int(values[_ND_SLOT])
         return IterationRecord(*values)
 
@@ -279,7 +272,7 @@ def step_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
 
 
 def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,
-                 step, shrink, log_range: bool = False) -> ScalingResult:
+                 step, shrink) -> ScalingResult:
     """The margin loop shared by the frame and the matrix solver.
 
     ``measure(z)`` gives the marginals m of z and a factor of z (the loop
@@ -287,12 +280,12 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     ``step(z, T, gamma, factor)`` an ``UpdateResult``, and ``shrink(z,
     gamma)`` the regularized z, whose min must be exactly 1. ``step`` gets
     the factor that ``measure`` returned for the z it steps from; the loop
-    never reads it. With ``log_range`` the trace records ||log z||_inf,
-    which for min z = 1 is log max z. A ScalingError leaving the loop
-    carries the trace. <m, 1> does not move with z, and ||m - c||^2 >= (<m,
-    1> - <c, 1>)^2 / n; when the first measurement puts this bound above
-    eps^2, the loop decides the first margin set and, if it does not
-    certify, raises PreconditionViolated in place of the first step.
+    never reads it. The trace records ||log z||_inf, which for min z = 1 is
+    log max z. A ScalingError leaving the loop carries the trace. <m, 1>
+    does not move with z, and ||m - c||^2 >= (<m, 1> - <c, 1>)^2 / n; when
+    the first measurement puts this bound above eps^2, the loop decides the
+    first margin set and, if it does not certify, raises
+    PreconditionViolated in place of the first step.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
@@ -349,7 +342,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             marginals, factor = measure(z)
             new_err_sq = float(((marginals - c) ** 2).sum())
             trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, err_sq - new_err_sq,
-                         upd.nd_iters, upd.hp_one, np.log(z.max()) if log_range else math.nan)
+                         upd.nd_iters, upd.hp_one, np.log(z.max()))
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:
@@ -417,4 +410,4 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)
 
     return _margin_loop(c, eps, config or SolverConfig(), measure, certificate,
-                        functools.partial(compute_update, frame), shrink, log_range=True)
+                        functools.partial(compute_update, frame), shrink)

@@ -156,8 +156,8 @@ class TestMatrixCommand:
                         "--cols", f"{base}.c.txt", "--eps", "1e-8", "--trace", trace]) == 0
         records = strict_records(trace)
         assert records
-        # the matrix solver computes no hp_one or log_z_inf
-        assert all(rec["hp_one"] is None and rec["log_z_inf"] is None for rec in records)
+        # every field of a matrix record is a number
+        assert all(type(rec[key]) in (int, float) for rec in records for key in TRACE_KEYS)
 
     def test_zero_column_rejected(self, tmp_path):
         fio.write_matrix_file(tmp_path / "A.txt", np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -179,7 +179,8 @@ class TestMatrixUpdate:
 
     def test_step_record(self, rng):
         # The gain is step_gain over every row of N(T), as matrix_proxy_gain
-        # sums it, bit for bit; no root finding runs.
+        # sums it, bit for bit; hp_one is h'(1) = sum r mu (1 - mu); no root
+        # finding runs.
         for _ in range(20):
             A = NonnegMatrix(rng.random((5, 6)) + 0.05)
             r = rng.random(5) + 0.5
@@ -188,7 +189,10 @@ class TestMatrixUpdate:
             mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
             upd = matrix_update(A, r, y, T, 0.5 * float((r * (1 - mu)).sum()))
             assert upd.h_gain == matrix_proxy_gain(A, r, y, T, upd.alpha)
-            assert upd.nd_iters == 0 and math.isnan(upd.hp_one) and not upd.seeded
+            nbr = mu > 0.0
+            hp_one = float((r[nbr] * mu[nbr] * (1.0 - mu[nbr])).sum())
+            assert upd.hp_one == pytest.approx(hp_one, rel=1e-12, abs=0.0)
+            assert upd.nd_iters == 0 and not upd.seeded
 
     def test_saturated_rows_infeasible(self):
         # T touches every row's full mass: supremum 0
@@ -676,11 +680,12 @@ def reference_scale_matrix(matrix, marginals, eps, config=None):
         if float(c[T].sum()) > float(r[nbr].sum()) + HALL_TOL_REL * s:
             return certified(T, it, err_sq, trace)
         try:
-            alpha = matrix_update(matrix, r, y, T, ms.gamma).alpha
+            upd = matrix_update(matrix, r, y, T, ms.gamma)
         except InfeasibleSegment:
             if float(c[T].sum()) > float(r[nbr].sum()):
                 return certified(T, it, err_sq, trace)
             raise
+        alpha = upd.alpha
         gain = matrix_proxy_gain(matrix, r, y, T, alpha)
         y = y.copy()
         y[T] *= alpha
@@ -690,7 +695,8 @@ def reference_scale_matrix(matrix, marginals, eps, config=None):
         new_err_sq, cs = combined_error_sq(y)
         trace.append(IterationRecord(
             error_sq=err_sq, gamma=ms.gamma, alpha_hat=alpha, h_gain=gain,
-            progress=err_sq - new_err_sq, nd_iters=0,
+            progress=err_sq - new_err_sq, nd_iters=0, hp_one=upd.hp_one,
+            log_z_inf=float(np.log(y.max())),
         ))
         err_sq = new_err_sq
     return ScalingResult(status=SCALED, scaling=y, certificate=None,

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from framescale import (Frame, Marginals, NonnegMatrix, leverage_scores, regularize,
                         rho_overestimate, scale_frame)
-from framescale.generate import gen_bipartite
+from framescale.generate import gen_bipartite, gen_gaussian
 from framescale.matrixscale import matrix_regularize
 from framescale.regularize import RhoCache
 
@@ -297,6 +298,26 @@ class TestUnsortedSnap:
             assert np.array_equal(shrink(z), want)
             fired += shrinks
         assert fired > 0
+
+
+class TestInvalidScaling:
+    # Each z once came back as a valid-looking scaling or with NaN entries.
+    @pytest.mark.parametrize("problem", ["frame", "matrix"])
+    @pytest.mark.parametrize("z,message", [
+        ([1.0, 2.0, -1.0, 1.0, 1.0, 1.0], "strictly positive"),
+        ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], "strictly positive"),
+        ([1.0, 2.0, np.nan, 1.0, 1.0, 1.0], "non-finite"),
+        ([1.0, 2.0, np.inf, 1.0, 1.0, 1.0], "non-finite"),
+        ([1e-300, 1e300, 1.0, 1.0, 1.0, 1.0], "max/min overflows binary64"),
+    ], ids=["negative", "zero", "nan", "inf", "overflow"])
+    def test_rejected(self, problem, z, message):
+        if problem == "frame":
+            frame = Frame(gen_gaussian(3, 6, 0)[0])
+            shrink = functools.partial(regularize, frame)
+        else:
+            shrink = functools.partial(matrix_regularize, NonnegMatrix(gen_bipartite(6, 6, 0)[0]))
+        with pytest.raises(ValueError, match=message):
+            shrink(np.array(z), 0.01)
 
 
 class TestGrowthBound:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -474,6 +475,14 @@ class TestSolverConfig:
     def test_accepts_integer_caps(self):
         assert SolverConfig(max_iters=5).iteration_cap(5, 1e-6) == 5
         assert SolverConfig(max_iters=np.int64(5)).iteration_cap(5, 1e-6) == 5
+
+    def test_frozen(self):
+        # The check runs at construction, so a later assignment cannot slip
+        # a cap of 2.5 past it.
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_iters = 2.5
+        assert cfg.max_iters is None
 
 
 class TestMarginals:
