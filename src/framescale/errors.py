@@ -40,7 +40,7 @@ class DerivativeVanished(ScalingError):
 
 
 class GuessPreconditionViolated(ScalingError):
-    """Entered the eigenvalue-sum guess branch outside its validity range."""
+    """The guess step's start never entered the band in 200 halvings."""
 
 
 class PreconditionViolated(ScalingError):

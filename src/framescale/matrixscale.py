@@ -26,6 +26,7 @@ per set within a solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,8 +195,8 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row=None) -> Upda
     at alpha in closed form (``step_gain``), ``hp_one`` its slope h'(1) =
     sum_i r_i mu_i (1 - mu_i), which is g's first slope, and ``nd_iters`` 0.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     mu, w = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp), row)
     rest = 1.0 - mu
     mass = w * rest

@@ -103,8 +103,9 @@ def select_margin_set(lev, c) -> MarginSet:
         raise ValueError("margin selection needs n >= 2")
     x = lev - c
     total = float(x.sum())
-    # The tolerance is at least 1e-8, so |c|_1 is summed only past that.
-    if abs(total) > 1e-8 and abs(total) > 1e-8 * max(1.0, float(np.abs(c).sum())):
+    # The tolerance is at least 1e-8, so |c|_1 is summed only past that. A
+    # NaN total passes neither test and is rejected.
+    if not (abs(total) <= 1e-8 or abs(total) <= 1e-8 * max(1.0, float(np.abs(c).sum()))):
         raise ValueError(f"lev - c must sum to 0, got {total!r}")
     order = x.argsort(kind="stable")
     xs = x[order]

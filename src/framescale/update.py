@@ -14,12 +14,13 @@ representative column subset D, and measure the leverage mass left outside
 its span. D is a 2-approximate local maximizer of the kernel determinant:
 a column-pivoted QR gives the greedy start, and swaps are priced in closed
 form off a thin QR of the chosen columns. Newton then starts from the
-seed, and ``proxy_at`` factors each trial alpha anew; this guess branch is
-the only caller of ``newton_dinkelbach``. The start is the
-iterate's thin orthonormal factor Q, which also gives the leverage scores,
-h(1) and P; no Cholesky and no kernel matrix is formed. Every thin QR here
-is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), and the greedy's
-pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``).
+seed, pulling it back toward 1 should roundoff put it past the band, and
+reads (h, h') at each trial alpha off one ``proxy_at`` call, one thin QR;
+this guess branch is the only caller of ``newton_dinkelbach``. The start
+is the iterate's thin orthonormal factor Q, which also gives the leverage
+scores, h(1) and P; no Cholesky and no kernel matrix is formed. Every thin
+QR here is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), and the
+greedy's pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``).
 
 The step record ``UpdateResult`` that the margin loop reads lives in
 ``solver``.
@@ -27,6 +28,7 @@ The step record ``UpdateResult`` that the margin loop reads lives in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -100,35 +102,40 @@ class NDResult:
     n_iters: int
 
 
-def newton_dinkelbach(f: Callable[[float], float], f_prime: Callable[[float], float],
-                      alpha0: float, b_low: float, b_high: float, max_iters: int) -> NDResult:
-    """Drive an increasing concave f into [b_low, b_high] by alpha += (b_high - f)/f'.
+def newton_dinkelbach(f: Callable[[float], tuple[float, float]], alpha0: float,
+                      b_low: float, b_high: float, max_iters: int) -> NDResult:
+    """Drive an increasing concave h into [b_low, b_high] by alpha += (b_high - h)/h'.
 
-    Returns alpha0 untouched when f(alpha0) >= b_low already. Raises
-    ValueError unless b_low < b_high and f(alpha0) does not overshoot
-    b_high. Concavity guarantees every post-step value stays <= b_high; the
-    Bregman potential argument puts the iteration count at O(log) of the
-    initial divergence.
+    ``f(alpha)`` returns the pair (h, h') from one evaluation. A start whose
+    h overshoots b_high (by more than 1e-9) is pulled back, alpha halfway
+    toward 1 each time; after 200 such evaluations it raises
+    GuessPreconditionViolated. Returns the start untouched when h there is
+    >= b_low already. Raises ValueError unless b_low < b_high. Concavity
+    guarantees every post-step value stays <= b_high; the Bregman potential
+    argument puts the iteration count at O(log) of the initial divergence.
     """
     if not b_low < b_high:
         raise ValueError("need b_low < b_high")
     alpha = alpha0
-    val = f(alpha)
-    if val > b_high + 1e-9:
-        raise ValueError("starting guess already overshoots b_high")
+    for _ in range(200):
+        val, slope = f(alpha)
+        if val <= b_high + 1e-9:
+            break
+        alpha = 1.0 + (alpha - 1.0) / 2.0
+    else:
+        raise GuessPreconditionViolated("seed never entered the target band")
     t = 0
     while val < b_low:
         if t >= max_iters:
             raise IterationCapExceeded(
                 f"Newton-Dinkelbach did not converge in {max_iters} steps"
             )
-        slope = f_prime(alpha)
         if slope <= DERIVATIVE_FLOOR:
             raise DerivativeVanished(
                 f"derivative {slope:g} at alpha={alpha!r}; target band unreachable"
             )
         alpha = alpha + (b_high - val) / slope
-        val = f(alpha)
+        val, slope = f(alpha)
         t += 1
     return NDResult(alpha=alpha, value=val, n_iters=t)
 
@@ -188,10 +195,12 @@ def approx_small_eigen_sum(frame: Frame, z, T,
         return EigenSumEstimate(mu_tilde=0.0, p=p)
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
-    D, w, rd = _det_search(np.sort(T), p, q)
+    ts = np.sort(T)
+    chosen, _, w, rd = _det_local_opt_columns(q[ts].T, p)
     _require_full_rank(rd, "projector block singular in eigen-sum guess")
     rest = q[T] - (q[T] @ w) @ w.T
-    return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p, D=D)
+    return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p,
+                            D=ts[chosen])
 
 
 def det_local_opt(frame: Frame, z, T, p: int, q: np.ndarray | None = None) -> np.ndarray:
@@ -209,23 +218,11 @@ def det_local_opt(frame: Frame, z, T, p: int, q: np.ndarray | None = None) -> np
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
     if q is None:
         q = orthonormal_factor(frame, z)
-    return _det_search(T, p, q)[0]
-
-
-def _det_search(T: np.ndarray, p: int,
-                q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``det_local_opt`` for 0 < p < rk(U_T) on the rows T of q; returns (D, W, R).
-
-    (W, R) is the search's last thin QR, of the chosen columns of Q_T^T
-    taken in the order of T (R in its upper triangle), so for sorted T it is
-    the thin QR of Q_D^T.
-    """
     x = q[T].T
     trace = float(np.einsum("ij,ij->", x, x))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")
-    chosen, _, w, rd = _det_local_opt_columns(x, p)
-    return np.sort(T[chosen]), w, rd
+    return np.sort(T[_det_local_opt_columns(x, p)[0]])
 
 
 def _det_local_opt_columns(x: np.ndarray,
@@ -284,9 +281,9 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     Otherwise h'(1) < gamma/4 (below 1/4 for gamma <= 1), the gapped regime
     ``approx_small_eigen_sum`` checks, and ``newton_dinkelbach`` starts at
     1 + gamma / (2 mu_tilde), with mu_tilde from that estimate; alpha is
-    unbounded, and ``proxy_at`` factors each trial alpha once: the guess
-    branch's closures keep the last (alpha, h, h'), starting from
-    (1, h(1), h'(1)).
+    unbounded. Newton owns the start: it pulls an overshooting seed back
+    toward 1, and ``proxy_at`` gives (h, h') at each trial alpha from one
+    thin QR.
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
@@ -302,34 +299,15 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
         alpha = 1.0 + ((h1 + gamma) - h1) / hp1
         return UpdateResult(alpha=alpha, h_gain=step_gain(mu, mu * (1.0 - mu), alpha),
                             nd_iters=1, hp_one=hp1, seeded=False)
-    cap = nd_iteration_cap(frame.n, frame.d)
     est = approx_small_eigen_sum(frame, z, T, q=q)
     if est.mu_tilde <= 0.0:
         raise InfeasibleSegment(
             "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
         )
-    memo = [1.0, h1, hp1]  # (alpha, h, h') at the last alpha evaluated
-
-    def at(alpha: float) -> list:
-        if alpha != memo[0]:
-            memo[:] = alpha, *proxy_at(frame, z, T, alpha)
-        return memo
-
-    def h(alpha: float) -> float:
-        return at(alpha)[1]
-
-    def h_prime(alpha: float) -> float:
-        return at(alpha)[2]
-
-    alpha0 = 1.0 + gamma / (2.0 * est.mu_tilde)
-    # Roundoff in mu_tilde can push the seed just past the band; pull it
-    # back toward 1 (analysis guarantees the clean seed never overshoots).
-    for _ in range(200):
-        if h(alpha0) <= h1 + gamma + 1e-9:
-            break
-        alpha0 = 1.0 + (alpha0 - 1.0) / 2.0
-    else:
-        raise GuessPreconditionViolated("seed never entered the target band")
-    res = newton_dinkelbach(h, h_prime, alpha0, h1 + gamma / 5.0, h1 + gamma, cap)
+    # Roundoff in mu_tilde can push the seed just past the band; Newton's
+    # pull-back brings it toward 1 (the clean seed never overshoots).
+    res = newton_dinkelbach(functools.partial(proxy_at, frame, z, T),
+                            1.0 + gamma / (2.0 * est.mu_tilde), h1 + gamma / 5.0, h1 + gamma,
+                            nd_iteration_cap(frame.n, frame.d))
     return UpdateResult(alpha=res.alpha, h_gain=res.value - h1, nd_iters=res.n_iters,
                         hp_one=hp1, seeded=True)

@@ -270,8 +270,8 @@ def steep_update_oracle(frame, z, T, gamma, q):
     """(alpha, h_gain, nd_iters, hp_one) of a steep step: Newton from 1 on the closed form."""
     gain, h, h_prime = closed_form_oracle(frame, z, T, q)
     h1 = h(1.0)
-    res = newton_dinkelbach(h, h_prime, 1.0, h1 + gamma / 5.0, h1 + gamma,
-                            nd_iteration_cap(frame.n, frame.d))
+    res = newton_dinkelbach(lambda alpha: (h(alpha), h_prime(alpha)), 1.0, h1 + gamma / 5.0,
+                            h1 + gamma, nd_iteration_cap(frame.n, frame.d))
     return res.alpha, gain(res.alpha), res.n_iters, h_prime(1.0)
 
 

@@ -194,6 +194,14 @@ class TestMatrixUpdate:
             assert upd.hp_one == pytest.approx(hp_one, rel=1e-12, abs=0.0)
             assert upd.nd_iters == 0 and not upd.seeded
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        # NaN used to return alpha NaN, and inf a finite-looking step off
+        # min(inf, supremum); both are rejected, as compute_update does.
+        A = NonnegMatrix(np.random.default_rng(0).random((4, 4)) + 0.1)
+        with pytest.raises(ValueError, match="gamma"):
+            matrix_update(A, np.ones(4), np.ones(4), [0], gamma)
+
     def test_saturated_rows_infeasible(self):
         # T touches every row's full mass: supremum 0
         A = NonnegMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))

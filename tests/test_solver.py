@@ -110,6 +110,15 @@ class TestSelectMarginSet:
             with pytest.raises(ValueError, match="must sum to 0"):
                 select_margin_set(lev, c)
 
+    def test_rejects_non_finite_error(self):
+        # A NaN sum passes neither tolerance test; it used to give gamma NaN,
+        # and an +inf/-inf pair gamma inf.
+        c = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="must sum to 0"):
+            select_margin_set(np.array([0.5, np.nan, 0.5, 1.0]), c)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must sum to 0"):
+            select_margin_set(np.array([0.5, np.inf, -np.inf, 1.0]), c)
+
     def test_balance_tolerance_floor_on_small_mass(self):
         # |c|_1 < 1: the tolerance is 1e-8, not 1e-8 |c|_1.
         c = np.array([0.1, 0.2])

@@ -11,6 +11,7 @@ from framescale import (
     DerivativeVanished,
     FactorizationFailure,
     Frame,
+    GuessPreconditionViolated,
     IterationCapExceeded,
     Marginals,
     PreconditionViolated,
@@ -35,24 +36,25 @@ from conftest import (closed_form_oracle, det_local_opt_oracle, fraction_inverse
                       scipy_pivoted_qr, steep_update_oracle, whitened)
 
 
+def log_pair(alpha):
+    """(log, log') at alpha, the one-callable shape newton_dinkelbach reads."""
+    return math.log(alpha), 1.0 / alpha
+
+
 class TestNewtonDinkelbach:
     def test_log_example(self):
-        res = newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
-                                alpha0=1.0, b_low=0.5, b_high=1.0, max_iters=10)
+        res = newton_dinkelbach(f=log_pair, alpha0=1.0, b_low=0.5, b_high=1.0, max_iters=10)
         assert res.alpha == pytest.approx(2.0)
         assert res.n_iters == 1
 
     def test_early_exit(self):
-        res = newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
-                                alpha0=2.0, b_low=0.5, b_high=1.0, max_iters=10)
+        res = newton_dinkelbach(f=log_pair, alpha0=2.0, b_low=0.5, b_high=1.0, max_iters=10)
         assert res.alpha == 2.0 and res.n_iters == 0
 
     def test_scalar_proxy_example(self):
         # h(a) = a/(a+1), gamma = 0.2: one step from 1 lands at 1.8
-        f = lambda a: a / (a + 1.0)
-        fp = lambda a: 1.0 / (a + 1.0) ** 2
-        res = newton_dinkelbach(f=f, f_prime=fp, alpha0=1.0,
-                                b_low=0.54, b_high=0.7, max_iters=10)
+        f = lambda a: (a / (a + 1.0), 1.0 / (a + 1.0) ** 2)
+        res = newton_dinkelbach(f=f, alpha0=1.0, b_low=0.54, b_high=0.7, max_iters=10)
         assert res.alpha == pytest.approx(1.8)
         assert res.value == pytest.approx(9.0 / 14.0)
         assert res.n_iters == 1
@@ -70,12 +72,9 @@ class TestNewtonDinkelbach:
 
             def f(alpha):
                 visited.append(alpha)
-                return proxy_at(frame, z, T, alpha)[0]
+                return proxy_at(frame, z, T, alpha)
 
-            def f_prime(alpha):
-                return proxy_at(frame, z, T, alpha)[1]
-
-            res = newton_dinkelbach(f=f, f_prime=f_prime, alpha0=1.0,
+            res = newton_dinkelbach(f=f, alpha0=1.0,
                                     b_low=h1 + gamma / 5.0, b_high=h1 + gamma,
                                     max_iters=200)
             assert h1 + gamma / 5.0 <= res.value <= h1 + gamma + 1e-9
@@ -89,24 +88,35 @@ class TestNewtonDinkelbach:
                 assert derivs[t] <= derivs[t - 1] / 5.0 + 1e-15
 
     def test_derivative_vanished(self):
-        f = lambda a: 1.0 - 1.0 / a  # sup f = 1 < b_low
-        fp = lambda a: 1.0 / a**2
+        f = lambda a: (1.0 - 1.0 / a, 1.0 / a**2)  # sup f = 1 < b_low
         with pytest.raises(DerivativeVanished):
-            newton_dinkelbach(f=f, f_prime=fp, alpha0=1.0,
-                              b_low=2.0, b_high=3.0, max_iters=100)
+            newton_dinkelbach(f=f, alpha0=1.0, b_low=2.0, b_high=3.0, max_iters=100)
 
     def test_iteration_cap(self):
         with pytest.raises(IterationCapExceeded):
-            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
-                              alpha0=1.0, b_low=20.0, b_high=21.0, max_iters=3)
+            newton_dinkelbach(f=log_pair, alpha0=1.0, b_low=20.0, b_high=21.0, max_iters=3)
 
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
-            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
-                              alpha0=1.0, b_low=1.0, b_high=0.5, max_iters=5)
-        with pytest.raises(ValueError):
-            newton_dinkelbach(f=math.log, f_prime=lambda a: 1.0 / a,
-                              alpha0=100.0, b_low=0.5, b_high=1.0, max_iters=5)
+            newton_dinkelbach(f=log_pair, alpha0=1.0, b_low=1.0, b_high=0.5, max_iters=5)
+        # A start past b_high is pulled back halfway toward 1 until it is
+        # in: log 100 > 1 takes six halvings, to log(1 + 99/64) ~ 0.93.
+        res = newton_dinkelbach(f=log_pair, alpha0=100.0, b_low=0.5, b_high=1.0, max_iters=5)
+        assert res.alpha == 1.0 + 99.0 / 64.0 and res.n_iters == 0
+
+    def test_start_never_enters_band(self):
+        # f stays above the band: 200 evaluations, then the guess step's
+        # precondition error, not a ValueError.
+        alphas = []
+
+        def f(alpha):
+            alphas.append(alpha)
+            return 5.0, 1.0
+
+        with pytest.raises(GuessPreconditionViolated, match="never entered the target band"):
+            newton_dinkelbach(f=f, alpha0=100.0, b_low=0.5, b_high=1.0, max_iters=5)
+        assert len(alphas) == 200
+        assert all(b == 1.0 + (a - 1.0) / 2.0 for a, b in zip(alphas, alphas[1:]))
 
 
 class TestComputeUpdate:
@@ -172,10 +182,22 @@ class TestComputeUpdate:
             assert gamma / 5.0 - 1e-9 <= upd.h_gain <= gamma + 1e-9
             assert upd.nd_iters <= nd_iteration_cap(n, d)
 
+    @staticmethod
+    def halvings(alphas):
+        """Length of the leading run of pull-back halvings in a guess step's
+        trial alphas; asserts that every later alpha increases."""
+        k = 0
+        while k + 1 < len(alphas) and alphas[k + 1] < alphas[k]:
+            assert alphas[k + 1] == 1.0 + (alphas[k] - 1.0) / 2.0
+            k += 1
+        assert all(a < b for a, b in zip(alphas[k:], alphas[k + 1:]))
+        return k
+
     def test_one_context_per_guess_step(self, monkeypatch, proxy_evaluations):
         # A steep step evaluates no proxy. A guess step calls proxy_at once
-        # per distinct trial alpha: each seed the band check rejects, then
-        # every alpha that Newton asks h or h' about.
+        # per distinct trial alpha, each through Newton's f: first the
+        # halvings that pull the seed back into the band, then increasing
+        # Newton iterates.
         steps, asked = [], []
         update, newton = framescale.update.compute_update, framescale.update.newton_dinkelbach
 
@@ -185,13 +207,13 @@ class TestComputeUpdate:
                 return g(alpha)
             return wrapped
 
-        def recording_newton(f, f_prime, *args):
-            return newton(asking(f), asking(f_prime), *args)
+        def recording_newton(f, *args):
+            return newton(asking(f), *args)
 
         def recording(*args, **kwargs):
             del proxy_evaluations[:], asked[:]
             upd = update(*args, **kwargs)
-            steps.append((upd.seeded, list(proxy_evaluations), list(dict.fromkeys(asked))))
+            steps.append((upd.seeded, list(proxy_evaluations), list(asked)))
             return upd
 
         monkeypatch.setattr(framescale.update, "newton_dinkelbach", recording_newton)
@@ -213,10 +235,31 @@ class TestComputeUpdate:
                 assert evaluated == []
                 continue
             assert len(set(evaluated)) == len(evaluated) and min(evaluated) > 1.0
-            rejected = len(evaluated) - len(trials)
-            assert evaluated[rejected:] == trials
-            for a, b in zip(evaluated[:rejected], evaluated[1:]):
-                assert b == 1.0 + (a - 1.0) / 2.0
+            assert evaluated == trials
+            self.halvings(evaluated)
+
+    def test_seed_pull_back_on_fuzz_seed_813(self, monkeypatch, proxy_evaluations):
+        # Fuzz seed 813 (2 x 4) is the one recipe seed in 0-1199 whose guess
+        # seeds overshoot the band: 6 halvings over 4 of its guess steps.
+        # Its solve then ends in DerivativeVanished after 14 iterations.
+        steps = []
+        update = framescale.update.compute_update
+
+        def recording(*args, **kwargs):
+            del proxy_evaluations[:]
+            try:
+                return update(*args, **kwargs)
+            finally:
+                if proxy_evaluations:
+                    steps.append(self.halvings(list(proxy_evaluations)))
+
+        monkeypatch.setattr(framescale.update, "compute_update", recording)
+        U, c = fuzz_recipe(813)
+        assert U.shape == (2, 4)
+        with pytest.raises(DerivativeVanished, match="target band unreachable") as info:
+            scale_frame(Frame(U), Marginals(c, d=2), 1e-6, SolverConfig(max_iters=1000))
+        assert len(info.value.trace) == 14
+        assert sum(steps) == 6 and sum(1 for k in steps if k) == 4
 
     def test_rejects_bad_gamma(self, rng):
         frame = random_frame(rng, 2, 5)
@@ -241,7 +284,7 @@ class TestComputeUpdate:
         with pytest.raises(DegenerateMargin):
             compute_update(frame, np.ones(3), [0], gamma, q)
         with pytest.raises(ValueError, match="b_low < b_high"):
-            newton_dinkelbach(math.log, lambda a: 1.0 / a, 1.0, h1 + gamma / 5.0, h1 + gamma, 5)
+            newton_dinkelbach(log_pair, 1.0, h1 + gamma / 5.0, h1 + gamma, 5)
 
 
 def steep_instances(rng, count, max_d=4, max_n=11):
