@@ -18,7 +18,6 @@ from .errors import (
 )
 from .linalg import (
     Frame,
-    GramContext,
     gram_context,
     leverage_scores,
     logdet_psd,
@@ -61,7 +60,7 @@ from .update import (
 )
 
 __all__ = [
-    "Frame", "GramContext", "gram_context", "leverage_scores", "logdet_psd",
+    "Frame", "gram_context", "leverage_scores", "logdet_psd",
     "numerical_rank", "orthonormal_factor", "pinv_trace",
     "Marginals", "MarginSet", "ScalingResult", "SolverConfig",
     "IterationRecord", "Trace", "SCALED", "INFEASIBLE",

@@ -140,21 +140,12 @@ def _scaled_qr(frame: Frame, z) -> tuple[np.ndarray, np.ndarray]:
     return q, rh
 
 
-@dataclass(frozen=True)
-class GramContext:
-    """The R factor of sqrt(Z) U^T, for repeated solves against UZU^T = R^T R."""
+def gram_context(frame: Frame, z) -> np.ndarray:
+    """The upper-triangular R with R^T R = UZU^T, off the thin QR of sqrt(Z) U^T.
 
-    r: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Return (UZU^T)^{-1} b by two triangular solves."""
-        y = scipy.linalg.solve_triangular(self.r, b, trans="T", check_finite=False)
-        return scipy.linalg.solve_triangular(self.r, y, check_finite=False)
-
-
-def gram_context(frame: Frame, z) -> GramContext:
-    """R^T R = UZU^T off the thin QR of sqrt(Z) U^T; fails as ``orthonormal_factor`` does."""
-    return GramContext(r=np.triu(_scaled_qr(frame, z)[1]))
+    Fails as ``orthonormal_factor`` does.
+    """
+    return np.triu(_scaled_qr(frame, z)[1])
 
 
 def orthonormal_factor(frame: Frame, z) -> np.ndarray:
@@ -190,13 +181,17 @@ def numerical_rank(columns) -> int:
     A pivot counts iff its residual column norm exceeds
     ``max(d, k) * eps * (largest column norm)``. The columns are first
     scaled by the exact power of two that brings the largest entry into
-    [1/2, 1), so the column norms neither overflow nor underflow.
+    [1/2, 1), so the column norms neither overflow nor underflow. A
+    non-finite entry raises ValueError.
     """
     m = _as_matrix(columns)
     d, k = m.shape
     if k < 1:
         raise ValueError("need at least one column")
-    m = np.ldexp(m, -np.frexp(np.abs(m).max(initial=0.0))[1])
+    top = np.abs(m).max(initial=0.0)
+    if not top < np.inf:  # NaN fails this test too
+        raise ValueError("columns must be finite")
+    m = np.ldexp(m, -np.frexp(top)[1])
     col_norms = np.linalg.norm(m, axis=0)
     max_norm = float(col_norms.max(initial=0.0))
     if max_norm == 0.0:

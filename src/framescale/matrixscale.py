@@ -166,29 +166,20 @@ def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
     return np.flatnonzero(matrix.support[:, T].any(axis=1))
 
 
-def _mu_weights(matrix: NonnegMatrix, r, y, T, row=None):
-    """Per-row T-mass fractions mu_i and weights r_i over N(T).
-
-    ``row`` is A y when the caller has it; otherwise the full product is
-    formed here, so both routes divide by the same row sums bit for bit.
-    """
-    a = matrix.matrix
-    y = np.asarray(y)
-    part = a[:, T] @ y[T]
+def _mu_weights(matrix: NonnegMatrix, r, y, T, row):
+    """Per-row T-mass fractions mu_i and weights r_i over N(T); ``row`` is A y."""
+    part = matrix.matrix[:, T] @ np.asarray(y)[T]
     nbr = part > 0.0
-    if row is None:
-        row = a @ y
     return part[nbr] / row[nbr], np.asarray(r, dtype=np.float64)[nbr]
 
 
-def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row=None) -> UpdateResult:
+def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row) -> UpdateResult:
     """Solve g(alpha) = gamma on the piecewise-linear surrogate; the step's
     ``UpdateResult``, or InfeasibleSegment when g stays below gamma.
 
     g(alpha) = sum_i r_i (1 - mu_i) min(1, (alpha-1) mu_i) over N(T), which
     sandwiches the true proxy gain within a factor 2. ``row`` is A y, the
-    row sums that ``measure`` formed for this y; without it they are formed
-    here, with the same result bit for bit. Up to the first breakpoint,
+    row sums that ``measure`` formed for this y. Up to the first breakpoint,
     (alpha - 1) max mu <= 1, g is (alpha - 1) sum_i r_i (1 - mu_i) mu_i, so
     when the crossing lies there alpha is read off in closed form; past it,
     ``_breakpoint_walk`` sorts the mu values. ``h_gain`` is the proxy gain
@@ -245,8 +236,11 @@ def _breakpoint_walk(mu: np.ndarray, mass: np.ndarray, target: float) -> float:
 
 
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
-    """h(alpha) - h(1) for the column-sum proxy, in closed form (``step_gain``)."""
-    mu, r_nbr = _mu_weights(matrix, r, y, T)
+    """h(alpha) - h(1) for the column-sum proxy, in closed form (``step_gain``).
+
+    Forms the row sums A y itself; no solve path calls it.
+    """
+    mu, r_nbr = _mu_weights(matrix, r, y, T, matrix.matrix @ np.asarray(y))
     return step_gain(mu, r_nbr * mu * (1.0 - mu), alpha)
 
 
@@ -276,9 +270,13 @@ def matrix_regularize(matrix: NonnegMatrix, y, delta: float) -> np.ndarray:
     raising the floor to it leaves every threshold max(rho, delta)/delta as
     it is. The rho values of all prefixes come from one
     ``matrix_rho_prefixes`` pass, taken only when some gap exceeds the
-    floor's threshold and so could fire.
+    floor's threshold and so could fire. A y whose shape is not (n,) raises
+    ValueError, as in the frame case.
     """
-    return prefix_gap_shrink(np.asarray(y, dtype=np.float64), delta,
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (matrix.n,):
+        raise ValueError("scaling length does not match matrix")
+    return prefix_gap_shrink(y, delta,
                              lambda order, _: matrix_rho_prefixes(matrix, order),
                              max(matrix.rho_floor, delta))
 

@@ -14,24 +14,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotSeparable, PreconditionViolated
-from .linalg import Frame, GramContext, gram_context, leverage_scores
+from .linalg import Frame, gram_context, leverage_scores
 
 
 class QMetric:
-    """Inner product x^T (UZU^T)^{-1} y, solved on the R factor of sqrt(Z) U^T."""
+    """Inner product x^T (UZU^T)^{-1} y, solved on the R factor of sqrt(Z) U^T.
 
-    def __init__(self, ctx: GramContext):
-        self._ctx = ctx
+    ``r`` is upper triangular with R^T R = UZU^T, as ``gram_context`` returns it.
+    """
+
+    def __init__(self, r: np.ndarray):
+        self._r = r
 
     @classmethod
     def from_frame(cls, frame: Frame, z) -> "QMetric":
         return cls(gram_context(frame, z))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """(UZU^T)^{-1} x, for vectors or stacked columns."""
-        return self._ctx.solve(x)
+        """(UZU^T)^{-1} x, for vectors or stacked columns, by two triangular solves."""
+        y = scipy.linalg.solve_triangular(self._r, x, trans="T", check_finite=False)
+        return scipy.linalg.solve_triangular(self._r, y, check_finite=False)
 
     def inner(self, x, y) -> float:
         return float(np.dot(x, self.apply(np.asarray(y, dtype=np.float64))))
@@ -66,7 +71,7 @@ def update_vector(v, u, metric: QMetric) -> np.ndarray:
 class PerceptronResult:
     vector: np.ndarray
     n_updates: int
-    seed_index: int  # -1 for an explicit starting vector
+    seed_index: int  # 2j for the seed +u_j, 2j + 1 for -u_j
 
 
 class _Scan:
@@ -97,11 +102,10 @@ def default_update_cap(gamma: float, d: int) -> int:
 
 
 def improved_perceptron(samples, metric: QMetric, gamma: float,
-                        v0=None, max_updates: int | None = None) -> PerceptronResult:
+                        max_updates: int | None = None) -> PerceptronResult:
     """Find v classifying every gamma-margin sample correctly.
 
-    With v0 given, runs a single instance from that start. Otherwise runs
-    2n instances seeded with +/- u_j round-robin (one update per live
+    Runs 2n instances seeded with +/- u_j round-robin (one update per live
     instance per sweep) and returns the first to finish; some seed has
     positive correlation with any consistent separator, so the race always
     has a winner on separable data.
@@ -117,24 +121,14 @@ def improved_perceptron(samples, metric: QMetric, gamma: float,
     cap = default_update_cap(gamma, d) if max_updates is None else max_updates
     scan = _Scan(samples, metric)
 
-    if v0 is not None:
-        seeds = [np.asarray(v0, dtype=np.float64)]
-        seed_ids = [-1]
-    else:
-        seeds, seed_ids = [], []
-        for j, s in enumerate(samples):
-            seeds.extend([s.point.copy(), -s.point])
-            seed_ids.extend([2 * j, 2 * j + 1])
-
-    vectors = seeds
+    vectors = [v for s in samples for v in (s.point.copy(), -s.point)]
     used = [0] * len(vectors)
     live = list(range(len(vectors)))
     while live:
         for i in list(live):
             j = scan.violation(vectors[i], gamma)
             if j is None:
-                return PerceptronResult(vector=vectors[i], n_updates=used[i],
-                                        seed_index=seed_ids[i])
+                return PerceptronResult(vector=vectors[i], n_updates=used[i], seed_index=i)
             vectors[i] = update_vector(vectors[i], samples[j].point, metric)
             used[i] += 1
             if used[i] >= cap:

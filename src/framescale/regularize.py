@@ -21,21 +21,20 @@ from .linalg import (_EPS, Frame, gram_context, orthonormal_factor, pinv_trace, 
                      validate_scaling)
 
 
-def rho_overestimate(frame: Frame, T, q0: np.ndarray | None = None) -> float:
+def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
     """Pseudo-inverse trace of U_T^T (UU^T)^{-1} U_T.
 
     Sandwiched between 1 + rho_T(U) and d (1 + rho_T(U)); equals 0 only
     when every column in T is zero. With ``q0 = orthonormal_factor(frame,
-    ones)`` (factored here when None), that matrix is q0[T] q0[T]^T, so the
-    trace is the sum of 1/s^2 over the singular values s of q0[T] above
-    ``max(|T|, d) * eps * s_max``. Eigenvalues far below eps times the
-    largest are resolved, which forming the matrix itself would round away.
+    ones)``, which ``RhoCache`` factors once per frame, that matrix is
+    q0[T] q0[T]^T, so the trace is the sum of 1/s^2 over the singular
+    values s of q0[T] above ``max(|T|, d) * eps * s_max``. Eigenvalues far
+    below eps times the largest are resolved, which forming the matrix
+    itself would round away.
     """
     T = np.asarray(T, dtype=np.intp)
     if T.size == 0:
         raise ValueError("T must be nonempty")
-    if q0 is None:
-        q0 = orthonormal_factor(frame, np.ones(frame.n))
     s = np.linalg.svd(q0[T], compute_uv=False)
     keep = s > max(T.size, frame.d) * _EPS * s.max(initial=0.0)
     return float(np.sum(1.0 / s[keep] ** 2))
@@ -53,7 +52,7 @@ class RhoCache:
         key = np.sort(T).astype(np.int64).tobytes()
         val = self._values.get(key)
         if val is None:
-            val = rho_overestimate(self.frame, T, q0=self._q0)
+            val = rho_overestimate(self.frame, T, self._q0)
             self._values[key] = val
         return val
 

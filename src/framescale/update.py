@@ -176,10 +176,11 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     ``q`` is ``orthonormal_factor(frame, z)``, factored here when None.
     mu_tilde is ||Q_T (I - W W^T)||_F^2 with W the thin Q of Q_D^T: the
     leverage mass of T outside the span of the chosen columns D, summed
-    directly rather than as a difference. The search for D runs on the
-    columns of T in sorted order, so its last thin QR is that of Q_D^T and
-    W is read off it. Raises FactorizationFailure when Q_D is numerically
-    rank-deficient.
+    directly rather than as a difference. The rank of U_T and the search
+    for D both take the columns of T in sorted order: the rank is then the
+    one ``solver.infeasibility_certificate`` computed for this set, and the
+    search's last thin QR is that of Q_D^T, so W is read off it. Raises
+    FactorizationFailure when Q_D is numerically rank-deficient.
     """
     T = np.asarray(T, dtype=np.intp)
     if q is None:
@@ -188,14 +189,14 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     if hp1 >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
     p = _round_half_away(trace)
-    rank_t = numerical_rank(frame.columns(T))
+    ts = np.sort(T)
+    rank_t = numerical_rank(frame.columns(ts))
     if p > rank_t:
         raise PreconditionViolated(f"rounded trace {p} exceeds rk(U_T)={rank_t}")
     if p == rank_t:
         return EigenSumEstimate(mu_tilde=0.0, p=p)
     if p == 0:
         return EigenSumEstimate(mu_tilde=trace, p=0)
-    ts = np.sort(T)
     chosen, _, w, rd = _det_local_opt_columns(q[ts].T, p)
     _require_full_rank(rd, "projector block singular in eigen-sum guess")
     rest = q[T] - (q[T] @ w) @ w.T
@@ -203,22 +204,22 @@ def approx_small_eigen_sum(frame: Frame, z, T,
                             D=ts[chosen])
 
 
-def det_local_opt(frame: Frame, z, T, p: int, q: np.ndarray | None = None) -> np.ndarray:
+def det_local_opt(frame: Frame, z, T, p: int) -> np.ndarray:
     """Pivoted-QR greedy, then swaps: a 2-approximate determinant maximizer.
 
     Maximizes principal minors of the T-block kernel sqrt(Z) U^T (UZU^T)^{-1}
     U sqrt(Z) = X^T X, with X = Q_T^T read off the thin orthonormal factor
-    ``q = orthonormal_factor(frame, z)`` (factored here when None); the
-    kernel's trace is h(1) and the kernel itself is never formed. Ties go
-    to the smallest index (pair) so reruns are reproducible.
+    ``orthonormal_factor(frame, z)``, formed here; the kernel's trace is
+    h(1) and the kernel itself is never formed. Ties go to the smallest
+    index (pair) so reruns are reproducible. No solve path calls it: the
+    guess branch searches the iterate's own factor through
+    ``_det_local_opt_columns``.
     """
     T = np.asarray(T, dtype=np.intp)
     rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
-    if q is None:
-        q = orthonormal_factor(frame, z)
-    x = q[T].T
+    x = orthonormal_factor(frame, z)[T].T
     trace = float(np.einsum("ij,ij->", x, x))
     if trace < p - 0.5:
         raise PreconditionViolated(f"trace {trace:g} below p - 1/2 = {p - 0.5:g}")

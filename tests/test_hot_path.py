@@ -15,6 +15,7 @@ solver's other budget, no ``matrix_rho_prefixes`` pass on those matrices,
 is checked in ``test_matrixscale.py``.
 """
 
+import numpy as np
 import pytest
 
 import framescale.matrixscale
@@ -56,12 +57,11 @@ def test_matrix_steps_take_the_closed_form(seed, monkeypatch):
         walks.append(None)
         return walk(*args)
 
-    def checking_update(matrix, r, y, T, gamma, row=None):
-        # The loop hands every step its row sums, and they change nothing.
-        upd = update(matrix, r, y, T, gamma, row)
-        assert row is not None and upd == update(matrix, r, y, T, gamma)
+    def checking_update(matrix, r, y, T, gamma, row):
+        # The loop hands every step the row sums A y of the iterate it steps from.
+        assert np.array_equal(row, matrix.matrix @ y)
         steps.append(None)
-        return upd
+        return update(matrix, r, y, T, gamma, row)
 
     monkeypatch.setattr(framescale.matrixscale, "_breakpoint_walk", counting_walk)
     monkeypatch.setattr(framescale.matrixscale, "matrix_update", checking_update)

@@ -9,6 +9,7 @@ from framescale import (
     FactorizationFailure,
     Frame,
     NotSymmetric,
+    QMetric,
     gram_context,
     leverage_scores,
     logdet_psd,
@@ -26,24 +27,24 @@ from conftest import (fraction_inverse, pivoted_qr_inputs, random_frame, random_
 
 class TestGramContext:
     def test_identity(self):
-        ctx = gram_context(Frame(np.eye(2)), np.ones(2))
-        np.testing.assert_allclose(ctx.r.T @ ctx.r, np.eye(2))
+        r = gram_context(Frame(np.eye(2)), np.ones(2))
+        np.testing.assert_allclose(r.T @ r, np.eye(2))
 
     def test_hand_computed(self):
         U = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-        ctx = gram_context(U, np.ones(3))
-        np.testing.assert_allclose(ctx.r.T @ ctx.r, [[2.0, 1.0], [1.0, 2.0]])
+        r = gram_context(U, np.ones(3))
+        np.testing.assert_allclose(r.T @ r, [[2.0, 1.0], [1.0, 2.0]])
 
     def test_diagonal(self):
-        ctx = gram_context(Frame(np.eye(2)), np.array([4.0, 9.0]))
-        np.testing.assert_allclose(ctx.r.T @ ctx.r, np.diag([4.0, 9.0]))
+        r = gram_context(Frame(np.eye(2)), np.array([4.0, 9.0]))
+        np.testing.assert_allclose(r.T @ r, np.diag([4.0, 9.0]))
 
     def test_deterministic(self, rng):
         frame = random_frame(rng, 3, 7)
         z = random_scaling(rng, 7)
         a = gram_context(frame, z)
         b = gram_context(frame, z)
-        assert np.array_equal(a.r.T @ a.r, b.r.T @ b.r)
+        assert np.array_equal(a.T @ a, b.T @ b)
 
     def test_singular_raises(self):
         # The scaled frame diag(1, 1e-20) is numerically rank-deficient.
@@ -53,16 +54,16 @@ class TestGramContext:
     @pytest.mark.parametrize("gap", [2e-14, 2e-10, 2e-8])
     def test_nearly_parallel_rows_solve(self, gap):
         # UU^T has condition number cond(U)^2, beyond a Gram Cholesky, but
-        # the R factor keeps the forward error of the solve within
-        # cond(U) * eps of the exact rational solution.
+        # the two triangular solves on R that QMetric runs keep the forward
+        # error within cond(U) * eps of the exact rational solution.
         U = np.array([[1.0, 1.0], [1.0, 1.0 + gap]])
-        ctx = gram_context(Frame(U), np.ones(2))
+        metric = QMetric(gram_context(Frame(U), np.ones(2)))
         rows = [[Fraction(float(v)) for v in row] for row in U]
         gram = [[sum(a * c for a, c in zip(ri, rk)) for rk in rows] for ri in rows]
         b = np.array([1.0, -2.0])
         exact = np.array([float(g0 * Fraction(b[0]) + g1 * Fraction(b[1]))
                           for g0, g1 in fraction_inverse(gram)])
-        err = np.linalg.norm(ctx.solve(b) - exact) / np.linalg.norm(exact)
+        err = np.linalg.norm(metric.apply(b) - exact) / np.linalg.norm(exact)
         assert err <= np.linalg.cond(U) * np.finfo(np.float64).eps
 
     def test_rejects_bad_scaling(self):
@@ -79,7 +80,7 @@ class TestGramContext:
             n = int(rng.integers(d, 20))
             frame = random_frame(rng, d, n)
             z = random_scaling(rng, n)
-            r = gram_context(frame, z).r
+            r = gram_context(frame, z)
             assert np.array_equal(r, np.linalg.qr((frame.matrix * np.sqrt(z)).T)[1])
             assert np.array_equal(r, np.triu(r))
 
@@ -214,6 +215,12 @@ class TestNumericalRank:
         assert numerical_rank(np.array([[1.0, 1.0], [0.0, 0.0]])) == 1
         assert numerical_rank(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])) == 2
         assert numerical_rank(np.zeros((3, 2))) == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # A non-finite entry used to give rank 0.
+        with pytest.raises(ValueError, match="finite"):
+            numerical_rank(np.array([[bad, 1.0], [0.0, 1.0]]))
 
     def test_exhaustive_small_vs_rational(self):
         entries = range(-2, 3)

@@ -162,7 +162,7 @@ class TestMatrixUpdate:
         A = NonnegMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
         y = np.ones(2)
         r = np.array([1.0, 1.0])
-        alpha = matrix_update(A, r, y, [0], 0.2).alpha
+        alpha = matrix_update(A, r, y, [0], 0.2, A.matrix @ y).alpha
         assert alpha == pytest.approx(1.8)
 
     def test_gamma_near_supremum(self, rng):
@@ -173,7 +173,7 @@ class TestMatrixUpdate:
         part = A.matrix[:, T] @ y[T]
         mu = part / (A.matrix @ y)
         sup = float((r * (1 - mu)).sum())
-        alpha = matrix_update(A, r, y, T, sup - 1e-15).alpha
+        alpha = matrix_update(A, r, y, T, sup - 1e-15, A.matrix @ y).alpha
         assert np.isfinite(alpha)
         assert alpha <= 1.0 + 1.0 / mu.min() + 1e-6
 
@@ -187,7 +187,7 @@ class TestMatrixUpdate:
             y = 10.0 ** rng.uniform(-2, 2, size=6)
             T = rng.permutation(6)[:3]
             mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
-            upd = matrix_update(A, r, y, T, 0.5 * float((r * (1 - mu)).sum()))
+            upd = matrix_update(A, r, y, T, 0.5 * float((r * (1 - mu)).sum()), A.matrix @ y)
             assert upd.h_gain == matrix_proxy_gain(A, r, y, T, upd.alpha)
             nbr = mu > 0.0
             hp_one = float((r[nbr] * mu[nbr] * (1.0 - mu[nbr])).sum())
@@ -200,13 +200,13 @@ class TestMatrixUpdate:
         # min(inf, supremum); both are rejected, as compute_update does.
         A = NonnegMatrix(np.random.default_rng(0).random((4, 4)) + 0.1)
         with pytest.raises(ValueError, match="gamma"):
-            matrix_update(A, np.ones(4), np.ones(4), [0], gamma)
+            matrix_update(A, np.ones(4), np.ones(4), [0], gamma, A.matrix.sum(axis=1))
 
     def test_saturated_rows_infeasible(self):
         # T touches every row's full mass: supremum 0
         A = NonnegMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
         with pytest.raises(InfeasibleSegment):
-            matrix_update(A, np.ones(2), np.ones(3), [0, 1, 2], 0.1)
+            matrix_update(A, np.ones(2), np.ones(3), [0, 1, 2], 0.1, A.matrix.sum(axis=1))
 
     def test_gain_band(self, rng):
         for _ in range(50):
@@ -221,7 +221,7 @@ class TestMatrixUpdate:
             mu = part / (A.matrix @ y)
             sup = float((r * (1 - mu)).sum())
             gamma = 0.9 * sup * rng.random() + 1e-9
-            alpha = matrix_update(A, r, y, T, gamma).alpha
+            alpha = matrix_update(A, r, y, T, gamma, A.matrix @ y).alpha
             gain = matrix_proxy_gain(A, r, y, T, alpha)
             assert gamma / 2.0 - 1e-9 <= gain <= gamma + 1e-9
 
@@ -238,7 +238,7 @@ class TestMatrixUpdate:
             mu = (A.matrix[:, T] @ y[T]) / (A.matrix @ y)
             sup = float((r * (1 - mu)).sum())
             gamma = 0.95 * sup * rng.random() + 1e-9
-            alpha = matrix_update(A, r, y, T, gamma).alpha
+            alpha = matrix_update(A, r, y, T, gamma, A.matrix @ y).alpha
             g = sum(ri * (1.0 - mi) * min(1.0, (alpha - 1.0) * mi) for ri, mi in zip(r, mu))
             assert g == pytest.approx(gamma, rel=1e-9, abs=1e-12)
 
@@ -264,7 +264,7 @@ class TestMatrixUpdate:
             mass = r * (1.0 - mu)
             gamma = 0.95 * float(mass.sum()) * rng.random() + 1e-9
             before = len(walked)
-            alpha = matrix_update(A, r, y, T, gamma).alpha
+            alpha = matrix_update(A, r, y, T, gamma, A.matrix @ y).alpha
             if len(walked) == before:
                 first += 1
                 want = walk(mu, mass, gamma)  # every row is in N(T) and keeps mass
@@ -307,7 +307,7 @@ class TestMatrixUpdate:
                 sup = float((r * (1 - mu))[part > 0].sum())
                 if sup <= 0.0:
                     continue
-                alpha = matrix_update(A, r, y, T, 0.9 * sup * rng.random() + 1e-9).alpha
+                alpha = matrix_update(A, r, y, T, 0.9 * sup * rng.random() + 1e-9, a @ y).alpha
             exact = exact_t_mass(a, r, y, T, alpha) - exact_t_mass(a, r, y, T, 1.0)
             gain = matrix_proxy_gain(A, r, y, T, alpha)
             assert abs(Fraction(gain) - exact) <= Fraction(1e-10) * exact
@@ -688,7 +688,7 @@ def reference_scale_matrix(matrix, marginals, eps, config=None):
         if float(c[T].sum()) > float(r[nbr].sum()) + HALL_TOL_REL * s:
             return certified(T, it, err_sq, trace)
         try:
-            upd = matrix_update(matrix, r, y, T, ms.gamma)
+            upd = matrix_update(matrix, r, y, T, ms.gamma, a @ y)
         except InfeasibleSegment:
             if float(c[T].sum()) > float(r[nbr].sum()):
                 return certified(T, it, err_sq, trace)
@@ -739,7 +739,8 @@ class TestBitIdentity:
             ms = select_margin_set(column_sums(matrix, marginals.r, np.ones(2)), marginals.c)
             assert list(ms.indices) == [0]
             with pytest.raises(InfeasibleSegment):
-                matrix_update(matrix, marginals.r, np.ones(2), [0], ms.gamma)
+                matrix_update(matrix, marginals.r, np.ones(2), [0], ms.gamma,
+                              matrix.matrix.sum(axis=1))
         got = scale_matrix(matrix, marginals, eps)
         want = reference_scale_matrix(matrix, marginals, eps)
         assert got.status == want.status

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framescale import (Frame, Marginals, NonnegMatrix, leverage_scores, regularize,
-                        rho_overestimate, scale_frame)
+from framescale import (Frame, Marginals, NonnegMatrix, leverage_scores, orthonormal_factor,
+                        regularize, rho_overestimate, scale_frame)
 from framescale.generate import gen_bipartite, gen_gaussian
 from framescale.matrixscale import matrix_regularize
 from framescale.regularize import RhoCache
@@ -29,17 +29,22 @@ def true_one_plus_rho(U, T):
     return 1.0 / nonzero.min()
 
 
+def rho_hat(frame, T):
+    """rho_overestimate with the unscaled frame's factor, as RhoCache forms it."""
+    return rho_overestimate(frame, T, orthonormal_factor(frame, np.ones(frame.n)))
+
+
 class TestRhoOverestimate:
     def test_orthonormal(self):
-        assert rho_overestimate(Frame(np.eye(2)), [0]) == pytest.approx(1.0)
+        assert rho_hat(Frame(np.eye(2)), [0]) == pytest.approx(1.0)
 
     def test_scalar_pair(self):
         frame = Frame(np.array([[1.0, 1.0]]))
-        assert rho_overestimate(frame, [0]) == pytest.approx(2.0)
+        assert rho_hat(frame, [0]) == pytest.approx(2.0)
 
     def test_hand_computed(self):
         frame = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-        assert rho_overestimate(frame, [2]) == pytest.approx(1.5)
+        assert rho_hat(frame, [2]) == pytest.approx(1.5)
 
     def test_sandwich(self, rng):
         for _ in range(40):
@@ -48,9 +53,9 @@ class TestRhoOverestimate:
             frame = random_frame(rng, d, n)
             k = int(rng.integers(1, n))
             T = np.sort(rng.permutation(n)[:k])
-            rho_hat = rho_overestimate(frame, T)
+            estimate = rho_hat(frame, T)
             lower = true_one_plus_rho(frame.matrix, T)
-            assert lower * (1 - 1e-8) <= rho_hat <= d * lower * (1 + 1e-8)
+            assert lower * (1 - 1e-8) <= estimate <= d * lower * (1 + 1e-8)
 
     def test_exact_on_tiny_eigenvalue(self):
         # Recipe seed 43 (near-deficient last row): M = U_T^T (UU^T)^{-1} U_T
@@ -68,14 +73,14 @@ class TestRhoOverestimate:
         m_inv = fraction_inverse(m)
         exact = float(sum(m_inv[i][i] for i in range(len(T))))
         assert exact == pytest.approx(4.0646e19, rel=1e-4)
-        assert rho_overestimate(Frame(U), T) == pytest.approx(exact, rel=1e-4)
+        assert rho_hat(Frame(U), T) == pytest.approx(exact, rel=1e-4)
 
     def test_cache_consistent(self, rng):
         frame = random_frame(rng, 3, 8)
         cache = RhoCache(frame)
         T = np.array([1, 4])
         assert cache.rho(T) == cache.rho(T)
-        assert cache.rho(T) == pytest.approx(rho_overestimate(frame, T))
+        assert cache.rho(T) == pytest.approx(rho_hat(frame, T))
 
 
 class TestRegularize:
@@ -158,6 +163,16 @@ class TestRegularize:
         for delta in (0.0, 0.5, 1.0, -0.1):
             with pytest.raises(ValueError):
                 regularize(frame, np.ones(5), delta)
+
+
+@pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 1))])
+def test_both_regularizers_reject_a_misshapen_scaling(bad):
+    # Over 3 columns: matrix_regularize used to return 4 entries for the
+    # first and raise TypeError for the second.
+    with pytest.raises(ValueError, match="scaling length does not match frame"):
+        regularize(Frame(np.eye(3)), bad, 0.1)
+    with pytest.raises(ValueError, match="scaling length does not match matrix"):
+        matrix_regularize(NonnegMatrix(np.ones((3, 3))), bad, 0.1)
 
 
 class CountingRhoCache(RhoCache):

@@ -685,10 +685,10 @@ class TestDetLocalOptOracle:
                 chosen, s = det_local_opt_oracle(q[T] @ q[T].T, p)
             except FactorizationFailure:
                 with pytest.raises(FactorizationFailure):
-                    det_local_opt(frame, z, T, p, q=q)
+                    det_local_opt(frame, z, T, p)
                 continue
             swaps += s
-            assert list(det_local_opt(frame, z, T, p, q=q)) == list(np.sort(T[chosen]))
+            assert list(det_local_opt(frame, z, T, p)) == list(np.sort(T[chosen]))
         assert swaps >= 10
 
     def test_picks_match_the_scipy_route(self, rng, monkeypatch):
