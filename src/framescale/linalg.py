@@ -40,13 +40,37 @@ def validate_scaling(z, n: int) -> np.ndarray:
     if z.shape != (n,):
         raise ValueError(f"scaling has shape {z.shape}, expected ({n},)")
     # The common case in two reductions; NaN fails both tests and falls through.
-    if z.min() > 0.0 and z.max() < np.inf:
+    if np.minimum.reduce(z) > 0.0 and np.maximum.reduce(z) < np.inf:
         return z
     if not np.all(np.isfinite(z)):
         raise ValueError("scaling has non-finite entries")
     if np.any(z <= 0.0):
         raise ValueError("scaling entries must be strictly positive")
     return z
+
+
+def _column_mask(T, n: int) -> np.ndarray:
+    """The boolean mask over n columns of the column set T.
+
+    T must be a nonempty set of distinct column indices in [0, n), and of
+    an integer dtype, so a boolean mask or float indices are rejected rather
+    than cast; otherwise raises ValueError. One ``bincount`` checks it all:
+    it rejects a negative index, grows past n on an index >= n, and counts
+    a repeated index twice.
+    """
+    T = np.asarray(T)
+    message = "T must be a nonempty set of distinct column indices in [0, n)"
+    if T.size == 0:
+        raise ValueError(message)
+    if T.dtype.kind not in "iu":
+        raise ValueError(f"T must hold integer column indices, got dtype {T.dtype}")
+    try:
+        counts = np.bincount(T, minlength=n)
+    except ValueError:
+        raise ValueError(message) from None
+    if counts.size != n or np.count_nonzero(counts) != T.size:
+        raise ValueError(message)
+    return counts.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -125,17 +149,25 @@ def _dgeqp3_lwork(m: int, n: int) -> int:
 
 
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
-    """Raise FactorizationFailure(failure) when a diagonal entry of the k x k
-    R in ``rh`` is at or below ``k * eps`` times the largest."""
+    """Raise FactorizationFailure(failure) unless every diagonal entry of the
+    k x k R in ``rh`` is above ``k * eps`` times the largest; a NaN fails."""
     rdiag = np.abs(rh.diagonal())
-    if rdiag.size and rdiag.min() <= rh.shape[1] * _EPS * rdiag.max():
+    if rdiag.size and not (np.minimum.reduce(rdiag)
+                           > rh.shape[1] * _EPS * np.maximum.reduce(rdiag)):
         raise FactorizationFailure(failure)
 
 
-def _scaled_qr(frame: Frame, z) -> tuple[np.ndarray, np.ndarray]:
-    """``_thin_qr`` of sqrt(Z) U^T after ``validate_scaling``, checked by
-    ``_require_full_rank``."""
-    q, rh = _thin_qr((frame.matrix * np.sqrt(validate_scaling(z, frame.n))).T)
+def _scaled_qr(frame: Frame, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_thin_qr`` of sqrt(Z) U^T, checked by ``_require_full_rank``.
+
+    z is not checked here: it must be a positive finite binary64 vector of
+    length n. The public entries (``orthonormal_factor``, ``gram_context``,
+    ``update.proxy_at``) pass it through ``validate_scaling`` first. The
+    frame solve measures z = 1 and then only what ``prefix_gap_shrink``
+    returns, and the shrink raises validate_scaling's errors on a z that
+    is not positive and finite.
+    """
+    q, rh = _thin_qr((frame.matrix * np.sqrt(z)).T)
     _require_full_rank(rh, "scaled frame numerically rank-deficient")
     return q, rh
 
@@ -145,7 +177,7 @@ def gram_context(frame: Frame, z) -> np.ndarray:
 
     Fails as ``orthonormal_factor`` does.
     """
-    return np.triu(_scaled_qr(frame, z)[1])
+    return np.triu(_scaled_qr(frame, validate_scaling(z, frame.n))[1])
 
 
 def orthonormal_factor(frame: Frame, z) -> np.ndarray:
@@ -156,9 +188,9 @@ def orthonormal_factor(frame: Frame, z) -> np.ndarray:
     row norms) and, on the rows of a set T, the step-size proxy at alpha =
     1. Raises FactorizationFailure when a diagonal entry of R is at or below
     ``d * eps`` times the largest, i.e. the scaled frame is numerically
-    rank-deficient.
+    rank-deficient, and ValueError when z fails ``validate_scaling``.
     """
-    return _scaled_qr(frame, z)[0]
+    return _scaled_qr(frame, validate_scaling(z, frame.n))[0]
 
 
 def leverage_scores(frame: Frame, z) -> np.ndarray:

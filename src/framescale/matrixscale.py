@@ -153,7 +153,7 @@ def _column_and_row_sums(matrix: NonnegMatrix, r, y) -> tuple[np.ndarray, np.nda
     y = np.asarray(y, dtype=np.float64)
     a = matrix.matrix
     row = a @ y
-    if (row <= 0.0).any():
+    if np.logical_or.reduce(row <= 0.0):
         raise ZeroRowSum("a row has zero weighted sum under this scaling")
     return y * (a.T @ (np.asarray(r, dtype=np.float64) / row)), row
 
@@ -193,14 +193,15 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row) -> UpdateRes
     mass = w * rest
     keep = mass > 0.0  # rows fully inside T contribute nothing
     mu_k, mass = mu[keep], mass[keep]
-    supremum = float(mass.sum())
+    supremum = float(np.add.reduce(mass))
     # On a Hall-feasible margin set the true supremum is >= gamma; only
     # summation roundoff (absolute, at the r-mass scale) can undercut it.
     # The r-mass term only lowers the threshold, so it is summed only below
     # gamma's own term. A supremum of 0, no row of N(T) keeping mass outside
     # T, leaves no step to take whatever gamma is.
-    if supremum == 0.0 or (supremum < gamma - 1e-9 * gamma
-                           and supremum < gamma - (1e-9 * gamma + 1e-12 * float(w.sum()))):
+    if supremum == 0.0 or (
+            supremum < gamma - 1e-9 * gamma
+            and supremum < gamma - (1e-9 * gamma + 1e-12 * float(np.add.reduce(w)))):
         raise InfeasibleSegment(
             f"surrogate supremum {supremum:g} < gamma {gamma:g}; "
             "the Hall check should have certified this set"
@@ -208,8 +209,8 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row) -> UpdateRes
     # A tight feasible set has supremum == gamma up to roundoff; the exact
     # crossing then sits at the last breakpoint, so solve for min(gamma, sup).
     target = min(gamma, supremum)
-    slope = float((mass * mu_k).sum())
-    if target * float(mu_k.max()) <= slope:
+    slope = float(np.add.reduce(mass * mu_k))
+    if target * float(np.maximum.reduce(mu_k)) <= slope:
         alpha = 1.0 + target / slope
     else:
         alpha = _breakpoint_walk(mu_k, mass, target)

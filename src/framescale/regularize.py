@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 # gram_context and pinv_trace stay module attributes: perfbench/spans.py wraps them here.
-from .linalg import (_EPS, Frame, gram_context, orthonormal_factor, pinv_trace,  # noqa: F401
-                     validate_scaling)
+from .linalg import (_EPS, Frame, _column_mask, gram_context, orthonormal_factor,  # noqa: F401
+                     pinv_trace, validate_scaling)
 
 
 def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
@@ -30,11 +30,11 @@ def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
     q0[T] q0[T]^T, so the trace is the sum of 1/s^2 over the singular
     values s of q0[T] above ``max(|T|, d) * eps * s_max``. Eigenvalues far
     below eps times the largest are resolved, which forming the matrix
-    itself would round away.
+    itself would round away. T must be a nonempty set of distinct integer
+    column indices in [0, n) (``linalg._column_mask``), else ValueError.
     """
+    _column_mask(T, frame.n)
     T = np.asarray(T, dtype=np.intp)
-    if T.size == 0:
-        raise ValueError("T must be nonempty")
     s = np.linalg.svd(q0[T], compute_uv=False)
     keep = s > max(T.size, frame.d) * _EPS * s.max(initial=0.0)
     return float(np.sum(1.0 / s[keep] ** 2))
@@ -55,6 +55,11 @@ class RhoCache:
             val = rho_overestimate(self.frame, T, self._q0)
             self._values[key] = val
         return val
+
+    def prefix_rhos(self, order: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """``prefix_gap_shrink``'s ``rhos``: entry k - 1 is the rho of
+        ``order[:k]`` at each candidate gap k, and 0 elsewhere."""
+        return np.array([self.rho(order[:k]) if c else 0.0 for k, c in enumerate(candidates, 1)])
 
 
 def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.ndarray:
@@ -91,7 +96,7 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     low = float(z[lo])
     # max/min, NaN for a NaN, zero or negative min and inf for an infinite
     # max; as Python floats it overflows to inf without a warning.
-    span = float(z.max()) / low if low > 0.0 else np.nan
+    span = float(np.maximum.reduce(z)) / low if low > 0.0 else np.nan
     if not span < np.inf:
         validate_scaling(z, len(z))
         raise ValueError("scaling max/min overflows binary64")
@@ -100,7 +105,7 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
         order = np.argsort(-z, kind="stable")
         ratios = zs[order[:-1]] / zs[order[1:]]
         candidates = ratios * (delta / floor) > headroom
-        if candidates.any():
+        if np.logical_or.reduce(candidates):
             thresholds = np.maximum(rhos(order, candidates), floor) / delta
             for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
                 zs[order[:k + 1]] *= thresholds[k] / ratios[k]
@@ -128,8 +133,4 @@ def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> 
         raise ValueError("scaling length does not match frame")
     if cache is None:
         cache = RhoCache(frame)
-
-    def rhos(order, candidates):
-        return np.array([cache.rho(order[:k]) if c else 0.0 for k, c in enumerate(candidates, 1)])
-
-    return prefix_gap_shrink(z, delta, rhos, 1.0)
+    return prefix_gap_shrink(z, delta, cache.prefix_rhos, 1.0)

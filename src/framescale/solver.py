@@ -25,6 +25,7 @@ import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .errors import (DegenerateMargin, InfeasibleSegment, IterationCapExceeded,
                      PreconditionViolated, ScalingError)
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
-from .linalg import Frame, leverage_scores, numerical_rank, orthonormal_factor  # noqa: F401
+from .linalg import (Frame, _column_mask, _scaled_qr, leverage_scores,  # noqa: F401
+                     numerical_rank)
 
 SCALED = "scaled"
 INFEASIBLE = "infeasible"
@@ -72,8 +74,7 @@ class Marginals:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class MarginSet:
+class MarginSet(NamedTuple):
     """Prefix set under the sort order of lev - c, with margin gamma at nu."""
 
     order: np.ndarray  # argsort permutation of lev - c, ascending
@@ -102,10 +103,11 @@ def select_margin_set(lev, c) -> MarginSet:
     if n < 2:
         raise ValueError("margin selection needs n >= 2")
     x = lev - c
-    total = float(x.sum())
+    total = float(np.add.reduce(x))
     # The tolerance is at least 1e-8, so |c|_1 is summed only past that. A
     # NaN total passes neither test and is rejected.
-    if not (abs(total) <= 1e-8 or abs(total) <= 1e-8 * max(1.0, float(np.abs(c).sum()))):
+    if not (abs(total) <= 1e-8
+            or abs(total) <= 1e-8 * max(1.0, float(np.add.reduce(np.abs(c))))):
         raise ValueError(f"lev - c must sum to 0, got {total!r}")
     order = x.argsort(kind="stable")
     xs = x[order]
@@ -113,7 +115,7 @@ def select_margin_set(lev, c) -> MarginSet:
     k = int(gaps.argmax())  # first maximum: smallest cut wins ties
     gamma = float(gaps[k]) / 2.0
     nu = float(xs[k] + xs[k + 1]) / 2.0
-    if gamma == 0.0 and float(np.abs(x).max()) > 0.0:
+    if gamma == 0.0 and float(np.maximum.reduce(np.abs(x))) > 0.0:
         raise DegenerateMargin("zero margin on a nonzero error vector")
     return MarginSet(order=order, k=k + 1, gamma=gamma, nu=nu)
 
@@ -131,12 +133,7 @@ def infeasibility_certificate(frame: Frame, c, T,
     guard and, after a step proves the band unreachable, once more with
     ``tol=0.0``.
     """
-    T = np.asarray(T)
-    if T.size and T.dtype.kind not in "iu":
-        raise ValueError(f"T must hold integer column indices, got dtype {T.dtype}")
-    T = np.sort(T.astype(np.intp, copy=False))
-    if T.size == 0 or T[0] < 0 or T[-1] >= frame.n or (T[1:] == T[:-1]).any():
-        raise ValueError("T must be a nonempty set of distinct column indices in [0, n)")
+    T = np.flatnonzero(_column_mask(T, frame.n))
     c = np.asarray(c, dtype=np.float64)
     if numerical_rank(frame.columns(T)) < float(c[T].sum()) - tol:
         return T
@@ -251,8 +248,7 @@ class ScalingResult:
         return self.status == SCALED
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+class UpdateResult(NamedTuple):
     """One step as a ``step`` closure hands it to the margin loop; a step
     that proves the band unreachable raises InfeasibleSegment instead."""
 
@@ -269,7 +265,7 @@ def step_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
     Frames: mu the eigenvalues of P = Q_T^T Q_T, w = mu (1 - mu). Matrices:
     mu_i row i's T-mass fraction, w = r mu (1 - mu), over N(T)."""
     s = alpha - 1.0
-    return float((s * w / (1.0 + s * mu)).sum())
+    return float(np.add.reduce(s * w / (1.0 + s * mu)))
 
 
 def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,
@@ -277,16 +273,19 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     """The margin loop shared by the frame and the matrix solver.
 
     ``measure(z)`` gives the marginals m of z and a factor of z (the loop
-    owns the error ||m - c||^2), ``certificate(T)`` a certificate or None,
-    ``step(z, T, gamma, factor)`` an ``UpdateResult``, and ``shrink(z,
-    gamma)`` the regularized z, whose min must be exactly 1. ``step`` gets
-    the factor that ``measure`` returned for the z it steps from; the loop
-    never reads it. The trace records ||log z||_inf, which for min z = 1 is
-    log max z. A ScalingError leaving the loop carries the trace. <m, 1>
-    does not move with z, and ||m - c||^2 >= (<m, 1> - <c, 1>)^2 / n; when
-    the first measurement puts this bound above eps^2, the loop decides the
-    first margin set and, if it does not certify, raises
-    PreconditionViolated in place of the first step.
+    owns the error ||m - c||^2, summed once per measurement off x = m - c),
+    ``certificate(T)`` a certificate or None, ``step(z, T, gamma, factor)``
+    an ``UpdateResult``, and ``shrink(z, gamma)`` the regularized z, whose
+    min must be exactly 1. ``measure`` sees only z = 1 and what ``shrink``
+    returns, so ``shrink`` is where a stepped z that is not positive and
+    finite must raise; the frame's ``measure`` does not check z again.
+    ``step`` gets the factor that ``measure`` returned for the z it steps
+    from; the loop never reads it. The trace records ||log z||_inf, which
+    for min z = 1 is log max z. A ScalingError leaving the loop carries the
+    trace. <m, 1> does not move with z, and ||m - c||^2 >= (<m, 1> -
+    <c, 1>)^2 / n; when the first measurement puts this bound above eps^2,
+    the loop decides the first margin set and, if it does not certify,
+    raises PreconditionViolated in place of the first step.
 
     ``certificate`` gets T in sorted order and must depend on the set alone,
     never on the scaling: margin sets recur, and each distinct set is
@@ -300,8 +299,9 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     cap = config.iteration_cap(n, eps)
     z = np.ones(n)
     marginals, factor = measure(z)
-    err_sq = float(((marginals - c) ** 2).sum())
-    m_total, c_total = float(marginals.sum()), float(c.sum())
+    x = marginals - c
+    err_sq = float(np.add.reduce(x * x))
+    m_total, c_total = float(np.add.reduce(marginals)), float(np.add.reduce(c))
     least = (m_total - c_total) ** 2 / n
     trace = Trace()
     decided: dict[bytes, np.ndarray | None] = {}
@@ -341,9 +341,10 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
             marginals, factor = measure(z)
-            new_err_sq = float(((marginals - c) ** 2).sum())
+            x = marginals - c
+            new_err_sq = float(np.add.reduce(x * x))
             trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, err_sq - new_err_sq,
-                         upd.nd_iters, upd.hp_one, np.log(z.max()))
+                         upd.nd_iters, upd.hp_one, np.log(np.maximum.reduce(z)))
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:
@@ -399,9 +400,11 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     rho_cache = RhoCache(frame)
 
     # The factor is the iterate's thin orthonormal factor Q: it gives the
-    # leverage scores here and P = Q_T^T Q_T to ``compute_update``.
+    # leverage scores here and P = Q_T^T Q_T to ``compute_update``. z is
+    # the loop's start or the shrink's output, both positive and finite, so
+    # the QR is taken unchecked.
     def measure(z):
-        q = orthonormal_factor(frame, z)
+        q = _scaled_qr(frame, z)[0]
         return np.einsum("ij,ij->i", q, q), q
 
     def certificate(T, tol=CERTIFICATE_TOL):

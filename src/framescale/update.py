@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -42,9 +42,9 @@ from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
                      PreconditionViolated)
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
-from .linalg import (_EPS, Frame, _pivoted_qr, _require_full_rank, _scaled_qr,  # noqa: F401
-                     _thin_qr, gram_context, logdet_psd, numerical_rank, orthonormal_factor,
-                     validate_scaling)
+from .linalg import (_EPS, Frame, _column_mask, _pivoted_qr, _require_full_rank,  # noqa: F401
+                     _scaled_qr, _thin_qr, gram_context, logdet_psd, numerical_rank,
+                     orthonormal_factor, validate_scaling)
 from .solver import UpdateResult, step_gain
 
 DERIVATIVE_FLOOR = 1e-14
@@ -61,25 +61,24 @@ def proxy_at(frame: Frame, z, T, alpha: float) -> tuple[float, float]:
     alpha-scaled frame: with P the Gram of the T-rows of Q, h = tr P and
     h' = (tr P - ||P||_F^2) / alpha. The QR route stays accurate out to
     extreme alpha where forming the shifted Gram directly loses the small
-    subspace. Each call validates z and takes one thin QR; on a solve path
-    only the guess branch of ``compute_update`` calls it, once per trial
-    alpha.
+    subspace. Each call validates z once and takes one thin QR; on a solve
+    path only the guess branch of ``compute_update`` calls it, once per
+    trial alpha. T follows ``_set_mask``'s rule, and alpha must be finite.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha!r}")
-    mask = _set_mask(frame.n, np.asarray(T, dtype=np.intp))
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 1, got {alpha!r}")
+    mask = _set_mask(frame.n, T)
     w = validate_scaling(z, frame.n).copy()
     w[mask] *= alpha
     return _proxy_values(_set_gram(_scaled_qr(frame, w)[0], mask), alpha)
 
 
-def _set_mask(n: int, T: np.ndarray) -> np.ndarray:
-    """Mask of the index array T over n columns; T must be a nonempty proper subset."""
-    if T.size == 0 or T.size >= n:
-        raise ValueError("T must be a nonempty proper subset of the columns")
-    mask = np.zeros(n, dtype=bool)
-    mask[T] = True
-    return mask
+def _set_mask(n: int, T) -> np.ndarray:
+    """``linalg._column_mask`` of T over n columns, which must also be a proper subset."""
+    T = np.asarray(T)
+    if T.size >= n:
+        raise ValueError("T must be a proper subset of the columns")
+    return _column_mask(T, n)
 
 
 def _set_gram(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -90,13 +89,12 @@ def _set_gram(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _proxy_values(p: np.ndarray, alpha: float) -> tuple[float, float]:
     """(h, h') at alpha off the P of the alpha-scaled frame."""
-    h = float(p.trace())
-    hp = (h - float((p * p).sum())) / alpha
+    h = float(np.add.reduce(p.diagonal()))
+    hp = (h - float(np.add.reduce(p * p, axis=None))) / alpha
     return h, max(hp, 0.0)
 
 
-@dataclass(frozen=True)
-class NDResult:
+class NDResult(NamedTuple):
     alpha: float
     value: float
     n_iters: int
@@ -182,10 +180,11 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     search's last thin QR is that of Q_D^T, so W is read off it. Raises
     FactorizationFailure when Q_D is numerically rank-deficient.
     """
+    mask = _set_mask(frame.n, T)
     T = np.asarray(T, dtype=np.intp)
     if q is None:
         q = orthonormal_factor(frame, z)
-    trace, hp1 = _proxy_values(_set_gram(q, _set_mask(frame.n, T)), 1.0)
+    trace, hp1 = _proxy_values(_set_gram(q, mask), 1.0)
     if hp1 >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
     p = _round_half_away(trace)
@@ -264,10 +263,13 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     Expects a T the rank check did not certify. Where the guess branch finds
     mu_tilde <= 0, the gain's supremum rk(U_T) - h(1) is below gamma, so it
     raises InfeasibleSegment for the margin loop's zero-tolerance check.
-    ``q`` is the iterate's ``orthonormal_factor(frame, z)``; P = Q_T^T Q_T
-    is formed from it once, with h(1) = tr P and h'(1) = tr P - ||P||_F^2.
-    Raises DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma,
-    a band binary64 cannot hold.
+    T must be a proper subset of distinct integer column indices in [0, n)
+    (``_set_mask``), else ValueError; the check reuses the mask that picks
+    P's rows. ``q`` is the iterate's ``orthonormal_factor(frame, z)``, and
+    z is not validated again. P = Q_T^T Q_T is formed from q once, and
+    h(1) = tr P and h'(1) = tr P - ||P||_F^2 are read off it here. Raises
+    DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma, a band
+    binary64 cannot hold.
 
     When h'(1) >= gamma/4 the step is Newton's first step from 1, taken in
     closed form: alpha = 1 + gamma / h'(1), with gamma written
@@ -288,9 +290,9 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-    T = np.asarray(T, dtype=np.intp)
     p = _set_gram(q, _set_mask(frame.n, T))
-    h1, hp1 = _proxy_values(p, 1.0)
+    h1 = float(np.add.reduce(p.diagonal()))
+    hp1 = max(h1 - float(np.add.reduce(p * p, axis=None)), 0.0)
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
     if hp1 >= gamma / 4.0:

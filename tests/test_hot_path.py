@@ -6,6 +6,10 @@ nothing, evaluates no ``update.proxy_at`` and runs no
 ``update.newton_dinkelbach``. So a solve whose every step is steep takes
 one thin QR, counted at ``linalg._thin_qr``, per measured iterate (the
 start and each step) plus the regularizer's factor of the unscaled frame.
+It validates z at the solve's entries alone, counted at
+``linalg.validate_scaling``: the loop measures z = 1 and then only what the
+shrink returns, and the shrink rejects a z that is not positive and finite
+itself, so no iterate is checked again.
 
 A matrix step whose crossing lies on the surrogate's first segment takes
 alpha in closed form, reading mu off the row sums A y that the loop's
@@ -15,9 +19,12 @@ solver's other budget, no ``matrix_rho_prefixes`` pass on those matrices,
 is checked in ``test_matrixscale.py``.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+import framescale.linalg
 import framescale.matrixscale
 import framescale.update
 from framescale import Frame, Marginals, MatrixMarginals, NonnegMatrix, scale_frame, scale_matrix
@@ -46,6 +53,24 @@ def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, mon
     assert len(eigensolves) == res.iterations
     assert proxy_evaluations == []
     assert newton_loops == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_solve_validates_the_scaling_a_fixed_number_of_times(seed, monkeypatch):
+    validations = []
+    original = framescale.linalg.validate_scaling
+
+    def counting(*args):
+        validations.append(None)
+        return original(*args)
+
+    # framescale.regularize on the package is the function, not the module.
+    for module in (framescale.linalg, framescale.update, sys.modules["framescale.regularize"]):
+        monkeypatch.setattr(module, "validate_scaling", counting)
+    U, c = gen_gaussian(5, 20, seed)
+    res = scale_frame(Frame(U), Marginals(c, d=5), 1e-6)
+    assert res.scaled and res.iterations > 1000
+    assert len(validations) <= 2
 
 
 @pytest.mark.parametrize("seed", range(4))

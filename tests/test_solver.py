@@ -25,6 +25,7 @@ from framescale import (
     orthonormal_factor,
     proxy_at,
     regularize,
+    rho_overestimate,
     scale_frame,
     select_margin_set,
 )
@@ -329,6 +330,21 @@ class TestInfeasibilityCertificate:
         for T in (np.array([True, False]), np.array([0.7, 1.2]), [0.0, 1.0]):
             with pytest.raises(ValueError, match="integer column indices"):
                 infeasibility_certificate(frame, c, T)
+
+    @pytest.mark.parametrize("T", [[4, 4], [-1], [5]], ids=["repeated", "negative", "past-n"])
+    @pytest.mark.parametrize("call", ["compute_update", "proxy_at", "rho_overestimate"])
+    def test_set_functions_share_the_rule(self, call, T):
+        # Unchecked, [4, 4] halved rho_overestimate's value for [4], [-1]
+        # read column 4, and [5] raised IndexError.
+        frame = Frame(np.random.default_rng(0).standard_normal((2, 5)))
+        z = np.ones(5)
+        q = orthonormal_factor(frame, z)
+        run = {"compute_update": lambda T: compute_update(frame, z, T, 0.1, q),
+               "proxy_at": lambda T: proxy_at(frame, z, T, 1.5),
+               "rho_overestimate": lambda T: rho_overestimate(frame, T, q)}[call]
+        run([4])
+        with pytest.raises(ValueError, match="distinct column indices"):
+            run(T)
 
 
 class TestScaleFrame:
@@ -771,6 +787,51 @@ class TestFactorContract:
         res = scale_frame(Frame(U), Marginals(c, d=4), 1e-8)
         assert res.scaled and len(equal) == res.iterations == 821
         assert all(equal)
+
+    @pytest.mark.parametrize("alpha,message", [
+        (np.inf, "scaling has non-finite entries"),
+        (np.nan, "scaling has non-finite entries"),
+        (-1.0, "scaling entries must be strictly positive"),
+        (0.0, "scaling entries must be strictly positive"),
+    ])
+    def test_shrink_rejects_a_spoiled_step(self, alpha, message, monkeypatch, qr_calls):
+        # The frame measure factors the shrink's output without validating
+        # it, so a step that spoils z must fail in the shrink, before any
+        # QR of that z: the two QRs are the rho cache's and the start's.
+        import framescale.update
+
+        def spoiling(frame, z, T, gamma, q):
+            return UpdateResult(alpha=alpha, h_gain=0.0, nd_iters=1, hp_one=0.0, seeded=False)
+
+        monkeypatch.setattr(framescale.update, "compute_update", spoiling)
+        U, c = gen_gaussian(4, 12, 0)
+        with pytest.raises(ValueError, match=message):
+            scale_frame(Frame(U), Marginals(c, d=4), 1e-8)
+        assert len(qr_calls) == 2
+
+
+class TestStepRecords:
+    # MarginSet and UpdateResult are built once per iteration as named
+    # tuples; they stay immutable, and the records a trace hands out keep
+    # their fields.
+    def test_immutable(self):
+        ms = select_margin_set(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
+        upd = UpdateResult(alpha=2.0, h_gain=0.1, nd_iters=1, hp_one=0.3, seeded=False)
+        assert (ms.k, list(ms.indices), list(ms.complement)) == (1, [0], [1])
+        assert (upd.alpha, upd.nd_iters, upd.seeded) == (2.0, 1, False)
+        for record, name in ((ms, "gamma"), (ms, "order"), (upd, "alpha"), (upd, "seeded")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_trace_records_unchanged(self):
+        U, c = gen_gaussian(3, 6, 0)
+        res = scale_frame(Frame(U), Marginals(c, d=3), 1e-8)
+        assert len(res.trace) == res.iterations > 0
+        rec = res.trace[0]
+        assert list(rec.as_dict()) == ["error_sq", "gamma", "alpha_hat", "h_gain", "progress",
+                                       "nd_iters", "hp_one", "log_z_inf"]
+        assert type(rec.nd_iters) is int
+        assert res.trace == [IterationRecord(**r.as_dict()) for r in res.trace]
 
 
 class TestUnreachableEps:
