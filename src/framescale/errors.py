@@ -16,7 +16,8 @@ class ScalingError(Exception):
 
 class FactorizationFailure(ScalingError):
     """A factorization failed: a QR factor collapsed (a scaled frame or projector block
-    is numerically singular) or LAPACK reported an error."""
+    is numerically singular) or LAPACK reported an error; or a measurement of the
+    iterate came out non-finite, so the margin loop's error^2 is NaN or infinite."""
 
 
 class NotSymmetric(ScalingError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSegment, ZeroRowSum
-from .linalg import _EPS
+from .linalg import _EPS, _column_mask
 from .regularize import prefix_gap_shrink
 from .solver import ScalingResult, SolverConfig, UpdateResult, _margin_loop, step_gain
 # select_margin_set stays a module attribute here for callers that look it
@@ -159,11 +159,14 @@ def _column_and_row_sums(matrix: NonnegMatrix, r, y) -> tuple[np.ndarray, np.nda
 
 
 def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
-    """Rows with support intersecting the column set T."""
-    T = np.asarray(T, dtype=np.intp)
-    if T.size == 0:
+    """Rows with support intersecting the column set T.
+
+    The empty set has no neighbors; any other T must hold distinct integer
+    column indices in [0, n) (``linalg._column_mask``), else ValueError.
+    """
+    if np.size(T) == 0:
         return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(matrix.support[:, T].any(axis=1))
+    return np.flatnonzero(matrix.support[:, _column_mask(T, matrix.n)].any(axis=1))
 
 
 def _mu_weights(matrix: NonnegMatrix, r, y, T, row):
@@ -239,9 +242,13 @@ def _breakpoint_walk(mu: np.ndarray, mass: np.ndarray, target: float) -> float:
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
     """h(alpha) - h(1) for the column-sum proxy, in closed form (``step_gain``).
 
-    Forms the row sums A y itself; no solve path calls it.
+    Forms the row sums A y itself; no solve path calls it. T must be a
+    nonempty set of distinct integer column indices in [0, n)
+    (``linalg._column_mask``), else ValueError.
     """
-    mu, r_nbr = _mu_weights(matrix, r, y, T, matrix.matrix @ np.asarray(y))
+    _column_mask(T, matrix.n)
+    mu, r_nbr = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp),
+                            matrix.matrix @ np.asarray(y))
     return step_gain(mu, r_nbr * mu * (1.0 - mu), alpha)
 
 

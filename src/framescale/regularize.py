@@ -87,7 +87,8 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     ``rhos(order, candidates)``, called only when there is one, maps that
     mask over the n - 1 gaps to an array whose entry k - 1 is the rho of
     ``order[:k]`` at each candidate gap k. A z that is not positive and
-    finite, or whose max/min overflows binary64, raises ValueError.
+    finite, or whose max/min overflows binary64, or does so once divided by
+    delta for the grid, raises ValueError.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
@@ -109,6 +110,12 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
             thresholds = np.maximum(rhos(order, candidates), floor) / delta
             for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
                 zs[order[:k + 1]] *= thresholds[k] / ratios[k]
+    # The caps only lower entries, so max zs <= span, and the snap's zs / delta
+    # can overflow only when span / delta does; only then is max zs read. As
+    # Python floats, the quotients overflow to inf without a warning.
+    grid = float(delta)
+    if not span / grid < np.inf and not float(np.maximum.reduce(zs)) / grid < np.inf:
+        raise ValueError("scaling max/min overflows binary64 on the delta grid")
     _snap(zs, delta)
     zs /= zs[lo]
     return zs

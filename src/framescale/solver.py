@@ -12,8 +12,8 @@ the column set alone, so the loop decides each set once per solve.
 
 This module owns ``UpdateResult``, the step record that every ``step``
 closure returns to the loop, and ``step_gain``, the gain both steps report.
-Every solve keeps its ``Trace``: eight binary64 values per iteration in one
-array, read back as ``IterationRecord`` objects built on access.
+Every solve keeps its ``Trace``: six binary64 values and one 16-bit count per
+iteration, read back as ``IterationRecord`` objects built on access.
 The frame step and its step-size proxy ``proxy_at`` live in ``update``.
 """
 
@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateMargin, InfeasibleSegment, IterationCapExceeded,
-                     PreconditionViolated, ScalingError)
+from .errors import (DegenerateMargin, FactorizationFailure, InfeasibleSegment,
+                     IterationCapExceeded, PreconditionViolated, ScalingError)
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
 from .linalg import (Frame, _column_mask, _scaled_qr, leverage_scores,  # noqa: F401
@@ -185,36 +185,46 @@ class IterationRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_WIDTH = len(fields(IterationRecord))
-_ND_SLOT = [f.name for f in fields(IterationRecord)].index("nd_iters")
+_WIDTH = 6  # error_sq, gamma, alpha_hat, h_gain, hp_one and max z
 
 
 class Trace(Sequence):
     """The iteration records of one solve: a read-only sequence of IterationRecord.
 
-    One ``array('d')`` holds each iteration's eight fields in
-    ``IterationRecord`` field order, and a record is built only when it is
-    read, with ``nd_iters`` as an int. A trace equals any sequence of equal
-    records.
+    A trace stores only what the loop cannot derive again: one
+    ``array('d')`` holds each iteration's ``error_sq``, ``gamma``,
+    ``alpha_hat``, ``h_gain``, ``hp_one`` and max z, one ``array('H')`` its
+    ``nd_iters``, and ``_last`` the error^2 after the last step. A record is
+    built only when it is read, and it derives the other two fields with the
+    loop's own operations on the same doubles: ``progress`` is error_sq
+    minus the next record's error_sq (``_last`` after the last record), and
+    ``log_z_inf`` is ``np.log`` of max z. A trace equals any sequence of
+    equal records.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_nd", "_last")
 
     def __init__(self):
         self._values = array("d")
+        self._nd = array("H")
+        self._last = 0.0
 
-    def _write(self, error_sq, gamma, alpha_hat, h_gain, progress, nd_iters, hp_one, log_z_inf):
-        """Append one iteration's fields; the margin loop's one write."""
-        self._values.extend((error_sq, gamma, alpha_hat, h_gain, progress, nd_iters, hp_one,
-                             log_z_inf))
+    def _write(self, error_sq, gamma, alpha_hat, h_gain, nd_iters, hp_one, z_max, next_error_sq):
+        """Append one iteration; the margin loop's one write, with max z and the
+        error^2 after the step."""
+        self._values.extend((error_sq, gamma, alpha_hat, h_gain, hp_one, z_max))
+        self._nd.append(nd_iters)
+        self._last = next_error_sq
 
     def _at(self, i: int) -> IterationRecord:
-        values = self._values[i * _WIDTH:(i + 1) * _WIDTH].tolist()
-        values[_ND_SLOT] = int(values[_ND_SLOT])
-        return IterationRecord(*values)
+        error_sq, gamma, alpha_hat, h_gain, hp_one, z_max = \
+            self._values[i * _WIDTH:(i + 1) * _WIDTH].tolist()
+        after = self._values[(i + 1) * _WIDTH] if i + 1 < len(self._nd) else self._last
+        return IterationRecord(error_sq, gamma, alpha_hat, h_gain, error_sq - after,
+                               self._nd[i], hp_one, float(np.log(z_max)))
 
     def __len__(self) -> int:
-        return len(self._values) // _WIDTH
+        return len(self._nd)
 
     def __getitem__(self, index):
         """The record at an int index, or a list of records for a slice."""
@@ -281,8 +291,11 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     finite must raise; the frame's ``measure`` does not check z again.
     ``step`` gets the factor that ``measure`` returned for the z it steps
     from; the loop never reads it. The trace records ||log z||_inf, which
-    for min z = 1 is log max z. A ScalingError leaving the loop carries the
-    trace. <m, 1> does not move with z, and ||m - c||^2 >= (<m, 1> -
+    for min z = 1 is log max z; it stores max z and takes the log on read.
+    A measurement whose error^2 is not finite (NaN marginals read as
+    converged otherwise) raises FactorizationFailure, and that iteration
+    writes no record. A ScalingError leaving the loop carries the trace.
+    <m, 1> does not move with z, and ||m - c||^2 >= (<m, 1> -
     <c, 1>)^2 / n; when the first measurement puts this bound above eps^2,
     the loop decides the first margin set and, if it does not certify,
     raises PreconditionViolated in place of the first step.
@@ -307,6 +320,10 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
     try:
+        if not err_sq < math.inf:
+            raise FactorizationFailure(
+                f"error^2 at z = 1 is {err_sq!r}: the measurement is not finite"
+            )
         while err_sq > eps_sq:
             if it >= cap:
                 raise IterationCapExceeded(
@@ -343,8 +360,12 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
             marginals, factor = measure(z)
             x = marginals - c
             new_err_sq = float(np.add.reduce(x * x))
-            trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, err_sq - new_err_sq,
-                         upd.nd_iters, upd.hp_one, np.log(np.maximum.reduce(z)))
+            if not new_err_sq < math.inf:
+                raise FactorizationFailure(
+                    f"error^2 after step {it} is {new_err_sq!r}: the measurement is not finite"
+                )
+            trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, upd.nd_iters, upd.hp_one,
+                         np.maximum.reduce(z), new_err_sq)
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:

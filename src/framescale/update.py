@@ -210,10 +210,12 @@ def det_local_opt(frame: Frame, z, T, p: int) -> np.ndarray:
     U sqrt(Z) = X^T X, with X = Q_T^T read off the thin orthonormal factor
     ``orthonormal_factor(frame, z)``, formed here; the kernel's trace is
     h(1) and the kernel itself is never formed. Ties go to the smallest
-    index (pair) so reruns are reproducible. No solve path calls it: the
-    guess branch searches the iterate's own factor through
-    ``_det_local_opt_columns``.
+    index (pair) so reruns are reproducible. T must be a nonempty set of
+    distinct integer column indices in [0, n) (``linalg._column_mask``),
+    else ValueError. No solve path calls it: the guess branch searches the
+    iterate's own factor through ``_det_local_opt_columns``.
     """
+    _column_mask(T, frame.n)
     T = np.asarray(T, dtype=np.intp)
     rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:

@@ -9,7 +9,7 @@ from framescale import (Frame, Marginals, NonnegMatrix, leverage_scores, orthono
                         regularize, rho_overestimate, scale_frame)
 from framescale.generate import gen_bipartite, gen_gaussian
 from framescale.matrixscale import matrix_regularize
-from framescale.regularize import RhoCache
+from framescale.regularize import RhoCache, prefix_gap_shrink
 
 from conftest import (
     fraction_inverse,
@@ -333,6 +333,16 @@ class TestInvalidScaling:
             shrink = functools.partial(matrix_regularize, NonnegMatrix(gen_bipartite(6, 6, 0)[0]))
         with pytest.raises(ValueError, match=message):
             shrink(np.array(z), 0.01)
+
+    def test_grid_overflow_rejected(self):
+        # max/min 1e307 is finite, but no gap fires under rho 1e306, and the
+        # snap's division by delta overflowed: the shrink returned [1, inf]
+        # with a RuntimeWarning.
+        with pytest.raises(ValueError, match="overflows binary64 on the delta grid"):
+            prefix_gap_shrink(np.array([1.0, 1e307]), 0.01, lambda o, c: np.full(1, 1e306), 1.0)
+        # Under rho 1 the gap fires first, and the capped z fits the grid.
+        got = prefix_gap_shrink(np.array([1.0, 1e307]), 0.01, lambda o, c: np.full(1, 1.0), 1.0)
+        assert list(got) == [1.0, 100.0]
 
 
 class TestGrowthBound:

@@ -10,17 +10,22 @@ from framescale import (
     SCALED,
     DegenerateMargin,
     DerivativeVanished,
+    FactorizationFailure,
     Frame,
     InfeasibleSegment,
     IterationCapExceeded,
     IterationRecord,
     Marginals,
+    NonnegMatrix,
     PreconditionViolated,
     ScalingResult,
     SolverConfig,
+    Trace,
     compute_update,
+    det_local_opt,
     infeasibility_certificate,
     leverage_scores,
+    neighborhood,
     numerical_rank,
     orthonormal_factor,
     proxy_at,
@@ -30,6 +35,7 @@ from framescale import (
     select_margin_set,
 )
 from framescale.generate import gen_gaussian, gen_infeasible
+from framescale.matrixscale import matrix_proxy_gain
 from framescale.rational import rational_rank
 from framescale.regularize import RhoCache
 from framescale.solver import CERTIFICATE_TOL, UpdateResult, _margin_loop
@@ -343,6 +349,23 @@ class TestInfeasibilityCertificate:
                "proxy_at": lambda T: proxy_at(frame, z, T, 1.5),
                "rho_overestimate": lambda T: rho_overestimate(frame, T, q)}[call]
         run([4])
+        with pytest.raises(ValueError, match="distinct column indices"):
+            run(T)
+
+    @pytest.mark.parametrize("T", [[0, 0, 1], [-1, 0, 1], [0, 1, 7]],
+                             ids=["repeated", "negative", "past-n"])
+    @pytest.mark.parametrize("call", ["det_local_opt", "matrix_proxy_gain", "neighborhood"])
+    def test_public_set_functions_share_the_rule(self, call, T):
+        # Unchecked, det_local_opt(frame, z, [-1, 0, 1], 1) returned [-1],
+        # matrix_proxy_gain on [0, 0] gave -0.028 against 0.28 for [0], and
+        # neighborhood read -1 as column 6.
+        frame = Frame(np.random.default_rng(0).standard_normal((3, 7)))
+        matrix = NonnegMatrix(np.eye(7) + 0.1)
+        ones = np.ones(7)
+        run = {"det_local_opt": lambda T: det_local_opt(frame, ones, T, 1),
+               "matrix_proxy_gain": lambda T: matrix_proxy_gain(matrix, ones, ones, T, 2.0),
+               "neighborhood": lambda T: neighborhood(matrix, T)}[call]
+        run([0, 1, 2])
         with pytest.raises(ValueError, match="distinct column indices"):
             run(T)
 
@@ -808,6 +831,37 @@ class TestFactorContract:
         with pytest.raises(ValueError, match=message):
             scale_frame(Frame(U), Marginals(c, d=4), 1e-8)
         assert len(qr_calls) == 2
+
+
+class TestNonFiniteError:
+    # A NaN error^2 fails `err_sq > eps_sq`, so the loop used to read NaN
+    # marginals as converged: status scaled after 0 iterations.
+    def test_at_the_start(self):
+        with pytest.raises(FactorizationFailure, match="at z = 1") as info:
+            _margin_loop(np.array([0.5, 0.5]), 1e-6, SolverConfig(),
+                         lambda z: (np.array([np.nan, np.nan]), None), None, None, None)
+        assert info.value.trace == [] and type(info.value.trace) is Trace
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_after_a_step(self, bad):
+        # T = [0] every iteration doubles z[0]; the third step's measurement
+        # is not finite, so the error carries the first two records.
+        c = np.array([0.5, 0.5])
+
+        def measure(z):
+            if z[0] == 8.0:
+                return np.array([bad, 0.5]), None
+            return c + np.array([-0.1, 0.1]) / z[0], None
+
+        def step(z, T, gamma, factor):
+            return UpdateResult(alpha=2.0, h_gain=gamma, nd_iters=0, hp_one=0.0, seeded=False)
+
+        with pytest.raises(FactorizationFailure, match="after step 3") as info:
+            _margin_loop(c, 1e-6, SolverConfig(), measure, lambda T, tol=0.25: None, step,
+                         lambda z, gamma: z / z.min())
+        trace = info.value.trace
+        assert len(trace) == 2 and [rec.alpha_hat for rec in trace] == [2.0, 2.0]
+        assert 0.0 < trace[1].progress < trace[1].error_sq
 
 
 class TestStepRecords:

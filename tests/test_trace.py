@@ -1,9 +1,10 @@
-"""The solve trace: a read-only sequence of IterationRecord over one binary64 array.
+"""The solve trace: a read-only sequence of IterationRecord over two flat arrays.
 
-A trace stores each iteration's eight fields and builds a record only when
-one is read, so an always-on trace costs about 64 bytes per iteration.
-Records read back equal those the loop would have built, with ``nd_iters``
-as an int; both solvers fill every field.
+A trace stores six binary64 values and a 16-bit ``nd_iters`` per iteration,
+plus the error^2 after the last step, and builds a record only when one is
+read, deriving ``progress`` and ``log_z_inf``; an always-on trace costs
+about 52 bytes per iteration. Records read back equal those the loop would
+have built, with ``nd_iters`` as an int; both solvers fill every field.
 """
 
 import copy
@@ -174,10 +175,27 @@ class TestRoundTrips:
             assert len(a.read_bytes().splitlines()) == res.iterations
 
 
+@pytest.mark.parametrize("solve,cap", [(matrix_solve, 25), (matrix_solve, 1),
+                                       (frame_solve, 7), (frame_solve, 800)],
+                         ids=["matrix-25", "matrix-1", "frame-7", "frame-800"])
+def test_capped_trace_is_a_prefix(solve, cap, frame_result, matrix_result):
+    # A capped solve's last record derives its progress from the error^2
+    # after its last step, which the uncapped solve holds as the next
+    # record's error_sq.
+    full = (frame_result if solve is frame_solve else matrix_result).trace
+    with pytest.raises(IterationCapExceeded) as info:
+        solve(config=SolverConfig(max_iters=cap))
+    capped = info.value.trace
+    assert len(capped) == cap and capped == full[:cap]
+    assert capped[-1].progress == full[cap - 1].progress == \
+        full[cap - 1].error_sq - full[cap].error_sq
+
+
 @pytest.mark.parametrize("solve", [matrix_solve, frame_solve], ids=["matrix", "frame"])
 def test_retained_bytes_per_iteration(solve):
     # Retained bytes while the result is alive, over a solve after a warm-up
-    # solve; a list of records held 225 (matrix) and 277 (frame) per iteration.
+    # solve; a list of records held 225 (matrix) and 277 (frame) per iteration,
+    # and eight binary64 slots per iteration 67 and 69.
     solve()
     tracemalloc.start()
     try:
@@ -186,4 +204,4 @@ def test_retained_bytes_per_iteration(solve):
     finally:
         tracemalloc.stop()
     assert res.scaled and res.iterations > 800
-    assert retained / res.iterations <= 96
+    assert retained / res.iterations <= 56
