@@ -9,8 +9,8 @@ frames and matrices alike. All indices in output are 0-based.
 ``main`` builds its parser once per process, at its first call, and keeps
 it. That saves time only for a caller that runs ``main`` many times in one
 process, such as an in-process verifier; the ``framescale`` command calls
-it once and builds one parser, as before. The parser holds no function
-objects; ``main`` looks ``cmd_<command>`` up in this module at each call,
+it once and builds one parser, as before. The parser holds no command
+functions; ``main`` looks ``cmd_<command>`` up in this module at each call,
 so a command replaced afterwards is the one that runs.
 """
 
@@ -239,6 +239,17 @@ class _UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Hands a usage error to ``main``, which exits 1: exit 2 means a verify check failed."""
 
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
 
     p = sub.add_parser("verify", help="re-check a result document")

@@ -9,7 +9,12 @@ LAPACK directly, through ``scipy.linalg.lapack``: the thin QR is
 determinant search is ``dgeqp3``. At the sizes of a frame iterate the
 numpy and scipy wrappers cost several times the factorization, and the
 LAPACK calls are the ones those wrappers make, so the factors are the same
-bit for bit. Everything is deterministic and pure; binary64 throughout.
+bit for bit. scipy is imported at the first factorization, not with the
+package: every scipy routine here, in ``update`` and in ``perceptron`` is
+looked up through ``_scipy_linalg()`` at call time, so a process that only
+solves matrices, generates a gaussian or bipartite instance, or verifies a
+certificate in exact arithmetic never loads it. Everything is
+deterministic and pure; binary64 throughout.
 Rank and eigenvalue cutoffs follow the usual machine-epsilon scaling.
 """
 
@@ -19,12 +24,18 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr
 
 from .errors import FactorizationFailure, NotSymmetric
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@functools.cache
+def _scipy_linalg():
+    """``scipy.linalg``, imported at the first call and kept for the process;
+    the one place the package imports scipy."""
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -112,11 +123,12 @@ def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equal numpy's reduced QR bit for bit. Raises FactorizationFailure when
     LAPACK reports an error.
     """
-    qr, tau, _, info = dgeqrf(b)
+    lapack = _scipy_linalg().lapack
+    qr, tau, _, info = lapack.dgeqrf(b)
     if info != 0:
         raise FactorizationFailure(f"LAPACK dgeqrf failed (info={info})")
     rh = qr[:qr.shape[1]].copy()  # dorgqr overwrites qr with Q
-    q, _, info = dorgqr(qr, tau, overwrite_a=1)
+    q, _, info = lapack.dorgqr(qr, tau, overwrite_a=1)
     if info != 0:
         raise FactorizationFailure(f"LAPACK dorgqr failed (info={info})")
     # dorgqr returns Q in Fortran order; einsum over its rows would sum in
@@ -135,7 +147,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with it R and piv equal that wrapper's bit for bit. Raises
     FactorizationFailure when LAPACK reports an error.
     """
-    rh, jpvt, _, _, info = dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
+    rh, jpvt, _, _, info = _scipy_linalg().lapack.dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
     if info != 0:
         raise FactorizationFailure(f"LAPACK dgeqp3 failed (info={info})")
     return rh, jpvt - 1
@@ -145,7 +157,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dgeqp3_lwork(m: int, n: int) -> int:
     """The optimal ``dgeqp3`` workspace for an m x n input; it depends on the
     shape alone, so each shape is queried once per process."""
-    return int(dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+    return int(_scipy_linalg().lapack.dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
 
 
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
@@ -243,7 +255,7 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 def logdet_psd(m) -> float:
     """log det of a symmetric PSD matrix; -inf marks an eigenvalue <= k * eps * lambda_max."""
     m = _check_symmetric(_as_matrix(m))
-    w = scipy.linalg.eigvalsh(m, check_finite=False)
+    w = _scipy_linalg().eigvalsh(m, check_finite=False)
     if np.any(w <= m.shape[0] * _EPS * max(float(w.max(initial=0.0)), 0.0)):
         return float("-inf")
     return float(np.sum(np.log(w)))
@@ -256,7 +268,7 @@ def pinv_trace(m) -> float:
     a rank-0 input gives 0.
     """
     m = _check_symmetric(_as_matrix(m))
-    w = scipy.linalg.eigvalsh(m, check_finite=False)
+    w = _scipy_linalg().eigvalsh(m, check_finite=False)
     lam_max = float(w.max(initial=0.0))
     if lam_max <= 0.0:
         return 0.0

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSeparable, PreconditionViolated
-from .linalg import Frame, gram_context, leverage_scores
+from .linalg import Frame, _scipy_linalg, gram_context, leverage_scores
 
 
 class QMetric:
@@ -35,8 +34,9 @@ class QMetric:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(UZU^T)^{-1} x, for vectors or stacked columns, by two triangular solves."""
-        y = scipy.linalg.solve_triangular(self._r, x, trans="T", check_finite=False)
-        return scipy.linalg.solve_triangular(self._r, y, check_finite=False)
+        solve_triangular = _scipy_linalg().solve_triangular
+        y = solve_triangular(self._r, x, trans="T", check_finite=False)
+        return solve_triangular(self._r, y, check_finite=False)
 
     def inner(self, x, y) -> float:
         return float(np.dot(x, self.apply(np.asarray(y, dtype=np.float64))))

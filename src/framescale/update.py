@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dsyevd
 
 from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
                      GuessPreconditionViolated, InfeasibleSegment, IterationCapExceeded,
@@ -43,8 +41,8 @@ from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, _column_mask, _pivoted_qr, _require_full_rank,  # noqa: F401
-                     _scaled_qr, _thin_qr, gram_context, logdet_psd, numerical_rank,
-                     orthonormal_factor, validate_scaling)
+                     _scaled_qr, _scipy_linalg, _thin_qr, gram_context, logdet_psd,
+                     numerical_rank, orthonormal_factor, validate_scaling)
 from .solver import UpdateResult, step_gain
 
 DERIVATIVE_FLOOR = 1e-14
@@ -243,12 +241,13 @@ def _det_local_opt_columns(x: np.ndarray,
     if abs(r[p - 1, p - 1]) <= p * _EPS * abs(r[0, 0]):
         raise FactorizationFailure("greedy pivot vanished in determinant search")
     chosen, swaps = np.sort(piv[:p]), 0
+    solve_triangular = _scipy_linalg().solve_triangular
     while True:
         outside = np.setdiff1d(np.arange(x.shape[1]), chosen)
         w, rd = _thin_qr(x[:, chosen])  # the solves read only rd's upper triangle
         proj = w.T @ x[:, outside]
-        a = scipy.linalg.solve_triangular(rd, proj)
-        rd_inv = scipy.linalg.solve_triangular(rd, np.eye(p))
+        a = solve_triangular(rd, proj)
+        rd_inv = solve_triangular(rd, np.eye(p))
         resid = x[:, outside] - w @ proj
         gain = a * a + np.outer(np.einsum("ij,ij->i", rd_inv, rd_inv),
                                 np.einsum("ij,ij->j", resid, resid))
@@ -298,7 +297,7 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
     if hp1 >= gamma / 4.0:
-        mu, _, info = dsyevd(p, compute_v=0, lower=1)
+        mu, _, info = _scipy_linalg().lapack.dsyevd(p, compute_v=0, lower=1)
         if info != 0:
             raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
         alpha = 1.0 + ((h1 + gamma) - h1) / hp1

@@ -433,6 +433,15 @@ class TestUsageErrors:
         assert run_cli(["gen", "gaussian", "--n", 4, "--out", tmp_path / "x"]) == 1
         assert "requires --d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed(self, tmp_path, capsys, seed):
+        # numpy's own message for a negative seed names no flag
+        assert run_cli(["gen", "gaussian", "--d", 2, "--n", 4, "--seed", seed,
+                        "--out", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer" in err
+        assert not (tmp_path / "x.U.txt").exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(["frame", "--help"])

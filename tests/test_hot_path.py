@@ -1,11 +1,12 @@
 """Per-iteration work budgets on solves whose every iteration takes the same route.
 
 A steep frame step (h'(1) >= gamma/4) takes its one Newton step in closed
-form and reads h off the spectrum of P, one ``dsyevd``: it factors
-nothing, evaluates no ``update.proxy_at`` and runs no
-``update.newton_dinkelbach``. So a solve whose every step is steep takes
-one thin QR, counted at ``linalg._thin_qr``, per measured iterate (the
-start and each step) plus the regularizer's factor of the unscaled frame.
+form and reads h off the spectrum of P, one ``dsyevd``, counted on
+``scipy.linalg.lapack``, where the step looks it up: it factors nothing,
+evaluates no ``update.proxy_at`` and runs no ``update.newton_dinkelbach``.
+So a solve whose every step is steep takes one thin QR, counted at
+``linalg._thin_qr``, per measured iterate (the start and each step) plus
+the regularizer's factor of the unscaled frame.
 It validates z at the solve's entries alone, counted at
 ``linalg.validate_scaling``: the loop measures z = 1 and then only what the
 shrink returns, and the shrink rejects a z that is not positive and finite
@@ -23,6 +24,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import framescale.linalg
 import framescale.matrixscale
@@ -41,8 +43,8 @@ def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, mon
             return original(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(framescale.update, "dsyevd",
-                        counting(eigensolves, framescale.update.dsyevd))
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
+                        counting(eigensolves, scipy.linalg.lapack.dsyevd))
     monkeypatch.setattr(framescale.update, "newton_dinkelbach",
                         counting(newton_loops, framescale.update.newton_dinkelbach))
     U, c = gen_gaussian(5, 20, seed)
