@@ -157,7 +157,8 @@ def _check_scaled(doc, key: str, n: int, eps: float, error_sq) -> None:
         raise ValueError(f"result document field {key!r} is not a list of numbers")
     s = np.asarray(s, dtype=np.float64)
     _require("scaling_finite", bool(np.isfinite(s).all()))
-    _require("scaling_positive", s.size == n and bool(np.all(s > 0)))
+    _require("scaling_length", s.size == n)
+    _require("scaling_positive", bool(np.all(s > 0)))
     err_sq = error_sq(s)
     _require("error_within_eps", err_sq <= eps * eps * (1.0 + 1e-9))
     _require("error_matches_document", abs(err_sq - reported) <= 1e-9 * max(eps * eps, err_sq))
@@ -185,16 +186,20 @@ def _verify_matrix(args, doc, eps: float) -> None:
     if doc["status"] == SCALED:
         def error_sq(y):
             ay = A @ y
+            # A zero or subnormal row sum leaves the row scaling r / ay
+            # undefined or overflowing.
+            _require("row_sums_positive", bool(np.all(ay >= sys.float_info.min)))
             cs = column_sums(matrix, r, y)
             return float(((r / ay * ay - r) ** 2).sum() + ((cs - c) ** 2).sum())
 
         _check_scaled(doc, "y", A.shape[1], eps, error_sq)
     else:
         T = _certificate_columns(doc, A.shape[1])
-        rows = rational.parse_matrix_tokens(args.input)
+        # An entry's exact value is 0 exactly when its binary64 value is, so
+        # N(T) is read off the parsed matrix; the masses are summed exactly.
+        nbr = np.flatnonzero((A[:, T] != 0.0).any(axis=1)).tolist()
         rq = rational.parse_vector_tokens(args.rows)
         cq = rational.parse_vector_tokens(args.cols)
-        nbr = sorted({i for i in range(len(rows)) if any(rows[i][j] != 0 for j in T)})
         _require("certificate_hall_violation",
                  sum(cq[j] for j in T) > sum(rq[i] for i in nbr))
 

@@ -16,11 +16,19 @@ import numpy as np
 from . import __version__
 
 
-def _parse_float(token: str) -> float:
-    x = float(token)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {token!r} in input")
-    return x
+def _parse_floats(tokens: list[str]) -> np.ndarray:
+    """The tokens as binary64 values, each read by Python's ``float()``.
+
+    ``rational.to_fraction`` reads tokens the same way, so both verifiers
+    check one matrix. numpy's own string parser is not used: it is not
+    ``float()``. Every token is converted before the finiteness check, so a
+    token ``float()`` rejects is reported ahead of a non-finite one.
+    """
+    values = list(map(float, tokens))
+    if not all(map(math.isfinite, values)):
+        bad = next(t for t, x in zip(tokens, values) if not math.isfinite(x))
+        raise ValueError(f"non-finite value {bad!r} in input")
+    return np.array(values, dtype=np.float64)
 
 
 def read_matrix_file(path) -> np.ndarray:
@@ -37,8 +45,7 @@ def read_matrix_file(path) -> np.ndarray:
     body = tokens[2:]
     if len(body) != d * n:
         raise ValueError(f"{path}: expected {d * n} entries, found {len(body)}")
-    values = [_parse_float(t) for t in body]
-    return np.array(values, dtype=np.float64).reshape(d, n)
+    return _parse_floats(body).reshape(d, n)
 
 
 def read_vector_file(path) -> np.ndarray:
@@ -46,7 +53,7 @@ def read_vector_file(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty marginals file")
-    return np.array([_parse_float(t) for t in tokens], dtype=np.float64)
+    return _parse_floats(tokens)
 
 
 def _fmt(x: float) -> str:

@@ -14,8 +14,8 @@ factor, which the step reads mu off. The step sorts the mu values only
 when the crossing lies past the surrogate's first breakpoint; before it,
 g is linear and alpha is read off in closed form. The regularizer is the
 prefix-gap shrink of ``regularize`` with floor max(rho_floor, delta), where
-``NonnegMatrix.rho_floor`` is a lower bound on every prefix rho proven once
-per matrix. Only a gap above that floor's threshold can fire. The shrink
+``NonnegMatrix.rho_floor`` is a lower bound on every prefix rho, built at
+its first read. Only a gap above that floor's threshold can fire. The shrink
 sorts y only when max y / min y is above it, and takes the rho values of
 all n - 1 column prefixes only when some gap is, from one cumulative sum
 over the reordered columns, also O(mn). The per-row T-mass fractions are
@@ -26,6 +26,7 @@ per set within a solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,9 +49,12 @@ HALL_TOL_REL = 1e-9
 class NonnegMatrix:
     """Nonnegative m x n matrix with no all-zero row or column.
 
-    ``support`` is the mask ``matrix > 0`` and ``rho_floor`` a lower bound on
-    every floating-point rho that ``matrix_rho_prefixes`` returns, both
-    built once here; the matrix is treated as immutable after construction.
+    ``support`` is the mask ``matrix > 0``, built here with the validation,
+    and ``rho_floor`` a lower bound on every floating-point rho that
+    ``matrix_rho_prefixes`` returns, built at its first read and kept: only
+    the regularizer reads it, so a matrix that is checked and never shrunk
+    does not pay for it. The matrix is treated as immutable after
+    construction.
 
     If the bipartite support graph is connected, every proper column set T
     touches a row with mass outside T, at least that row's smallest nonzero
@@ -67,7 +71,6 @@ class NonnegMatrix:
 
     matrix: np.ndarray
     support: np.ndarray = field(init=False, repr=False, compare=False)
-    rho_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
@@ -84,7 +87,12 @@ class NonnegMatrix:
             raise ValueError("matrix has an all-zero row")
         if not support.any(axis=0).all():
             raise ValueError("matrix has an all-zero column")
-        object.__setattr__(self, "rho_floor", _rho_floor(a, support))
+
+    @functools.cached_property
+    def rho_floor(self) -> float:
+        # cached_property writes the instance dict directly, which a frozen
+        # dataclass without slots allows.
+        return _rho_floor(self.matrix, self.support)
 
     @property
     def m(self) -> int:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,11 @@ import pytest
 
 import framescale.cli as cli
 from framescale import io as fio
+from framescale import matrixscale, rational
 from framescale.cli import main
+from framescale.generate import gen_bipartite, gen_gaussian
+
+from conftest import fuzz_recipe
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -416,6 +421,204 @@ class TestVerify:
                         "--input", tmp_path / "nope.txt",
                         "--marginals", tmp_path / "nope2.txt"]) == 1
 
+    @pytest.mark.parametrize("extra", [[1.0, 1.0], None], ids=["long", "short"])
+    @pytest.mark.parametrize("kind", ["frame", "matrix"])
+    def test_scaling_of_wrong_length_fails_length_check(self, tmp_path, capsys, kind, extra):
+        args = solve_args(tmp_path, kind)
+        out = tmp_path / "res.json"
+        assert run_cli(args + ["--eps", "1e-6", "--out", out]) == 0
+        doc = fio.read_result(out)
+        key = "z" if kind == "frame" else "y"
+        doc[key] = doc[key] + extra if extra else doc[key][:-1]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", "--result", out, *args[1:]]) == 2
+        assert capsys.readouterr().err == "verify failed: scaling_length\n"
+
+
+def matrix_files(tmp_path, A, r, c):
+    """Writes the instance's three files and returns their verify flags."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    paths = [tmp_path / name for name in ("A.txt", "r.txt", "c.txt")]
+    fio.write_matrix_file(paths[0], np.asarray(A, dtype=np.float64))
+    fio.write_vector_file(paths[1], np.asarray(r, dtype=np.float64))
+    fio.write_vector_file(paths[2], np.asarray(c, dtype=np.float64))
+    return ["--input", paths[0], "--rows", paths[1], "--cols", paths[2]]
+
+
+def write_doc(path, **fields):
+    """Writes a scaled result document updated with ``fields``; returns its path."""
+    doc = {"status": "scaled", "iterations": 1, "final_error_sq": 0.0,
+           "config": {"eps": 1e-6}, **fields}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def plant_hall(A, seed, block=4):
+    """Confines ``block`` columns of A to ``block - 1`` rows; keeps every row nonzero."""
+    m, n = A.shape
+    rng = np.random.default_rng(seed)
+    cols = rng.choice(n, size=block, replace=False)
+    rows = rng.choice(m, size=block - 1, replace=False)
+    A = A.copy()
+    A[:, cols] = 0.0
+    A[np.ix_(rows, cols)] = 1.0
+    others = np.setdiff1d(np.arange(n), cols)
+    for i in range(m):
+        if not A[i].any():
+            A[i, others[rng.integers(others.size)]] = 1.0
+    return A
+
+
+def all_fraction_hall_rule(flags, T):
+    """The Hall verdict with every entry taken as a Fraction, N(T) included."""
+    _, a_path, _, r_path, _, c_path = flags
+    rows = rational.parse_matrix_tokens(a_path)
+    rq = rational.parse_vector_tokens(r_path)
+    cq = rational.parse_vector_tokens(c_path)
+    nbr = sorted({i for i in range(len(rows)) if any(rows[i][j] != 0 for j in T)})
+    return sum(cq[j] for j in T) > sum(rq[i] for i in nbr)
+
+
+class TestMatrixVerify:
+    """A matrix verify reads each file once as floats and builds no rho floor."""
+
+    @staticmethod
+    def forbid(monkeypatch, *sites):
+        def forbidden(*args):
+            raise AssertionError("verify called a forbidden function")
+
+        for module, name in sites:
+            monkeypatch.setattr(module, name, forbidden)
+
+    def test_scaled_verify_builds_no_floor(self, tmp_path, monkeypatch):
+        args = solve_args(tmp_path, "matrix")
+        out = tmp_path / "res.json"
+        assert run_cli(args + ["--eps", "1e-6", "--out", out]) == 0
+        self.forbid(monkeypatch, (matrixscale, "_rho_floor"), (matrixscale, "_connected"))
+        assert run_cli(["verify", "--result", out, *args[1:]]) == 0
+
+    def test_hall_verify_reads_no_rational_matrix(self, tmp_path, monkeypatch):
+        flags = matrix_files(tmp_path, [[1, 1, 0], [0, 0, 1], [0, 0, 1]], np.ones(3), np.ones(3))
+        out = tmp_path / "res.json"
+        assert run_cli(["matrix", *flags, "--eps", "1e-6", "--out", out]) == 3
+        assert fio.read_result(out)["certificate"] == [0, 1]
+        self.forbid(monkeypatch, (matrixscale, "_rho_floor"), (matrixscale, "_connected"),
+                    (rational, "parse_matrix_tokens"))
+        assert run_cli(["verify", "--result", out, *flags]) == 0
+
+    def test_hall_verdict_matches_all_fraction_rule(self, tmp_path, capsys):
+        verdicts = []
+        for seed in range(12):
+            A, r, c = gen_bipartite(20, 20, seed)
+            flags = matrix_files(tmp_path / str(seed), plant_hall(A, seed), r, c)
+            out = tmp_path / str(seed) / "res.json"
+            assert run_cli(["matrix", *flags, "--eps", "1e-6", "--out", out]) == 3
+            doc = fio.read_result(out)
+            for T in (doc["certificate"], [0]):
+                doc["certificate"] = T
+                out.write_text(json.dumps(doc))
+                want = all_fraction_hall_rule(flags, T)
+                assert run_cli(["verify", "--result", out, *flags]) == (0 if want else 2)
+                verdicts.append(want)
+        # every solver certificate holds, and no [0] does
+        assert verdicts == [True, False] * 12
+
+    @pytest.mark.parametrize("entry, holds", [(5e-324, False), (-0.0, True)],
+                             ids=["subnormal-neighbour", "negative-zero-not-neighbour"])
+    def test_hall_neighbours_are_the_exact_nonzeros(self, tmp_path, entry, holds):
+        # T = {0, 1} has mass 2 against r(N(T)) = 1, unless the entry in
+        # row 1 of column 0 makes row 1 a neighbour (then 2 against 2).
+        A = np.array([[1.0, 1.0, 0.0], [entry, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        flags = matrix_files(tmp_path, A, np.ones(3), np.ones(3))
+        out = write_doc(tmp_path / "res.json", status="infeasible", certificate=[0, 1])
+        assert fio.read_matrix_file(flags[1])[1, 0].tobytes() == np.float64(entry).tobytes()
+        assert all_fraction_hall_rule(flags, [0, 1]) is holds
+        assert run_cli(["verify", "--result", out, *flags]) == (0 if holds else 2)
+
+    # r / (A y) overflows at the subnormal row sum 5e-324, and A y is 0 in
+    # row 0 of the second case, where column_sums would raise ZeroRowSum.
+    UNDERFLOW = [([[1e-300, 1.0], [1.0, 1.0]], [1e-100, 5e-324]),
+                 ([[1e-200, 0.0], [1.0, 1.0]], [1e-200, 1e-200])]
+
+    @pytest.mark.parametrize("A, y", UNDERFLOW, ids=["subnormal", "zero"])
+    def test_row_sum_underflow_fails_check(self, tmp_path, capsys, A, y):
+        flags = matrix_files(tmp_path, A, np.ones(2), np.ones(2))
+        out = write_doc(tmp_path / "res.json", y=y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", "--result", out, *flags]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "verify failed: row_sums_positive\n"
+
+    @pytest.mark.parametrize("A, y", UNDERFLOW, ids=["subnormal", "zero"])
+    def test_row_sum_underflow_fails_check_under_warnings_as_errors(self, tmp_path, A, y):
+        flags = matrix_files(tmp_path, A, np.ones(2), np.ones(2))
+        out = write_doc(tmp_path / "res.json", y=y)
+        code, _, err = fresh_process(["verify", "--result", out, *flags], "-W", "error")
+        assert (code, err) == (2, "verify failed: row_sums_positive\n")
+
+
+def per_token_floats(tokens):
+    """The per-token rule: one ``float()`` and one finiteness check per token."""
+    values = []
+    for token in tokens:
+        x = float(token)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {token!r} in input")
+        values.append(x)
+    return np.array(values, dtype=np.float64)
+
+
+class TestInstanceFiles:
+    def instances(self):
+        yield gen_gaussian(5, 20, 0)
+        A, r, c = gen_bipartite(20, 20, 0)
+        yield A, r
+        yield A.T * 10.0 ** np.arange(-10, 10), c
+        for seed in range(12):
+            recipe = fuzz_recipe(seed)
+            if recipe is not None:
+                yield recipe
+
+    def test_same_bytes_as_per_token_rule(self, tmp_path):
+        count = 0
+        for U, c in self.instances():
+            fio.write_matrix_file(tmp_path / "U.txt", U)
+            fio.write_vector_file(tmp_path / "c.txt", c)
+            tokens = (tmp_path / "U.txt").read_text().split()
+            want = per_token_floats(tokens[2:]).reshape(int(tokens[0]), int(tokens[1]))
+            got = fio.read_matrix_file(tmp_path / "U.txt")
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                              want.tobytes())
+            assert got.tobytes() == U.tobytes()
+            want = per_token_floats((tmp_path / "c.txt").read_text().split())
+            got = fio.read_vector_file(tmp_path / "c.txt")
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+            count += 1
+        assert count >= 10
+
+    def test_python_float_spellings(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1_0 -0 +1.5 1E3 5e-324 .5\n")
+        got = fio.read_vector_file(path)
+        assert got.tobytes() == np.array([10.0, -0.0, 1.5, 1e3, 5e-324, 0.5]).tobytes()
+        assert rational.parse_vector_tokens(path)[0] == Fraction(10)
+
+    @pytest.mark.parametrize("tokens, named", [
+        (["1e400", "1", "2", "3"], "1e400"),
+        (["1", "-inf", "nan", "3"], "-inf"),
+        (["1", "2", "3", "NaN"], "NaN"),
+    ], ids=["first", "middle", "last"])
+    def test_first_non_finite_token_named(self, tmp_path, tokens, named):
+        vec, mat = tmp_path / "v.txt", tmp_path / "m.txt"
+        vec.write_text(" ".join(tokens) + "\n")
+        mat.write_text("2 2\n" + " ".join(tokens) + "\n")
+        for read, path in ((fio.read_vector_file, vec), (fio.read_matrix_file, mat)):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == f"non-finite value {named!r} in input"
+
 
 class TestUsageErrors:
     # Usage errors exit 1: exit 2 is kept for a failed verify check.
@@ -468,10 +671,10 @@ class TestResultRoundTrip:
         assert np.array_equal(m, back)
 
 
-def fresh_process(args):
-    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+def fresh_process(args, *options):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter with ``options``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "framescale.cli", *map(str, args)],
+    proc = subprocess.run([sys.executable, *options, "-m", "framescale.cli", *map(str, args)],
                           capture_output=True, text=True, env=env, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 

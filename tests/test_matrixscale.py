@@ -648,6 +648,23 @@ class TestRhoFloor:
         assert NonnegMatrix(np.eye(3)).rho_floor == 0.0
         assert NonnegMatrix(np.ones((1, 1))).rho_floor == pytest.approx(1.0)
 
+    def test_built_at_first_read(self, monkeypatch):
+        calls = []
+        original = framescale.matrixscale._rho_floor
+
+        def counting(a, support):
+            calls.append(None)
+            return original(a, support)
+
+        monkeypatch.setattr(framescale.matrixscale, "_rho_floor", counting)
+        A, _, _ = gen_bipartite(20, 20, 3)
+        matrix = NonnegMatrix(A)
+        assert calls == []
+        first = matrix.rho_floor
+        assert len(calls) == 1
+        assert matrix.rho_floor == first and len(calls) == 1
+        assert first == original(matrix.matrix, matrix.support) > 0.0
+
 
 def reference_scale_matrix(matrix, marginals, eps, config=None):
     """The matrix loop with its own cap, Hall exit, step and trace.
