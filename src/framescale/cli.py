@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -184,13 +185,27 @@ def _verify_matrix(args, doc, eps: float) -> None:
     c = _read_targets(args.cols, A.shape[1], "column")
     matrix = NonnegMatrix(A)
     if doc["status"] == SCALED:
+        # r and c scaled by the power of two 2^-e that brings their largest
+        # entry into [1/2, 1), as numerical_rank scales its columns: the row
+        # scaling rs / ay then stays finite for every normal row sum, even
+        # where r / ay would overflow. A power of two scales every
+        # residual exactly, so the sum of squares is 4^-e times the unscaled
+        # one, and ldexp undoes that; a true error^2 past binary64 reads inf.
+        ar, ac = np.abs(r), np.abs(c)
+        e = math.frexp(max(ar[ar.argmax()], ac[ac.argmax()]))[1]
+        rs, cs_target = np.ldexp(r, -e), np.ldexp(c, -e)
+
         def error_sq(y):
             ay = A @ y
-            # A zero or subnormal row sum leaves the row scaling r / ay
+            # A zero or subnormal row sum leaves the row scaling rs / ay
             # undefined or overflowing.
             _require("row_sums_positive", bool(np.all(ay >= sys.float_info.min)))
-            cs = column_sums(matrix, r, y)
-            return float(((r / ay * ay - r) ** 2).sum() + ((cs - c) ** 2).sum())
+            cs = column_sums(matrix, rs, y)
+            scaled = float(((rs / ay * ay - rs) ** 2).sum() + ((cs - cs_target) ** 2).sum())
+            try:
+                return math.ldexp(scaled, 2 * e)
+            except OverflowError:
+                return math.inf
 
         _check_scaled(doc, "y", A.shape[1], eps, error_sq)
     else:

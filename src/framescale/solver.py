@@ -115,7 +115,7 @@ def select_margin_set(lev, c) -> MarginSet:
     k = int(gaps.argmax())  # first maximum: smallest cut wins ties
     gamma = float(gaps[k]) / 2.0
     nu = float(xs[k] + xs[k + 1]) / 2.0
-    if gamma == 0.0 and float(np.maximum.reduce(np.abs(x))) > 0.0:
+    if gamma == 0.0 and float((ax := np.abs(x))[ax.argmax()]) > 0.0:
         raise DegenerateMargin("zero margin on a nonzero error vector")
     return MarginSet(order=order, k=k + 1, gamma=gamma, nu=nu)
 
@@ -365,7 +365,7 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                     f"error^2 after step {it} is {new_err_sq!r}: the measurement is not finite"
                 )
             trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, upd.nd_iters, upd.hp_one,
-                         np.maximum.reduce(z), new_err_sq)
+                         z[z.argmax()], new_err_sq)
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:

@@ -558,6 +558,53 @@ class TestMatrixVerify:
         code, _, err = fresh_process(["verify", "--result", out, *flags], "-W", "error")
         assert (code, err) == (2, "verify failed: row_sums_positive\n")
 
+    # Every row sum A y is 2e-10, a normal number, but r / (A y) = 5e309 is
+    # past binary64. The equal y meets the targets exactly; the skewed one
+    # misses its column sums by about 3e299, an error^2 past binary64.
+    LARGE_TARGETS = [([1e-10, 1e-10], 0, ""), ([1e-10, 2e-10], 2, "verify failed: error_within_eps\n")]
+
+    @pytest.mark.parametrize("y, code, err", LARGE_TARGETS, ids=["exact", "error-overflows"])
+    def test_large_targets_verify_without_overflow(self, tmp_path, capsys, y, code, err):
+        flags = matrix_files(tmp_path, np.ones((2, 2)), [1e300, 1e300], [1e300, 1e300])
+        out = write_doc(tmp_path / "res.json", y=y)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["verify", "--result", out, *flags]) == code
+        assert caught == []
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("y, code, err", LARGE_TARGETS, ids=["exact", "error-overflows"])
+    def test_large_targets_verify_under_warnings_as_errors(self, tmp_path, y, code, err):
+        flags = matrix_files(tmp_path, np.ones((2, 2)), [1e300, 1e300], [1e300, 1e300])
+        out = write_doc(tmp_path / "res.json", y=y)
+        assert fresh_process(["verify", "--result", out, *flags], "-W", "error") == (code, "", err)
+
+    @pytest.mark.parametrize("scale", [1.0, 3e5, 7e-9, 2.0 ** -200], ids=["1", "3e5", "7e-9", "2^-200"])
+    def test_scaled_targets_keep_the_residuals(self, tmp_path, monkeypatch, scale):
+        # Verify's error^2 equals the one formed from r and c as given, bit
+        # for bit, wherever r / (A y) and the squares stay normal.
+        seen = []
+        check = cli._check_scaled
+
+        def recording(doc, key, n, eps, error_sq):
+            return check(doc, key, n, eps, lambda y: seen.append(error_sq(y)) or seen[-1])
+
+        monkeypatch.setattr(cli, "_check_scaled", recording)
+        for seed in range(4):
+            A, r, c = gen_bipartite(8, 8, seed)
+            r, c = r * scale, c * scale
+            res = matrixscale.scale_matrix(matrixscale.NonnegMatrix(A),
+                                           matrixscale.MatrixMarginals(r, c), 1e-6 * scale)
+            flags = matrix_files(tmp_path / str(seed), A, r, c)
+            out = write_doc(tmp_path / str(seed) / "res.json", y=res.scaling.tolist(),
+                            final_error_sq=res.final_error_sq, config={"eps": 1e-6 * scale})
+            assert run_cli(["verify", "--result", out, *flags]) == 0
+            ay = A @ res.scaling
+            cs = matrixscale.column_sums(matrixscale.NonnegMatrix(A), r, res.scaling)
+            want = float(((r / ay * ay - r) ** 2).sum() + ((cs - c) ** 2).sum())
+            assert seen[-1] == want
+        assert len(seen) == 4
+
 
 def per_token_floats(tokens):
     """The per-token rule: one ``float()`` and one finiteness check per token."""

@@ -18,8 +18,19 @@ measurement formed: it sorts nothing. On the bipartite matrices every step
 does, so a solve never enters ``matrixscale._breakpoint_walk``. The matrix
 solver's other budget, no ``matrix_rho_prefixes`` pass on those matrices,
 is checked in ``test_matrixscale.py``.
+
+Neither loop makes a ufunc reduction for a max, a min or an any-test in
+an iteration: each is read at ``argmax``/``argmin`` off one element, which
+on vectors this short costs about a third of a ``maximum.reduce``. Calls
+to ``np.ufunc.reduce`` are counted by ufunc with ``sys.setprofile``, which
+sees the ones that ``ndarray.max``, ``.any`` and ``.sum`` make too. The
+loop's certificate decisions are left out: it takes one per distinct
+margin set, not per iteration. Between two eps the maximum, minimum and
+logical_or counts do not grow, and the add count grows by exactly five per
+iteration.
 """
 
+import collections
 import sys
 
 import numpy as np
@@ -97,3 +108,60 @@ def test_matrix_steps_take_the_closed_form(seed, monkeypatch):
     assert res.scaled and res.iterations > 1000
     assert len(steps) == res.iterations
     assert walks == []
+
+
+ADDS_PER_ITERATION = 5
+
+
+def reductions(solve):
+    """``solve()`` and its ``np.ufunc.reduce`` calls by ufunc name, leaving out
+    those made under a certificate decision of the margin loop."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event != "c_call" or getattr(arg, "__name__", None) != "reduce":
+            return
+        if not isinstance(getattr(arg, "__self__", None), np.ufunc):
+            return
+        while frame is not None:
+            if (frame.f_code.co_name == "certificate"
+                    and frame.f_globals["__name__"].startswith("framescale.")):
+                return
+            frame = frame.f_back
+        counts[arg.__self__.__name__] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = solve()
+    finally:
+        sys.setprofile(previous)
+    return result, counts
+
+
+def assert_reduction_budget(solve):
+    (coarse, low), (fine, high) = (reductions(lambda: solve(eps)) for eps in (1e-4, 1e-6))
+    assert coarse.scaled and fine.scaled and fine.iterations > coarse.iterations + 300
+    for name in ("maximum", "minimum", "logical_or"):
+        assert high[name] == low[name], name
+    assert high["add"] - low["add"] == ADDS_PER_ITERATION * (fine.iterations - coarse.iterations)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_matrix_iterations_make_no_extreme_reduction(seed):
+    A, r, c = gen_bipartite(20, 20, seed)
+    # A fresh matrix per solve: each builds its rho_floor at its first shrink.
+    assert_reduction_budget(lambda eps: scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), eps))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_steep_frame_iterations_make_no_extreme_reduction(seed):
+    U, c = gen_gaussian(5, 20, seed)
+    frame, marginals = Frame(U), Marginals(c, d=5)
+
+    def solve(eps):
+        res = scale_frame(frame, marginals, eps)
+        assert all(rec.hp_one >= rec.gamma / 4.0 for rec in res.trace)
+        return res
+
+    assert_reduction_budget(solve)
