@@ -3,15 +3,18 @@
 Leverage, proxy values, kernels, condition estimates and solves against
 UZU^T are all read off the thin QR of sqrt(Z) U^T: its Q factor carries the
 leverage scores, and since UZU^T = R^T R its R factor turns a Gram solve
-into two triangular solves. Nothing here factors a Cholesky. Both QRs call
-LAPACK directly, through ``scipy.linalg.lapack``: the thin QR is
-``dgeqrf`` and ``dorgqr``, and the column-pivoted QR behind ranks and the
-determinant search is ``dgeqp3``. At the sizes of a frame iterate the
-numpy and scipy wrappers cost several times the factorization, and the
-LAPACK calls are the ones those wrappers make, so the factors are the same
-bit for bit. scipy is imported at the first factorization, not with the
-package: every scipy routine here, in ``update`` and in ``perceptron`` is
-looked up through ``_scipy_linalg()`` at call time, so a process that only
+into two triangular solves. Nothing here factors a Cholesky. Both QRs and
+the triangular solves call LAPACK directly, through ``scipy.linalg.lapack``:
+the thin QR is ``dgeqrf`` and ``dorgqr``, the column-pivoted QR behind
+ranks and the determinant search is ``dgeqp3``, and every solve on an R
+(``perceptron.QMetric`` and the determinant search) is ``dtrtrs``, through
+``_solve_r``. At the sizes of a frame iterate the numpy and scipy wrappers
+cost several times the LAPACK call, and that call is the one those
+wrappers make, so the factors and solutions are the same bit for bit.
+scipy is imported at the first factorization, not with the package:
+every scipy routine here and in ``update`` is looked up through
+``_scipy_linalg()`` at call time, and ``perceptron`` reaches LAPACK
+through ``_solve_r`` and ``gram_context``, so a process that only
 solves matrices, generates a gaussian or bipartite instance, or verifies a
 certificate in exact arithmetic never loads it. Everything is
 deterministic and pure; binary64 throughout.
@@ -166,6 +169,26 @@ def _dgeqp3_lwork(m: int, n: int) -> int:
     return int(_scipy_linalg().lapack.dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
 
 
+def _solve_r(r: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
+    """x with R^T x = b (transposed) or R x = b, for a vector or stacked
+    columns b, by LAPACK ``dtrtrs``.
+
+    r must be C-contiguous, and only its upper triangle is read, so the Rh
+    of ``_thin_qr`` serves as it is. LAPACK takes r.T, the same memory in
+    Fortran order, as a lower triangle. That is the ``dtrtrs`` call scipy's
+    triangular-solve wrapper makes for a C-ordered triangle, so x is the
+    wrapper's bit for bit, without its checks and dispatch. Raises
+    FactorizationFailure when a diagonal entry of R is exactly zero or
+    LAPACK reports an error.
+    """
+    x, info = _scipy_linalg().lapack.dtrtrs(r.T, b, lower=1, trans=0 if transposed else 1)
+    if info > 0:
+        raise FactorizationFailure(f"singular triangle: R[{info - 1}, {info - 1}] is zero")
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dtrtrs failed (info={info})")
+    return x
+
+
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
     """Raise FactorizationFailure(failure) unless every diagonal entry of the
     k x k R in ``rh`` is above ``k * eps`` times the largest; a NaN fails."""
@@ -231,8 +254,9 @@ def numerical_rank(columns) -> int:
     A pivot counts iff its residual column norm exceeds
     ``max(d, k) * eps * (largest column norm)``. The columns are first
     scaled by the exact power of two that brings the largest entry into
-    [1/2, 1), so the column norms neither overflow nor underflow. A
-    non-finite entry raises ValueError.
+    [1/2, 1), so the column norms neither overflow nor underflow; they are
+    the square roots of the column sums of squares, as numpy's vector norm
+    forms them for real input. A non-finite entry raises ValueError.
     """
     m = _as_matrix(columns)
     d, k = m.shape
@@ -242,7 +266,7 @@ def numerical_rank(columns) -> int:
     if not top < np.inf:  # NaN fails this test too
         raise ValueError("columns must be finite")
     m = np.ldexp(m, -np.frexp(top)[1])
-    col_norms = np.linalg.norm(m, axis=0)
+    col_norms = np.sqrt(np.add.reduce(m * m, axis=0))
     max_norm = float(col_norms.max(initial=0.0))
     if max_norm == 0.0:
         return 0

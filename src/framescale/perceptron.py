@@ -3,7 +3,8 @@
 The inner product <x, y>_Q = x^T (UZU^T)^{-1} y simulates the isotropizing
 left scaling without ever taking a matrix square root: every evaluation is
 two triangular solves on R, the R factor of the thin QR of sqrt(Z) U^T
-(UZU^T = R^T R is never formed). On a well-scaled frame a
+(UZU^T = R^T R is never formed), each one LAPACK ``dtrtrs`` call through
+``linalg._solve_r``. On a well-scaled frame a
 1/(5d) fraction of the columns carries margin at least 1/sqrt(4d), which is
 what makes the mistake-driven updates converge quickly.
 """
@@ -16,16 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSeparable, PreconditionViolated
-from .linalg import Frame, _scipy_linalg, gram_context, leverage_scores
+from .linalg import Frame, _solve_r, gram_context, leverage_scores
 
 
 class QMetric:
     """Inner product x^T (UZU^T)^{-1} y, solved on the R factor of sqrt(Z) U^T.
 
     ``r`` is upper triangular with R^T R = UZU^T, as ``gram_context`` returns it.
+    It is kept C-contiguous, the layout ``linalg._solve_r`` takes. LAPACK
+    checks no shapes beyond its own arguments, so a non-square R and a
+    right side of the wrong length raise ValueError here.
     """
 
     def __init__(self, r: np.ndarray):
+        r = np.ascontiguousarray(r, dtype=np.float64)
+        if r.ndim != 2 or r.shape[0] != r.shape[1]:
+            raise ValueError(f"R must be a square matrix, got shape {r.shape}")
         self._r = r
 
     @classmethod
@@ -33,10 +40,15 @@ class QMetric:
         return cls(gram_context(frame, z))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """(UZU^T)^{-1} x, for vectors or stacked columns, by two triangular solves."""
-        solve_triangular = _scipy_linalg().solve_triangular
-        y = solve_triangular(self._r, x, trans="T", check_finite=False)
-        return solve_triangular(self._r, y, check_finite=False)
+        """(UZU^T)^{-1} x, for vectors or stacked columns, by two LAPACK ``dtrtrs``
+        solves, R^T y = x and then R v = y.
+
+        Raises FactorizationFailure when R has a zero on its diagonal.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if not 1 <= x.ndim <= 2 or x.shape[0] != self._r.shape[0]:
+            raise ValueError(f"shapes of R {self._r.shape} and x {x.shape} are incompatible")
+        return _solve_r(self._r, _solve_r(self._r, x, transposed=True), transposed=False)
 
     def inner(self, x, y) -> float:
         return float(np.dot(x, self.apply(np.asarray(y, dtype=np.float64))))

@@ -142,7 +142,8 @@ def infeasibility_certificate(frame: Frame, c, T,
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The iteration cap, by default 40 n^3 log(n/eps); frozen, so the check holds."""
+    """The iteration cap, by default 40 n^3 log(max(n, 2) / eps) with the log floored
+    at log 2; frozen, so the check holds."""
 
     max_iters: int | None = None
 
@@ -164,7 +165,9 @@ class SolverConfig:
             raise ValueError(f"eps must be a positive finite number, got {eps!r}")
         if self.max_iters is not None:
             return self.max_iters
-        return math.ceil(40.0 * n**3 * math.log(max(n, 2) / eps))
+        # The floor keeps the cap positive for an eps at or above n, which large
+        # marginals can take; for eps <= max(n, 2) / 2 it never binds.
+        return math.ceil(40.0 * n**3 * math.log(max(max(n, 2) / eps, 2.0)))
 
 
 @dataclass(frozen=True, slots=True)

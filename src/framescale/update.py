@@ -19,8 +19,9 @@ reads (h, h') at each trial alpha off one ``proxy_at`` call, one thin QR;
 this guess branch is the only caller of ``newton_dinkelbach``. The start
 is the iterate's thin orthonormal factor Q, which also gives the leverage
 scores, h(1) and P; no Cholesky and no kernel matrix is formed. Every thin
-QR here is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), and the
-greedy's pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``).
+QR here is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), the
+greedy's pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``), and the swap
+pricing's triangular solves are ``linalg._solve_r`` (``dtrtrs``).
 
 The step record ``UpdateResult`` that the margin loop reads lives in
 ``solver``.
@@ -41,7 +42,7 @@ from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, _column_mask, _pivoted_qr, _require_full_rank,  # noqa: F401
-                     _scaled_qr, _scipy_linalg, _thin_qr, gram_context, logdet_psd,
+                     _scaled_qr, _scipy_linalg, _solve_r, _thin_qr, gram_context, logdet_psd,
                      numerical_rank, orthonormal_factor, validate_scaling)
 from .solver import UpdateResult, step_gain
 
@@ -80,9 +81,13 @@ def _set_mask(n: int, T) -> np.ndarray:
 
 
 def _set_gram(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """P = Q_T^T Q_T, the d x d Gram of the rows of q in the set, in index order."""
-    qt = q[mask]
-    return qt.T @ qt
+    """P = Q_T^T Q_T, the d x d Gram of the rows of q in the set, in index order.
+
+    ``compress`` and ``np.dot`` make the copy and the ``syrk`` that ``q[mask]``
+    and ``@`` make, in less time at these sizes, so P is the same bit for bit.
+    """
+    qt = q.compress(mask, axis=0)
+    return np.dot(qt.T, qt)
 
 
 def _proxy_values(p: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -235,19 +240,20 @@ def _det_local_opt_columns(x: np.ndarray,
     most. With x_j = X_D a_j + r_j and r_j orthogonal to span X_D, swapping
     chosen i for outside j multiplies that determinant by a_ij^2 +
     ((X_D^T X_D)^{-1})_ii ||r_j||^2, so one thin QR of X_D prices every
-    swap; the row-major argmax takes the smallest (i, j) among ties.
+    swap; the row-major argmax takes the smallest (i, j) among ties. Raises
+    FactorizationFailure when the greedy's last pivot vanishes or that R has
+    a zero on its diagonal.
     """
     r, piv = _pivoted_qr(x)
     if abs(r[p - 1, p - 1]) <= p * _EPS * abs(r[0, 0]):
         raise FactorizationFailure("greedy pivot vanished in determinant search")
     chosen, swaps = np.sort(piv[:p]), 0
-    solve_triangular = _scipy_linalg().solve_triangular
     while True:
         outside = np.setdiff1d(np.arange(x.shape[1]), chosen)
         w, rd = _thin_qr(x[:, chosen])  # the solves read only rd's upper triangle
         proj = w.T @ x[:, outside]
-        a = solve_triangular(rd, proj)
-        rd_inv = solve_triangular(rd, np.eye(p))
+        a = _solve_r(rd, proj, transposed=False)
+        rd_inv = _solve_r(rd, np.eye(p), transposed=False)
         resid = x[:, outside] - w @ proj
         gain = a * a + np.outer(np.einsum("ij,ij->i", rd_inv, rd_inv),
                                 np.einsum("ij,ij->j", resid, resid))

@@ -327,6 +327,20 @@ class TestScaleMatrix:
         res = scale_matrix(A, MatrixMarginals(np.ones(4), c), 1e-8)
         assert res.scaled and res.final_error_sq <= 1e-16
 
+    def test_large_marginals_take_an_eps_above_n(self):
+        # r, c and eps all times 2^200 scale the iterates' errors by the same
+        # power of two, so the solve is the unscaled one; its eps is past n,
+        # where the default cap used to be negative (-2513602 here).
+        A, r, c = gen_bipartite(8, 8, 0)
+        big = 2.0**200
+        assert SolverConfig().iteration_cap(8, 1e-6 * big) == math.ceil(
+            40.0 * 8**3 * math.log(2.0))
+        got = scale_matrix(NonnegMatrix(A), MatrixMarginals(r * big, c * big), 1e-6 * big)
+        want = scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
+        assert got.scaled and want.scaled
+        assert got.iterations == want.iterations == 275
+        assert np.array_equal(got.scaling, want.scaling)
+
     @pytest.mark.parametrize("seed", [1, 0])
     def test_unreachable_eps_decides_first_set(self, seed):
         # Columns 0 and 1 reach only row 0, so c(T) = 1.6 > r(N(T)) = 1 on

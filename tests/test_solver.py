@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -523,6 +524,27 @@ class TestSolverConfig:
     def test_accepts_integer_caps(self):
         assert SolverConfig(max_iters=5).iteration_cap(5, 1e-6) == 5
         assert SolverConfig(max_iters=np.int64(5)).iteration_cap(5, 1e-6) == 5
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 20])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 1e300])
+    def test_default_cap_is_positive_for_large_eps(self, n, scale):
+        # log(max(n, 2) / eps) is floored at log 2: at eps = n it was 0, and
+        # above n negative, so a solve failed before its first iteration.
+        eps = max(n, 2) * scale
+        floor = math.ceil(40.0 * n**3 * math.log(2.0))
+        assert SolverConfig().iteration_cap(n, eps) == floor
+
+    def test_default_cap_at_eps_n_is_positive(self):
+        assert SolverConfig().iteration_cap(8, 8.0) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 20])
+    @pytest.mark.parametrize("fraction", [1e-15, 1e-6, 0.25, 0.5])
+    def test_default_cap_unchanged_below_the_floor(self, n, fraction):
+        # For eps <= max(n, 2) / 2 the floor does not bind: the cap is the
+        # unfloored 40 n^3 log(max(n, 2) / eps).
+        eps = fraction * max(n, 2)
+        assert SolverConfig().iteration_cap(n, eps) == math.ceil(
+            40.0 * n**3 * math.log(max(n, 2) / eps))
 
     def test_frozen(self):
         # The check runs at construction, so a later assignment cannot slip
