@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -173,10 +174,9 @@ def _verify_frame(args, doc, eps: float) -> None:
                       lambda z: float(((leverage_scores(Frame(U), z) - c) ** 2).sum()))
     else:
         T = _certificate_columns(doc, U.shape[1])
-        rows = rational.parse_matrix_tokens(args.input)
-        cq = rational.parse_vector_tokens(args.marginals)
-        rank = rational.rational_rank(rational.column_submatrix(rows, T))
-        _require("certificate_rational_rank", sum(cq[j] for j in T) > rank)
+        # Fraction of a double is exact: the check is on the parsed matrix.
+        rank = rational.rational_rank([list(map(Fraction, row)) for row in U[:, T].tolist()])
+        _require("certificate_rational_rank", sum(map(Fraction, c[T].tolist())) > rank)
 
 
 def _verify_matrix(args, doc, eps: float) -> None:
@@ -210,13 +210,10 @@ def _verify_matrix(args, doc, eps: float) -> None:
         _check_scaled(doc, "y", A.shape[1], eps, error_sq)
     else:
         T = _certificate_columns(doc, A.shape[1])
-        # An entry's exact value is 0 exactly when its binary64 value is, so
         # N(T) is read off the parsed matrix; the masses are summed exactly.
-        nbr = np.flatnonzero((A[:, T] != 0.0).any(axis=1)).tolist()
-        rq = rational.parse_vector_tokens(args.rows)
-        cq = rational.parse_vector_tokens(args.cols)
+        nbr = (A[:, T] != 0.0).any(axis=1)
         _require("certificate_hall_violation",
-                 sum(cq[j] for j in T) > sum(rq[i] for i in nbr))
+                 sum(map(Fraction, c[T].tolist())) > sum(map(Fraction, r[nbr].tolist())))
 
 
 def cmd_verify(args) -> int:

@@ -4,6 +4,10 @@ Instance format: a header line "d n" (or "m n"), then d rows of n
 whitespace-separated decimals. Marginals files are flat whitespace-separated
 decimals. Decimal text keeps fixtures portable; 17 significant digits
 round-trip binary64 exactly.
+
+This module is the only reader of the instance format. ``rational`` and the
+verify command's exact checks take the Fractions of the doubles read here,
+so the float and exact checks see one matrix by construction.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from . import __version__
 def _parse_floats(tokens: list[str]) -> np.ndarray:
     """The tokens as binary64 values, each read by Python's ``float()``.
 
-    ``rational.to_fraction`` reads tokens the same way, so both verifiers
-    check one matrix. numpy's own string parser is not used: it is not
-    ``float()``. Every token is converted before the finiteness check, so a
-    token ``float()`` rejects is reported ahead of a non-finite one.
+    numpy's own string parser is not used: it is not ``float()``. Every token
+    is converted before the finiteness check, so a token ``float()`` rejects
+    is reported ahead of a non-finite one.
     """
     values = list(map(float, tokens))
     if not all(map(math.isfinite, values)):
@@ -52,7 +55,7 @@ def read_vector_file(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise ValueError(f"{path}: empty marginals file")
+        raise ValueError(f"{path}: no values")
     return _parse_floats(tokens)
 
 

@@ -25,14 +25,14 @@ class QMetric:
 
     ``r`` is upper triangular with R^T R = UZU^T, as ``gram_context`` returns it.
     It is kept C-contiguous, the layout ``linalg._solve_r`` takes. LAPACK
-    checks no shapes beyond its own arguments, so a non-square R and a
-    right side of the wrong length raise ValueError here.
+    checks no shapes beyond its own arguments, so an empty or non-square R
+    and a right side of the wrong length raise ValueError here.
     """
 
     def __init__(self, r: np.ndarray):
         r = np.ascontiguousarray(r, dtype=np.float64)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError(f"R must be a square matrix, got shape {r.shape}")
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+            raise ValueError(f"R must be a non-empty square matrix, got shape {r.shape}")
         self._r = r
 
     @classmethod

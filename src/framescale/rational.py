@@ -1,10 +1,11 @@
 """Exact rational arithmetic for certificate verification.
 
-Each decimal token is read as the binary64 value the solver reads, then
-taken as the exact Fraction of that float, so rank and mass comparisons
-here are exact for the very matrix that was solved; this is the
-independent oracle behind the verify command, deliberately sharing no code
-with the float solver.
+The instance format is read in ``io`` alone. The exact checks take the
+Fraction of each binary64 value ``io`` parsed, and ``Fraction`` of a double
+is exact, so rank and mass comparisons here are exact for the very matrix
+that was solved. Rank is this module's own fraction-free elimination, the
+independent oracle behind the verify command; it shares no arithmetic with
+the float solver.
 """
 
 from __future__ import annotations
@@ -12,28 +13,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-
-def to_fraction(token: str) -> Fraction:
-    x = float(token)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {token!r} in input")
-    return Fraction(x)
+from . import io
 
 
 def parse_matrix_tokens(path) -> list[list[Fraction]]:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    d, n = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != d * n:
-        raise ValueError(f"{path}: expected {d * n} entries")
-    vals = [to_fraction(t) for t in body]
-    return [vals[i * n:(i + 1) * n] for i in range(d)]
+    return [list(map(Fraction, row)) for row in io.read_matrix_file(path).tolist()]
 
 
 def parse_vector_tokens(path) -> list[Fraction]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [to_fraction(t) for t in fh.read().split()]
+    return list(map(Fraction, io.read_vector_file(path).tolist()))
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:

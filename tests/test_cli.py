@@ -15,7 +15,7 @@ import framescale.cli as cli
 from framescale import io as fio
 from framescale import matrixscale, rational
 from framescale.cli import main
-from framescale.generate import gen_bipartite, gen_gaussian
+from framescale.generate import gen_bipartite, gen_gaussian, gen_infeasible
 
 from conftest import fuzz_recipe
 
@@ -795,3 +795,113 @@ class TestParserCache:
         capsys.readouterr()
         assert run_cli(["verify", "--result", f_out, "--input", frame[2]]) == 1
         assert "frame verification needs --marginals" in capsys.readouterr().err
+
+
+def per_token_fractions(path, header):
+    """The exact reader verify used before ``io`` was its only parser: each
+    token taken as ``Fraction(float(token))``, rows split by the header."""
+    tokens = Path(path).read_text().split()
+    if not header:
+        return [Fraction(float(t)) for t in tokens]
+    n = int(tokens[1])
+    vals = [Fraction(float(t)) for t in tokens[2:]]
+    return [vals[i * n:(i + 1) * n] for i in range(int(tokens[0]))]
+
+
+class TestOneReader:
+    """``io`` is the only reader of the instance format; verify reads each file once."""
+
+    SPELLINGS = "1_0 -0 +1.5 1E3 5e-324 .5"
+
+    def instances(self):
+        yield gen_gaussian(5, 20, 0)
+        for d, n, seed in [(3, 7, 0), (4, 12, 0), (8, 20, 1)]:
+            yield gen_infeasible(d, n, seed)
+        for seed in range(12):
+            recipe = fuzz_recipe(seed)
+            if recipe is not None:
+                yield recipe
+
+    def test_spellings_as_per_token_rule(self, tmp_path):
+        vec, mat = tmp_path / "v.txt", tmp_path / "m.txt"
+        vec.write_text(self.SPELLINGS + "\n")
+        mat.write_text("2 3\n" + self.SPELLINGS + "\n")
+        assert rational.parse_vector_tokens(vec) == per_token_fractions(vec, header=False)
+        assert rational.parse_matrix_tokens(mat) == per_token_fractions(mat, header=True)
+        assert rational.parse_vector_tokens(vec) == [
+            Fraction(10), 0, Fraction(3, 2), Fraction(1000), Fraction(5e-324), Fraction(1, 2)]
+
+    def test_written_instances_as_per_token_rule(self, tmp_path):
+        count = 0
+        for U, c in self.instances():
+            fio.write_matrix_file(tmp_path / "U.txt", U)
+            fio.write_vector_file(tmp_path / "c.txt", c)
+            rows = rational.parse_matrix_tokens(tmp_path / "U.txt")
+            assert rows == per_token_fractions(tmp_path / "U.txt", header=True)
+            assert rows == [[Fraction(v) for v in row] for row in U.tolist()]
+            assert (rational.parse_vector_tokens(tmp_path / "c.txt")
+                    == per_token_fractions(tmp_path / "c.txt", header=False))
+            count += 1
+        assert count >= 10
+
+    @pytest.mark.parametrize("text, header", [
+        ("2 x\n1 2\n", True),
+        ("1\n", True),
+        ("2 2\n1 2 3\n", True),
+        ("1 2\n1 nan\n", True),
+        ("1 nan 2\n", False),
+        ("\n", False),
+    ], ids=["malformed-header", "no-header", "short-body", "nan-matrix", "nan-vector", "empty"])
+    def test_bad_files_raise_the_io_error(self, tmp_path, text, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        read, parse = ((fio.read_matrix_file, rational.parse_matrix_tokens) if header
+                       else (fio.read_vector_file, rational.parse_vector_tokens))
+        with pytest.raises(ValueError) as want:
+            read(path)
+        with pytest.raises(ValueError) as got:
+            parse(path)
+        assert str(got.value) == str(want.value)
+
+    @staticmethod
+    def count_opens(monkeypatch):
+        """The paths ``framescale.io`` opens from now on, in order."""
+        opened = []
+
+        def counting(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(fio, "open", counting, raising=False)
+        return opened
+
+    def test_frame_certificate_verify_reads_each_file_once(self, tmp_path, monkeypatch):
+        base = gen(tmp_path, "infeasible", d=4, n=12, seed=0)
+        files = ["--input", f"{base}.U.txt", "--marginals", f"{base}.c.txt"]
+        out = tmp_path / "res.json"
+        assert run_cli(["frame", *files, "--eps", "1e-6", "--out", out]) == 3
+        TestMatrixVerify.forbid(monkeypatch, (rational, "parse_matrix_tokens"),
+                                (rational, "parse_vector_tokens"))
+        opened = self.count_opens(monkeypatch)
+        assert run_cli(["verify", "--result", out, *files]) == 0
+        assert sorted(opened) == sorted([str(out), *files[1::2]])
+
+    def test_hall_verify_reads_each_file_once(self, tmp_path, monkeypatch):
+        flags = matrix_files(tmp_path, [[1, 1, 0], [0, 0, 1], [0, 0, 1]], np.ones(3), np.ones(3))
+        out = tmp_path / "res.json"
+        assert run_cli(["matrix", *flags, "--eps", "1e-6", "--out", out]) == 3
+        TestMatrixVerify.forbid(monkeypatch, (rational, "parse_matrix_tokens"),
+                                (rational, "parse_vector_tokens"))
+        opened = self.count_opens(monkeypatch)
+        assert run_cli(["verify", "--result", out, *flags]) == 0
+        assert sorted(opened) == sorted(map(str, [out, *flags[1::2]]))
+
+    def test_empty_rows_file_is_named(self, tmp_path, capsys):
+        flags = matrix_files(tmp_path, np.ones((2, 2)), np.ones(2), np.ones(2))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        flags[3] = empty
+        assert run_cli(["matrix", *flags, "--eps", "1e-6"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: no values\n"
+        assert "marginals" not in err

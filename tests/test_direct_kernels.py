@@ -229,3 +229,11 @@ def test_qmetric_rejects_mismatched_shapes(r, x):
     # IndexError on the 0-d x.
     with pytest.raises(ValueError):
         QMetric(r).apply(x)
+
+
+def test_qmetric_rejects_an_empty_r(capfd):
+    # dtrtrs on a 0 x 0 triangle fails with info = -7 after LAPACK's own
+    # error handler prints to stderr; the constructor stops it first.
+    with pytest.raises(ValueError, match="non-empty square"):
+        QMetric(np.zeros((0, 0)))
+    assert capfd.readouterr().err == ""
