@@ -276,13 +276,15 @@ def matrix_rho_prefixes(matrix: NonnegMatrix, order: np.ndarray) -> np.ndarray:
     column max of the out/in ratio over touched rows gives each rho (the
     neighborhoods form a chain under prefix growth). The cumulative sum adds
     columns in prefix order, so each value is exactly what adding the
-    columns one at a time gives.
+    columns one at a time gives. Over a subnormal in-prefix mass the ratio
+    can pass binary64's max; it saturates to inf, which caps no gap.
     """
     a = matrix.matrix
     total = a.sum(axis=1)
     inter = np.cumsum(a[:, order[:-1]], axis=1)
     touched = inter > 0.0
-    ratio = (total[:, None] - inter) / np.where(touched, inter, 1.0)
+    with np.errstate(over="ignore"):
+        ratio = (total[:, None] - inter) / np.where(touched, inter, 1.0)
     return np.where(touched, ratio, 0.0).max(axis=0, initial=0.0)
 
 
@@ -300,8 +302,7 @@ def matrix_regularize(matrix: NonnegMatrix, y, delta: float) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (matrix.n,):
         raise ValueError("scaling length does not match matrix")
-    return prefix_gap_shrink(y, delta,
-                             lambda order, _: matrix_rho_prefixes(matrix, order),
+    return prefix_gap_shrink(y, delta, lambda o, gaps: matrix_rho_prefixes(matrix, o)[gaps],
                              max(matrix.rho_floor, delta))
 
 

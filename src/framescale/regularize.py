@@ -9,11 +9,10 @@ condition measures are NP-hard and never needed. ``prefix_gap_shrink`` is
 the one shrink body: ``regularize`` runs it for frames and
 ``matrixscale.matrix_regularize`` for matrices, each with its own rho. It
 sorts z only when max z / min z is large enough for some gap to fire, and
-rejects a scaling that is not strictly positive and finite. Its max z,
-max zs and any-candidate test are read off one element at ``argmax``
-(on the bool mask, the first True), not by a ufunc reduction: the read is
-exact, NaN first included, and on vectors this short it costs about a
-third of the reduction.
+rejects a scaling that is not strictly positive and finite. Its max z and
+max zs are read off one element at ``argmax``, not by a ufunc reduction:
+the read is exact, NaN first included, and on vectors this short it costs
+about a third of the reduction.
 """
 
 from __future__ import annotations
@@ -60,37 +59,35 @@ class RhoCache:
             self._values[key] = val
         return val
 
-    def prefix_rhos(self, order: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """``prefix_gap_shrink``'s ``rhos``: entry k - 1 is the rho of
-        ``order[:k]`` at each candidate gap k, and 0 elsewhere."""
-        return np.array([self.rho(order[:k]) if c else 0.0 for k, c in enumerate(candidates, 1)])
-
 
 def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.ndarray:
     """Cap each sorted prefix gap of z at max(rho, floor)/delta, then snap.
 
-    z is divided by its min z[lo], and with ``order`` its descending sort, a
-    gap k whose ratio overshoots its threshold max(rho_k, floor)/delta by
-    more than a (1 + 2 delta) factor, more than grid rounding perturbs it,
-    has the prefix ``order[:k]`` multiplied down in place until the gap
-    equals the threshold. Rounding to the nearest multiple of delta (clamped
-    to stay >= delta) then keeps the order, and since no cap touches a
-    minimal entry, dividing by the snapped z[lo] makes the min 1.0.
+    z is divided by its min z[lo], and with ``order`` its descending sort,
+    gap k is the ratio of ``order[k]`` to ``order[k + 1]``. A gap that
+    overshoots its threshold max(rho, floor)/delta, rho that of the prefix
+    ``order[:k + 1]``, by more than a (1 + 2 delta) factor, more than grid
+    rounding perturbs it, has that prefix multiplied down in place until
+    the gap equals the threshold. Rounding to the nearest multiple of delta
+    then keeps the order, and since no cap touches a minimal entry,
+    dividing by the snapped z[lo] makes the min 1.0.
 
     ``floor`` is the clamp, and it is also a proven lower bound on every
     rho after the caller's own clamp c, max(rho, c). A caller with a proven
     lower bound b on its rhos passes max(b, c): each threshold then equals
     max(rho, c)/delta, and a higher floor rules out more gaps before any rho
     is computed. Frames pass 1, which rho_hat never undercuts; matrices
-    pass max(rho_floor, delta).
+    pass max(rho_floor, delta). Both are at least delta, so no threshold is
+    below 1.
 
-    A shrink at gap k scales only the first k entries, so no later ratio
+    A cap at gap k scales only the first k + 1 entries, so no later ratio
     changes and all ratios are taken up front. Thresholds are at least
     floor/delta, so only gaps with ratio * (delta/floor) above the headroom
     are candidates, and z is sorted only when max/min is one.
-    ``rhos(order, candidates)``, called only when there is one, maps that
-    mask over the n - 1 gaps to an array whose entry k - 1 is the rho of
-    ``order[:k]`` at each candidate gap k. A z that is not positive and
+    ``rhos(order, gaps)``, called only when some gap is a candidate, maps
+    the increasing candidate indices k to the rhos of ``order[:k + 1]``.
+    Thresholds are Python floats: past binary64 one saturates to inf,
+    without a warning, and caps nothing. A z that is not positive and
     finite, or whose max/min overflows binary64, or does so once divided by
     delta for the grid, raises ValueError.
     """
@@ -109,12 +106,12 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     if span * (delta / floor) > headroom:
         order = np.argsort(-z, kind="stable")
         ratios = zs[order[:-1]] / zs[order[1:]]
-        candidates = ratios * (delta / floor) > headroom
-        # argmax on a bool array finds the first True; n = 1 leaves no gap.
-        if candidates.size and candidates[candidates.argmax()]:
-            thresholds = np.maximum(rhos(order, candidates), floor) / delta
-            for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
-                zs[order[:k + 1]] *= thresholds[k] / ratios[k]
+        gaps = np.flatnonzero(ratios * (delta / floor) > headroom)
+        if gaps.size:
+            for k, rho in zip(gaps, rhos(order, gaps)):
+                threshold = max(float(rho), floor) / delta
+                if ratios[k] > threshold * headroom:
+                    zs[order[:k + 1]] *= threshold / ratios[k]
     # The caps only lower entries, so max zs <= span, and the snap's zs / delta
     # can overflow only when span / delta does; only then is max zs read. As
     # Python floats, the quotients overflow to inf without a warning.
@@ -127,12 +124,14 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
 
 
 def _snap(zs: np.ndarray, delta: float) -> None:
-    """Round zs in place to the nearest multiple of delta, clamped at delta."""
+    """Round zs in place to the nearest multiple of delta. No clamp at delta
+    can bind: zs >= 1 after the division by its min, a cap to a threshold
+    >= 1 leaves each capped entry no lower than its successor (up to ulps)
+    and no cap touches a minimal entry, so zs / delta + 0.5 > 2."""
     zs /= delta
     zs += 0.5
     np.floor(zs, out=zs)
     zs *= delta
-    np.maximum(zs, delta, out=zs)
 
 
 def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> np.ndarray:
@@ -145,4 +144,4 @@ def regularize(frame: Frame, z, delta: float, cache: RhoCache | None = None) -> 
         raise ValueError("scaling length does not match frame")
     if cache is None:
         cache = RhoCache(frame)
-    return prefix_gap_shrink(z, delta, cache.prefix_rhos, 1.0)
+    return prefix_gap_shrink(z, delta, lambda o, gaps: [cache.rho(o[:k + 1]) for k in gaps], 1.0)

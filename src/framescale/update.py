@@ -274,7 +274,7 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     (``_set_mask``), else ValueError; the check reuses the mask that picks
     P's rows. ``q`` is the iterate's ``orthonormal_factor(frame, z)``, and
     z is not validated again. P = Q_T^T Q_T is formed from q once, and
-    h(1) = tr P and h'(1) = tr P - ||P||_F^2 are read off it here. Raises
+    h(1) = tr P and h'(1) = tr P - ||P||_F^2 are read off it (``_proxy_values``). Raises
     DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma, a band
     binary64 cannot hold.
 
@@ -298,8 +298,7 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     p = _set_gram(q, _set_mask(frame.n, T))
-    h1 = float(np.add.reduce(p.diagonal()))
-    hp1 = max(h1 - float(np.add.reduce(p * p, axis=None)), 0.0)
+    h1, hp1 = _proxy_values(p, 1.0)
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
     if hp1 >= gamma / 4.0:

@@ -140,6 +140,16 @@ def fuzz_recipe(seed):
     return U, c
 
 
+def gibbs_kernel(n, eta, seed):
+    """(A, r, c): the Gibbs kernel A = exp(-C / eta) of a cost C uniform on
+    [0, 1)^(n x n), with unit marginals. Below eta of about 0.0014 the least
+    entries underflow to subnormals and then to 0."""
+    C = np.random.default_rng(seed).uniform(0, 1, (n, n))
+    with np.errstate(under="ignore"):
+        A = np.exp(-C / eta)
+    return A, np.ones(n), np.ones(n)
+
+
 def sequential_regularize(frame, z, delta, cache, floor=1.0):
     """Reference: the gap-by-gap prefix shrink, visiting every gap in order.
 

@@ -102,7 +102,10 @@ def old_prefix_gap_shrink(z, delta, rhos, floor):
         ratios = zs[order[:-1]] / zs[order[1:]]
         candidates = ratios * (delta / floor) > headroom
         if np.logical_or.reduce(candidates):
-            thresholds = np.maximum(rhos(order, candidates), floor) / delta
+            # The threshold vector saturates to inf where the shrink's
+            # Python-float thresholds do, but without the warning.
+            with np.errstate(over="ignore"):
+                thresholds = np.maximum(rhos(order, candidates), floor) / delta
             for k in np.flatnonzero(candidates & (ratios > thresholds * headroom)):
                 zs[order[:k + 1]] *= thresholds[k] / ratios[k]
     grid = float(delta)
@@ -158,7 +161,14 @@ def test_require_full_rank(name):
 
 
 def rhos_at(value):
-    return lambda order, candidates: np.where(candidates, value, 0.0)
+    """``rhos`` giving every candidate gap the rho ``value``: over the gap
+    mask for the vector reference, as an array with 0 at the other gaps, and
+    over the candidate gap indices for ``prefix_gap_shrink``."""
+    def rhos(order, gaps):
+        if gaps.dtype == bool:
+            return np.where(gaps, value, 0.0)
+        return [value] * gaps.size
+    return rhos
 
 
 # A modest rho lets every cap fire; a rho of 1e308 puts each threshold at
