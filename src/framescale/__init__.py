@@ -9,6 +9,7 @@ from .errors import (
     FactorizationFailure,
     GuessPreconditionViolated,
     InfeasibleSegment,
+    IterateCycle,
     IterationCapExceeded,
     NotSeparable,
     NotSymmetric,
@@ -72,6 +73,6 @@ __all__ = [
     "matrix_update", "matrix_regularize", "scale_matrix",
     "QMetric", "LabeledSample", "improved_perceptron", "margin_fraction",
     "ScalingError", "FactorizationFailure", "NotSymmetric", "DegenerateMargin",
-    "IterationCapExceeded", "DerivativeVanished", "GuessPreconditionViolated",
+    "IterationCapExceeded", "IterateCycle", "DerivativeVanished", "GuessPreconditionViolated",
     "PreconditionViolated", "InfeasibleSegment", "ZeroRowSum", "NotSeparable",
 ]

@@ -17,7 +17,8 @@ class ScalingError(Exception):
 class FactorizationFailure(ScalingError):
     """A factorization failed: a QR factor collapsed (a scaled frame or projector block
     is numerically singular) or LAPACK reported an error; or a measurement of the
-    iterate came out non-finite, so the margin loop's error^2 is NaN or infinite."""
+    iterate came out non-finite, so the margin loop's error^2 is NaN or infinite; or
+    a step's alpha times the largest entry of z on T overflows binary64."""
 
 
 class NotSymmetric(ScalingError):
@@ -33,6 +34,15 @@ class IterationCapExceeded(ScalingError):
     """An iterative loop ran past its safety cap.
 
     Signals numerical breakdown rather than a slow instance.
+    """
+
+
+class IterateCycle(ScalingError):
+    """The margin loop's iterate repeated an earlier one byte for byte.
+
+    The next iterate is a pure function of z, so the solve would cycle with
+    that period until the iteration cap; the message names the period and
+    the iteration.
     """
 
 

@@ -3,20 +3,20 @@
 Leverage, proxy values, kernels, condition estimates and solves against
 UZU^T are all read off the thin QR of sqrt(Z) U^T: its Q factor carries the
 leverage scores, and since UZU^T = R^T R its R factor turns a Gram solve
-into two triangular solves. Nothing here factors a Cholesky. Both QRs and
-the triangular solves call LAPACK directly, through ``scipy.linalg.lapack``:
-the thin QR is ``dgeqrf`` and ``dorgqr``, the column-pivoted QR behind
-ranks and the determinant search is ``dgeqp3``, and every solve on an R
-(``perceptron.QMetric`` and the determinant search) is ``dtrtrs``, through
-``_solve_r``. At the sizes of a frame iterate the numpy and scipy wrappers
-cost several times the LAPACK call, and that call is the one those
-wrappers make, so the factors and solutions are the same bit for bit.
+into two triangular solves. Nothing here factors a Cholesky. This module
+makes every LAPACK call of the package, through ``scipy.linalg.lapack``,
+and checks each call's ``info``: the thin QR is ``dgeqrf`` and ``dorgqr``
+(``_thin_qr``), the pivoted QR behind ranks and the determinant search
+``dgeqp3`` (``_pivoted_qr``), every solve on an R ``dtrtrs``
+(``_solve_r``), the spectra of the steep step's P, ``logdet_psd`` and
+``pinv_trace`` ``dsyevd`` (``_symmetric_eigenvalues``), and the singular
+values of ``regularize.rho_overestimate`` ``dgesdd`` (``_singular_values``).
+Each is the call the numpy or scipy wrapper makes, at a fraction of the
+wrapper's cost at these sizes, so the results are the same bit for bit.
 scipy is imported at the first factorization, not with the package:
-every scipy routine here and in ``update`` is looked up through
-``_scipy_linalg()`` at call time, and ``perceptron`` reaches LAPACK
-through ``_solve_r`` and ``gram_context``, so a process that only
-solves matrices, generates a gaussian or bipartite instance, or verifies a
-certificate in exact arithmetic never loads it. Everything is
+``_lapack()`` looks every routine up at call time, so a process that only
+solves matrices, generates a gaussian or bipartite instance, or verifies
+a certificate in exact arithmetic never loads it. Everything is
 deterministic and pure; binary64 throughout.
 Rank and eigenvalue cutoffs follow the usual machine-epsilon scaling.
 
@@ -39,11 +39,11 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 @functools.cache
-def _scipy_linalg():
-    """``scipy.linalg``, imported at the first call and kept for the process;
-    the one place the package imports scipy."""
-    import scipy.linalg
-    return scipy.linalg
+def _lapack():
+    """``scipy.linalg.lapack``, imported at the first call and kept for the
+    process; the one place the package imports scipy."""
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -132,7 +132,7 @@ def _thin_qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equal numpy's reduced QR bit for bit. Raises FactorizationFailure when
     LAPACK reports an error.
     """
-    lapack = _scipy_linalg().lapack
+    lapack = _lapack()
     qr, tau, _, info = lapack.dgeqrf(b)
     if info != 0:
         raise FactorizationFailure(f"LAPACK dgeqrf failed (info={info})")
@@ -156,7 +156,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with it R and piv equal that wrapper's bit for bit. Raises
     FactorizationFailure when LAPACK reports an error.
     """
-    rh, jpvt, _, _, info = _scipy_linalg().lapack.dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
+    rh, jpvt, _, _, info = _lapack().dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
     if info != 0:
         raise FactorizationFailure(f"LAPACK dgeqp3 failed (info={info})")
     return rh, jpvt - 1
@@ -166,7 +166,7 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dgeqp3_lwork(m: int, n: int) -> int:
     """The optimal ``dgeqp3`` workspace for an m x n input; it depends on the
     shape alone, so each shape is queried once per process."""
-    return int(_scipy_linalg().lapack.dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
+    return int(_lapack().dgeqp3(np.zeros((m, n)), lwork=-1)[3][0])
 
 
 def _solve_r(r: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
@@ -181,12 +181,38 @@ def _solve_r(r: np.ndarray, b: np.ndarray, transposed: bool) -> np.ndarray:
     FactorizationFailure when a diagonal entry of R is exactly zero or
     LAPACK reports an error.
     """
-    x, info = _scipy_linalg().lapack.dtrtrs(r.T, b, lower=1, trans=0 if transposed else 1)
+    x, info = _lapack().dtrtrs(r.T, b, lower=1, trans=0 if transposed else 1)
     if info > 0:
         raise FactorizationFailure(f"singular triangle: R[{info - 1}, {info - 1}] is zero")
     if info != 0:
         raise FactorizationFailure(f"LAPACK dtrtrs failed (info={info})")
     return x
+
+
+def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a symmetric m, ascending, by LAPACK ``dsyevd`` on its
+    lower triangle: the call numpy's ``eigvalsh`` makes, so its values bit
+    for bit. scipy's ``eigvalsh`` (``dsyevr``) gives the same values until
+    the largest entry passes about 1e76, where each routine scales m its own
+    way. Raises FactorizationFailure when LAPACK reports an error.
+    """
+    w, _, info = _lapack().dsyevd(m, compute_v=0, lower=1)
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dsyevd failed (info={info})")
+    return w
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of a nonempty matrix a, descending, by LAPACK
+    ``dgesdd`` with no vectors: the call numpy's ``svd(a, compute_uv=False)``
+    makes, and its values bit for bit while min(m, n) stays at or below
+    LAPACK's blocked cutoff (128 with OpenBLAS), where the workspace size
+    changes no path. Raises FactorizationFailure when LAPACK reports an error.
+    """
+    _, s, _, info = _lapack().dgesdd(a, compute_uv=0, full_matrices=0)
+    if info != 0:
+        raise FactorizationFailure(f"LAPACK dgesdd failed (info={info})")
+    return s
 
 
 def _require_full_rank(rh: np.ndarray, failure: str) -> None:
@@ -285,7 +311,7 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 def logdet_psd(m) -> float:
     """log det of a symmetric PSD matrix; -inf marks an eigenvalue <= k * eps * lambda_max."""
     m = _check_symmetric(_as_matrix(m))
-    w = _scipy_linalg().eigvalsh(m, check_finite=False)
+    w = _symmetric_eigenvalues(m)
     if np.any(w <= m.shape[0] * _EPS * max(float(w.max(initial=0.0)), 0.0)):
         return float("-inf")
     return float(np.sum(np.log(w)))
@@ -298,7 +324,7 @@ def pinv_trace(m) -> float:
     a rank-0 input gives 0.
     """
     m = _check_symmetric(_as_matrix(m))
-    w = _scipy_linalg().eigvalsh(m, check_finite=False)
+    w = _symmetric_eigenvalues(m)
     lam_max = float(w.max(initial=0.0))
     if lam_max <= 0.0:
         return 0.0

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 # gram_context and pinv_trace stay module attributes: perfbench/spans.py wraps them here.
-from .linalg import (_EPS, Frame, _column_mask, gram_context, orthonormal_factor,  # noqa: F401
-                     pinv_trace, validate_scaling)
+from .linalg import (_EPS, Frame, _column_mask, _singular_values, gram_context,  # noqa: F401
+                     orthonormal_factor, pinv_trace, validate_scaling)
 
 
 def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
@@ -31,15 +31,16 @@ def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
     when every column in T is zero. With ``q0 = orthonormal_factor(frame,
     ones)``, which ``RhoCache`` factors once per frame, that matrix is
     q0[T] q0[T]^T, so the trace is the sum of 1/s^2 over the singular
-    values s of q0[T] above ``max(|T|, d) * eps * s_max``. Eigenvalues far
+    values s of q0[T] (``linalg._singular_values``) above
+    ``max(|T|, d) * eps * s_max``. Eigenvalues far
     below eps times the largest are resolved, which forming the matrix
     itself would round away. T must be a nonempty set of distinct integer
     column indices in [0, n) (``linalg._column_mask``), else ValueError.
     """
     _column_mask(T, frame.n)
     T = np.asarray(T, dtype=np.intp)
-    s = np.linalg.svd(q0[T], compute_uv=False)
-    keep = s > max(T.size, frame.d) * _EPS * s.max(initial=0.0)
+    s = _singular_values(q0[T])  # descending, so s[0] is the largest
+    keep = s > max(T.size, frame.d) * _EPS * s[0]
     return float(np.sum(1.0 / s[keep] ** 2))
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateMargin, FactorizationFailure, InfeasibleSegment,
-                     IterationCapExceeded, PreconditionViolated, ScalingError)
+                     IterateCycle, IterationCapExceeded, PreconditionViolated, ScalingError)
 # leverage_scores stays a module attribute here for callers that look it up
 # on this module; the loop reads leverage off the iterate's factor instead.
 from .linalg import (Frame, _column_mask, _scaled_qr, leverage_scores,  # noqa: F401
@@ -296,7 +296,11 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     from; the loop never reads it. The trace records ||log z||_inf, which
     for min z = 1 is log max z; it stores max z and takes the log on read.
     A measurement whose error^2 is not finite (NaN marginals read as
-    converged otherwise) raises FactorizationFailure, and that iteration
+    converged otherwise) raises FactorizationFailure, and so does a finite
+    alpha whose product with max z on T overflows binary64. The next
+    iterate is a pure function of z, so a shrink output equal byte for byte
+    to an earlier one means the loop cycles: Brent's method spots it, and
+    it raises IterateCycle with the period. An iteration that raises
     writes no record. A ScalingError leaving the loop carries the trace.
     <m, 1> does not move with z, and ||m - c||^2 >= (<m, 1> -
     <c, 1>)^2 / n; when the first measurement puts this bound above eps^2,
@@ -322,6 +326,10 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     trace = Trace()
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
+    z_max = 1.0
+    # Brent's cycle detection: the shrink output compared with one saved
+    # iterate, saved again each time the lap reaches the next power of two.
+    saved, lap, power = z.tobytes(), 0, 1
     try:
         if not err_sq < math.inf:
             raise FactorizationFailure(
@@ -358,8 +366,26 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                     status=INFEASIBLE, scaling=None, certificate=cert,
                     iterations=it, final_error_sq=err_sq, trace=trace,
                 )
+            # As Python floats the products overflow to inf without a warning;
+            # the max over T is read only when the max over all of z overflows.
+            if upd.alpha < math.inf and upd.alpha * z_max == math.inf:
+                zt = z[T]
+                top = float(zt[zt.argmax()])
+                if upd.alpha * top == math.inf:
+                    raise FactorizationFailure(
+                        f"step {it} overflows binary64: alpha {upd.alpha!r} times "
+                        f"max z on T {top!r}"
+                    )
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
+            tag, lap = z.tobytes(), lap + 1
+            if tag == saved:
+                raise IterateCycle(
+                    f"iterate {it} repeats iterate {it - lap}: the solve cycles with "
+                    f"period {lap} (error^2 {err_sq:g})"
+                )
+            if lap == power:
+                saved, lap, power = tag, 0, 2 * power
             marginals, factor = measure(z)
             x = marginals - c
             new_err_sq = float(np.add.reduce(x * x))
@@ -367,8 +393,9 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 raise FactorizationFailure(
                     f"error^2 after step {it} is {new_err_sq!r}: the measurement is not finite"
                 )
+            z_max = float(z[z.argmax()])
             trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, upd.nd_iters, upd.hp_one,
-                         z[z.argmax()], new_err_sq)
+                         z_max, new_err_sq)
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:
@@ -413,6 +440,8 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     IterationCapExceeded
         If the cap is hit; signals numerical breakdown. Like every
         ScalingError raised inside the loop, it carries the trace so far.
+    IterateCycle
+        If an iterate repeats an earlier one, so the solve would cycle.
     """
     from .regularize import RhoCache, regularize
     from .update import compute_update

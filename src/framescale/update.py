@@ -5,8 +5,8 @@ h(alpha) is the leverage mass of T after z is scaled by alpha on T. Each
 step forms the d x d matrix P = Q_T^T Q_T once and reads h(1) and h'(1)
 off it. When the proxy is already steep at 1 the step is a single Newton
 step from 1, written out in closed form: it lands in the band, with
-alpha - 1 <= 4, and h there is read off the eigenvalues of P (LAPACK
-``dsyevd``), so that step factors nothing and runs no Newton loop.
+alpha - 1 <= 4, and h there is read off the eigenvalues of P, so that
+step factors nothing and runs no Newton loop.
 Otherwise the solution lives near gamma / (sum of small eigenvalues), and
 ``approx_small_eigen_sum`` estimates that sum without any
 eigendecomposition: round the trace to count the large eigenvalues, pick a
@@ -18,10 +18,9 @@ seed, pulling it back toward 1 should roundoff put it past the band, and
 reads (h, h') at each trial alpha off one ``proxy_at`` call, one thin QR;
 this guess branch is the only caller of ``newton_dinkelbach``. The start
 is the iterate's thin orthonormal factor Q, which also gives the leverage
-scores, h(1) and P; no Cholesky and no kernel matrix is formed. Every thin
-QR here is ``linalg._thin_qr`` (LAPACK ``dgeqrf`` and ``dorgqr``), the
-greedy's pivoted QR is ``linalg._pivoted_qr`` (``dgeqp3``), and the swap
-pricing's triangular solves are ``linalg._solve_r`` (``dtrtrs``).
+scores, h(1) and P; no Cholesky and no kernel matrix is formed. Every
+factorization, eigensolve and triangular solve here goes through
+``linalg``, the one module that calls LAPACK.
 
 The step record ``UpdateResult`` that the margin loop reads lives in
 ``solver``.
@@ -42,8 +41,8 @@ from .errors import (DegenerateMargin, DerivativeVanished, FactorizationFailure,
 # gram_context and logdet_psd stay module attributes: perfbench/spans.py
 # wraps them here, though no update path calls either.
 from .linalg import (_EPS, Frame, _column_mask, _pivoted_qr, _require_full_rank,  # noqa: F401
-                     _scaled_qr, _scipy_linalg, _solve_r, _thin_qr, gram_context, logdet_psd,
-                     numerical_rank, orthonormal_factor, validate_scaling)
+                     _scaled_qr, _solve_r, _symmetric_eigenvalues, _thin_qr, gram_context,
+                     logdet_psd, numerical_rank, orthonormal_factor, validate_scaling)
 from .solver import UpdateResult, step_gain
 
 DERIVATIVE_FLOOR = 1e-14
@@ -281,8 +280,8 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     When h'(1) >= gamma/4 the step is Newton's first step from 1, taken in
     closed form: alpha = 1 + gamma / h'(1), with gamma written
     (h(1) + gamma) - h(1) as Newton's (b_high - h(1)) / h'(1). It lands in
-    the band. With mu the eigenvalues of P (``dsyevd``, as in numpy's
-    eigvalsh) and w = mu (1 - mu), h'(1) = sum w and the gain is
+    the band. With mu the eigenvalues of P (``linalg._symmetric_eigenvalues``)
+    and w = mu (1 - mu), h'(1) = sum w and the gain is
     ``solver.step_gain``, h(alpha) - h(1) = sum s w / (1 + s mu) with
     s = alpha - 1 = gamma / h'(1) <= 4. As 0 <= mu <= 1, each denominator
     lies in [1, alpha], so the gain lies in [gamma / alpha, gamma], and
@@ -302,9 +301,7 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")
     if hp1 >= gamma / 4.0:
-        mu, _, info = _scipy_linalg().lapack.dsyevd(p, compute_v=0, lower=1)
-        if info != 0:
-            raise FactorizationFailure(f"LAPACK dsyevd failed on P (info={info})")
+        mu = _symmetric_eigenvalues(p)
         alpha = 1.0 + ((h1 + gamma) - h1) / hp1
         return UpdateResult(alpha=alpha, h_gain=step_gain(mu, mu * (1.0 - mu), alpha),
                             nd_iters=1, hp_one=hp1, seeded=False)

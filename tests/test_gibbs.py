@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import gibbs_kernel
-from framescale import MatrixMarginals, NonnegMatrix, scale_matrix
+from framescale import FactorizationFailure, MatrixMarginals, NonnegMatrix, scale_matrix
 
 N, EPS = 20, 1e-6
 
@@ -55,8 +55,21 @@ def test_sinkhorn_is_slow_where_the_band_loop_is_not():
     assert band_solve(0.01).iterations < 10_000
 
 
-@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, ValueError),
+@pytest.mark.xfail(strict=True, raises=FactorizationFailure,
                    reason="ROADMAP direction 4: the margin step's z[T] *= alpha "
                           "overflows binary64 at eta 0.0003")
 def test_band_loop_scales_past_the_step_overflow():
     assert band_solve(0.0003).scaled
+
+
+def test_step_overflow_raises_with_its_trace():
+    # Step 223's alpha of 1.8e25 meets a z of 3.2e294 on T: the loop names
+    # the overflow before the multiply, and the error carries the 222 records
+    # of the steps that did not overflow.
+    A, r, c = gibbs_kernel(N, 0.0003, 0)
+    with pytest.raises(FactorizationFailure, match="step 223 overflows binary64") as info:
+        scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), EPS)
+    trace = info.value.trace
+    assert len(trace) == 222
+    assert all(np.isfinite(list(rec.as_dict().values())).all() for rec in trace)
+    assert trace[-1].log_z_inf > 600.0

@@ -14,6 +14,7 @@ from framescale import (
     FactorizationFailure,
     Frame,
     InfeasibleSegment,
+    IterateCycle,
     IterationCapExceeded,
     IterationRecord,
     Marginals,
@@ -884,6 +885,50 @@ class TestNonFiniteError:
         trace = info.value.trace
         assert len(trace) == 2 and [rec.alpha_hat for rec in trace] == [2.0, 2.0]
         assert 0.0 < trace[1].progress < trace[1].error_sq
+
+
+class TestIterateCycle:
+    # The next iterate is a pure function of z, so a shrink output equal to
+    # an earlier one repeats forever; Brent's method stops the loop there.
+    def test_real_steps_that_cycle(self):
+        # Every step is real (alpha_hat > 1) while error^2 cycles with period
+        # 3 from step 128; the cap at this eps is 91,969 iterations.
+        U, c = gen_gaussian(3, 4, 11)
+        with pytest.raises(IterateCycle, match="iterate 258 repeats iterate 255: "
+                                               "the solve cycles with period 3") as info:
+            scale_frame(Frame(U), Marginals(c, d=3), 1e-15)
+        trace = info.value.trace
+        assert len(trace) == 257
+        assert all(rec.alpha_hat > 1.0 for rec in trace)
+        errors = [rec.error_sq for rec in trace]
+        assert errors[-3:] == errors[-6:-3]
+
+    @staticmethod
+    def loop(shrink):
+        # Constant marginals: T = [0] and gamma 0.1 every iteration, each step
+        # doubling z[0] before the shrink.
+        c = np.array([0.5, 0.5])
+
+        def step(z, T, gamma, factor):
+            assert list(T) == [0]
+            return UpdateResult(alpha=2.0, h_gain=gamma, nd_iters=1, hp_one=0.0, seeded=False)
+
+        return _margin_loop(c, 1e-6, SolverConfig(), lambda z: (np.array([0.4, 0.6]), None),
+                            lambda T, tol=0.25: None, step, shrink)
+
+    def test_period_one(self):
+        # z[0] climbs 2, 4 and then stays at 4.
+        with pytest.raises(IterateCycle, match="iterate 4 repeats iterate 3: "
+                                               "the solve cycles with period 1") as info:
+            self.loop(lambda z, gamma: np.minimum(z, 4.0))
+        assert [rec.log_z_inf for rec in info.value.trace] == [math.log(v) for v in (2, 4, 4)]
+
+    def test_period_two(self):
+        # z[0] alternates 2, 1, 2, ...: iterate 2 is the start z = 1.
+        with pytest.raises(IterateCycle, match="iterate 3 repeats iterate 1: "
+                                               "the solve cycles with period 2") as info:
+            self.loop(lambda z, gamma: np.where(z > 2.0, 1.0, z))
+        assert [rec.log_z_inf for rec in info.value.trace] == [math.log(2.0), 0.0]
 
 
 class TestStepRecords:
