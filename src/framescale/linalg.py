@@ -69,28 +69,32 @@ def validate_scaling(z, n: int) -> np.ndarray:
     return z
 
 
-def _column_mask(T, n: int) -> np.ndarray:
-    """The boolean mask over n columns of the column set T.
+def _column_mask(T, n: int, proper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """T as intp indices in the caller's order, and T's boolean mask over n columns.
 
-    T must be a nonempty set of distinct column indices in [0, n), and of
-    an integer dtype, so a boolean mask or float indices are rejected rather
-    than cast; otherwise raises ValueError. One ``bincount`` checks it all:
-    it rejects a negative index, grows past n on an index >= n, and counts
-    a repeated index twice.
+    The one check of a column set. T must be a nonempty set of distinct
+    column indices in [0, n), and of an integer dtype, so a boolean mask or
+    float indices are rejected rather than cast; with ``proper`` it must
+    also leave a column out, checked first. Otherwise raises ValueError.
+    One ``bincount`` checks the rest: it rejects a negative index, grows
+    past n on an index >= n, and counts a repeated index twice.
     """
     T = np.asarray(T)
+    if proper and T.size >= n:
+        raise ValueError("T must be a proper subset of the columns")
     message = "T must be a nonempty set of distinct column indices in [0, n)"
     if T.size == 0:
         raise ValueError(message)
     if T.dtype.kind not in "iu":
         raise ValueError(f"T must hold integer column indices, got dtype {T.dtype}")
+    T = T.astype(np.intp, copy=False)
     try:
         counts = np.bincount(T, minlength=n)
     except ValueError:
         raise ValueError(message) from None
     if counts.size != n or np.count_nonzero(counts) != T.size:
         raise ValueError(message)
-    return counts.astype(bool)
+    return T, counts.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -301,6 +305,8 @@ def numerical_rank(columns) -> int:
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     asym = float(np.abs(m - m.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if asym > 1e-12 * scale:
@@ -321,7 +327,8 @@ def pinv_trace(m) -> float:
     """Trace of the Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
     Sums reciprocals of eigenvalues above ``k * eps * lambda_max``;
-    a rank-0 input gives 0.
+    a rank-0 input gives 0. A non-finite entry raises ValueError here and
+    in ``logdet_psd``.
     """
     m = _check_symmetric(_as_matrix(m))
     w = _symmetric_eigenvalues(m)

@@ -177,12 +177,12 @@ def _column_and_row_sums(matrix: NonnegMatrix, r, y) -> tuple[np.ndarray, np.nda
 def neighborhood(matrix: NonnegMatrix, T) -> np.ndarray:
     """Rows with support intersecting the column set T.
 
-    The empty set has no neighbors; any other T must hold distinct integer
-    column indices in [0, n) (``linalg._column_mask``), else ValueError.
+    The empty set has no neighbors; any other T is checked as a column set,
+    else ValueError, by ``linalg._column_mask``, whose mask picks columns.
     """
     if np.size(T) == 0:
         return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(matrix.support[:, _column_mask(T, matrix.n)].any(axis=1))
+    return np.flatnonzero(matrix.support[:, _column_mask(T, matrix.n)[1]].any(axis=1))
 
 
 def _mu_weights(matrix: NonnegMatrix, r, y, T, row):
@@ -204,10 +204,12 @@ def matrix_update(matrix: NonnegMatrix, r, y, T, gamma: float, row) -> UpdateRes
     ``_breakpoint_walk`` sorts the mu values. ``h_gain`` is the proxy gain
     at alpha in closed form (``step_gain``), ``hp_one`` its slope h'(1) =
     sum_i r_i mu_i (1 - mu_i), which is g's first slope, and ``nd_iters`` 0.
+    T is checked as a column set, else ValueError, and read as
+    ``linalg._column_mask`` returns it: intp, in the caller's order.
     """
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    mu, w = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp), row)
+    mu, w = _mu_weights(matrix, r, y, _column_mask(T, matrix.n)[0], row)
     rest = 1.0 - mu
     mass = w * rest
     keep = mass > 0.0  # rows fully inside T contribute nothing
@@ -258,12 +260,11 @@ def _breakpoint_walk(mu: np.ndarray, mass: np.ndarray, target: float) -> float:
 def matrix_proxy_gain(matrix: NonnegMatrix, r, y, T, alpha: float) -> float:
     """h(alpha) - h(1) for the column-sum proxy, in closed form (``step_gain``).
 
-    Forms the row sums A y itself; no solve path calls it. T must be a
-    nonempty set of distinct integer column indices in [0, n)
-    (``linalg._column_mask``), else ValueError.
+    Forms the row sums A y itself; no solve path calls it. T is checked as
+    a column set, else ValueError, and read as ``linalg._column_mask``
+    returns it: intp, in the caller's order.
     """
-    _column_mask(T, matrix.n)
-    mu, r_nbr = _mu_weights(matrix, r, y, np.asarray(T, dtype=np.intp),
+    mu, r_nbr = _mu_weights(matrix, r, y, _column_mask(T, matrix.n)[0],
                             matrix.matrix @ np.asarray(y))
     return step_gain(mu, r_nbr * mu * (1.0 - mu), alpha)
 

@@ -34,11 +34,10 @@ def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
     values s of q0[T] (``linalg._singular_values``) above
     ``max(|T|, d) * eps * s_max``. Eigenvalues far
     below eps times the largest are resolved, which forming the matrix
-    itself would round away. T must be a nonempty set of distinct integer
-    column indices in [0, n) (``linalg._column_mask``), else ValueError.
+    itself would round away. T is checked as a column set, else ValueError,
+    and read as ``linalg._column_mask`` returns it: intp, in the caller's order.
     """
-    _column_mask(T, frame.n)
-    T = np.asarray(T, dtype=np.intp)
+    T = _column_mask(T, frame.n)[0]
     s = _singular_values(q0[T])  # descending, so s[0] is the largest
     keep = s > max(T.size, frame.d) * _EPS * s[0]
     return float(np.sum(1.0 / s[keep] ** 2))

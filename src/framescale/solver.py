@@ -129,11 +129,12 @@ def infeasibility_certificate(frame: Frame, c, T,
     column indices in [0, n), the rule ``verify`` applies to a certificate:
     a repeated index would count its marginal twice against one rank, and
     T's own dtype must be integer, so a boolean mask or float indices are
-    rejected rather than cast. The margin loop decides with the default
+    rejected rather than cast; sorted T is the nonzeros of the mask that
+    ``linalg._column_mask`` returns. The margin loop decides with the default
     guard and, after a step proves the band unreachable, once more with
     ``tol=0.0``.
     """
-    T = np.flatnonzero(_column_mask(T, frame.n))
+    T = np.flatnonzero(_column_mask(T, frame.n)[1])
     c = np.asarray(c, dtype=np.float64)
     if numerical_rank(frame.columns(T)) < float(c[T].sum()) - tol:
         return T

@@ -61,22 +61,15 @@ def proxy_at(frame: Frame, z, T, alpha: float) -> tuple[float, float]:
     extreme alpha where forming the shifted Gram directly loses the small
     subspace. Each call validates z once and takes one thin QR; on a solve
     path only the guess branch of ``compute_update`` calls it, once per
-    trial alpha. T follows ``_set_mask``'s rule, and alpha must be finite.
+    trial alpha. T must pass ``linalg._column_mask`` as a proper subset,
+    whose mask picks the rows scaled and those of P; alpha must be finite.
     """
     if not 1.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 1, got {alpha!r}")
-    mask = _set_mask(frame.n, T)
+    mask = _column_mask(T, frame.n, proper=True)[1]
     w = validate_scaling(z, frame.n).copy()
     w[mask] *= alpha
     return _proxy_values(_set_gram(_scaled_qr(frame, w)[0], mask), alpha)
-
-
-def _set_mask(n: int, T) -> np.ndarray:
-    """``linalg._column_mask`` of T over n columns, which must also be a proper subset."""
-    T = np.asarray(T)
-    if T.size >= n:
-        raise ValueError("T must be a proper subset of the columns")
-    return _column_mask(T, n)
 
 
 def _set_gram(q: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -182,15 +175,14 @@ def approx_small_eigen_sum(frame: Frame, z, T,
     search's last thin QR is that of Q_D^T, so W is read off it. Raises
     FactorizationFailure when Q_D is numerically rank-deficient.
     """
-    mask = _set_mask(frame.n, T)
-    T = np.asarray(T, dtype=np.intp)
+    T, mask = _column_mask(T, frame.n, proper=True)
     if q is None:
         q = orthonormal_factor(frame, z)
     trace, hp1 = _proxy_values(_set_gram(q, mask), 1.0)
     if hp1 >= 0.25:
         raise PreconditionViolated("spectrum not gapped: sum mu(1-mu) >= 1/4")
     p = _round_half_away(trace)
-    ts = np.sort(T)
+    ts = np.flatnonzero(mask)
     rank_t = numerical_rank(frame.columns(ts))
     if p > rank_t:
         raise PreconditionViolated(f"rounded trace {p} exceeds rk(U_T)={rank_t}")
@@ -200,7 +192,7 @@ def approx_small_eigen_sum(frame: Frame, z, T,
         return EigenSumEstimate(mu_tilde=trace, p=0)
     chosen, _, w, rd = _det_local_opt_columns(q[ts].T, p)
     _require_full_rank(rd, "projector block singular in eigen-sum guess")
-    rest = q[T] - (q[T] @ w) @ w.T
+    rest = (qt := q[T]) - (qt @ w) @ w.T
     return EigenSumEstimate(mu_tilde=float(np.einsum("ij,ij->", rest, rest)), p=p,
                             D=ts[chosen])
 
@@ -212,13 +204,12 @@ def det_local_opt(frame: Frame, z, T, p: int) -> np.ndarray:
     U sqrt(Z) = X^T X, with X = Q_T^T read off the thin orthonormal factor
     ``orthonormal_factor(frame, z)``, formed here; the kernel's trace is
     h(1) and the kernel itself is never formed. Ties go to the smallest
-    index (pair) so reruns are reproducible. T must be a nonempty set of
-    distinct integer column indices in [0, n) (``linalg._column_mask``),
-    else ValueError. No solve path calls it: the guess branch searches the
-    iterate's own factor through ``_det_local_opt_columns``.
+    index (pair) so reruns are reproducible. T is checked as a column set,
+    else ValueError, and read as ``linalg._column_mask`` returns it: intp,
+    in the caller's order. No solve path calls it: the guess branch
+    searches the iterate's own factor through ``_det_local_opt_columns``.
     """
-    _column_mask(T, frame.n)
-    T = np.asarray(T, dtype=np.intp)
+    T = _column_mask(T, frame.n)[0]
     rank_t = numerical_rank(frame.columns(T))
     if not 0 < p < rank_t:
         raise PreconditionViolated(f"need 0 < p < rk(U_T), got p={p}, rk={rank_t}")
@@ -269,11 +260,11 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     Expects a T the rank check did not certify. Where the guess branch finds
     mu_tilde <= 0, the gain's supremum rk(U_T) - h(1) is below gamma, so it
     raises InfeasibleSegment for the margin loop's zero-tolerance check.
-    T must be a proper subset of distinct integer column indices in [0, n)
-    (``_set_mask``), else ValueError; the check reuses the mask that picks
-    P's rows. ``q`` is the iterate's ``orthonormal_factor(frame, z)``, and
-    z is not validated again. P = Q_T^T Q_T is formed from q once, and
-    h(1) = tr P and h'(1) = tr P - ||P||_F^2 are read off it (``_proxy_values``). Raises
+    T must be a proper column subset, else ValueError: ``linalg._column_mask``
+    checks it once and returns the mask that picks P's rows. ``q`` is the
+    iterate's ``orthonormal_factor(frame, z)``, and z is not validated
+    again. P = Q_T^T Q_T is formed from q once, and h(1) = tr P and h'(1) =
+    tr P - ||P||_F^2 are read off it (``_proxy_values``). Raises
     DegenerateMargin when h(1) + gamma/5 rounds up to h(1) + gamma, a band
     binary64 cannot hold.
 
@@ -296,7 +287,7 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
     """
     if not 0.0 < gamma <= 1.0 + 1e-12:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-    p = _set_gram(q, _set_mask(frame.n, T))
+    p = _set_gram(q, _column_mask(T, frame.n, proper=True)[1])
     h1, hp1 = _proxy_values(p, 1.0)
     if not h1 + gamma / 5.0 < h1 + gamma:
         raise DegenerateMargin(f"gamma {gamma!r} is lost in h(1) {h1!r}: the band is empty")

@@ -19,6 +19,14 @@ does, so a solve never enters ``matrixscale._breakpoint_walk``. The matrix
 solver's other budget, no ``matrix_rho_prefixes`` pass on those matrices,
 is checked in ``test_matrixscale.py``.
 
+Each public set function checks its column set once, at
+``linalg._column_mask``, counted in every module that binds it. A steep
+frame step calls one (``update.compute_update``) and a matrix step one
+(``matrixscale.matrix_update``), and the loop's certificate decision one
+(``solver.infeasibility_certificate`` or ``matrixscale.neighborhood``), so a
+solve whose shrink computes no frame rho checks one set per iteration plus
+one per decision.
+
 Neither loop makes a ufunc reduction for a max, a min or an any-test in
 an iteration: each is read at ``argmax``/``argmin`` off one element, which
 on vectors this short costs about a third of a ``maximum.reduce``. Calls
@@ -39,21 +47,23 @@ import scipy.linalg
 
 import framescale.linalg
 import framescale.matrixscale
+import framescale.solver
 import framescale.update
 from framescale import Frame, Marginals, MatrixMarginals, NonnegMatrix, scale_frame, scale_matrix
 from framescale.generate import gen_bipartite, gen_gaussian
 
 
+def counting(calls, original):
+    """``original``, appending None to ``calls`` at each call."""
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    return wrapped
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_takes_one_qr_per_iteration(seed, qr_calls, proxy_evaluations, monkeypatch):
     eigensolves, newton_loops = [], []
-
-    def counting(calls, original):
-        def wrapped(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevd",
                         counting(eigensolves, scipy.linalg.lapack.dsyevd))
     monkeypatch.setattr(framescale.update, "newton_dinkelbach",
@@ -108,6 +118,39 @@ def test_matrix_steps_take_the_closed_form(seed, monkeypatch):
     assert res.scaled and res.iterations > 1000
     assert len(steps) == res.iterations
     assert walks == []
+
+
+@pytest.fixture
+def set_checks(monkeypatch):
+    """One entry per ``linalg._column_mask`` call, in any module that binds it."""
+    checks = []
+    check = counting(checks, framescale.linalg._column_mask)
+    for module in (framescale.linalg, framescale.solver, framescale.update,
+                   sys.modules["framescale.regularize"], framescale.matrixscale):
+        monkeypatch.setattr(module, "_column_mask", check)
+    return checks
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_frame_solve_checks_one_set_per_iteration_and_decision(seed, set_checks, monkeypatch):
+    decisions = []
+    monkeypatch.setattr(framescale.solver, "infeasibility_certificate",
+                        counting(decisions, framescale.solver.infeasibility_certificate))
+    U, c = gen_gaussian(5, 20, seed)
+    res = scale_frame(Frame(U), Marginals(c, d=5), 1e-6)
+    assert res.scaled and res.iterations > 1000 and decisions
+    assert len(set_checks) == res.iterations + len(decisions)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_matrix_solve_checks_one_set_per_iteration_and_decision(seed, set_checks, monkeypatch):
+    decisions = []
+    monkeypatch.setattr(framescale.matrixscale, "neighborhood",
+                        counting(decisions, framescale.matrixscale.neighborhood))
+    A, r, c = gen_bipartite(20, 20, seed)
+    res = scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), 1e-6)
+    assert res.scaled and res.iterations > 1000 and decisions
+    assert len(set_checks) == res.iterations + len(decisions)
 
 
 ADDS_PER_ITERATION = 5

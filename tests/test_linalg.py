@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,18 @@ class TestPinvTrace:
             b = rng.standard_normal((k, r))
             m = b @ b.T
             assert pinv_trace(m) == pytest.approx(np.trace(np.linalg.pinv(m)), rel=1e-8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spectral", [logdet_psd, pinv_trace], ids=lambda f: f.__name__)
+def test_spectral_functions_reject_non_finite_entries(spectral, value):
+    # Unchecked, pinv_trace([[nan]]) returned 0.0 and logdet_psd nan, and
+    # [[inf]] gave 0.0 and -inf after an "invalid value" RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[value]], [[1.0, value], [value, 1.0]]):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                spectral(np.array(m))
 
 
 class TestFrameValidation:

@@ -23,10 +23,12 @@ from framescale import (
     ScalingResult,
     SolverConfig,
     Trace,
+    approx_small_eigen_sum,
     compute_update,
     det_local_opt,
     infeasibility_certificate,
     leverage_scores,
+    matrix_update,
     neighborhood,
     numerical_rank,
     orthonormal_factor,
@@ -356,20 +358,51 @@ class TestInfeasibilityCertificate:
 
     @pytest.mark.parametrize("T", [[0, 0, 1], [-1, 0, 1], [0, 1, 7]],
                              ids=["repeated", "negative", "past-n"])
-    @pytest.mark.parametrize("call", ["det_local_opt", "matrix_proxy_gain", "neighborhood"])
+    @pytest.mark.parametrize("call", ["det_local_opt", "matrix_proxy_gain", "neighborhood",
+                                      "matrix_update", "infeasibility_certificate",
+                                      "compute_update", "proxy_at", "approx_small_eigen_sum",
+                                      "rho_overestimate"])
     def test_public_set_functions_share_the_rule(self, call, T):
         # Unchecked, det_local_opt(frame, z, [-1, 0, 1], 1) returned [-1],
-        # matrix_proxy_gain on [0, 0] gave -0.028 against 0.28 for [0], and
-        # neighborhood read -1 as column 6.
-        frame = Frame(np.random.default_rng(0).standard_normal((3, 7)))
-        matrix = NonnegMatrix(np.eye(7) + 0.1)
-        ones = np.ones(7)
-        run = {"det_local_opt": lambda T: det_local_opt(frame, ones, T, 1),
-               "matrix_proxy_gain": lambda T: matrix_proxy_gain(matrix, ones, ones, T, 2.0),
-               "neighborhood": lambda T: neighborhood(matrix, T)}[call]
+        # matrix_proxy_gain on [0, 0] gave -0.028 against 0.28 for [0],
+        # neighborhood read -1 as column 6, and matrix_update gave alpha
+        # 1.05515 for [0, 0, 1] against 1.05352 for [0, 1].
+        run = _set_functions()[call]
         run([0, 1, 2])
         with pytest.raises(ValueError, match="distinct column indices"):
             run(T)
+
+    @pytest.mark.parametrize("T", [range(7), [0] * 7], ids=["full", "full-size-repeated"])
+    @pytest.mark.parametrize("call", ["compute_update", "proxy_at", "approx_small_eigen_sum"])
+    def test_proper_subset_functions_reject_a_full_set_first(self, call, T):
+        # The proper-subset rule is checked before the rest, so a set of n
+        # indices reads "proper subset" whatever else is wrong with it.
+        with pytest.raises(ValueError, match="proper subset"):
+            _set_functions()[call](np.array(T))
+
+
+def _set_functions():
+    """The nine public set functions, each as a function of T alone, on n = 7
+    columns; each accepts T = [0, 1, 2]."""
+    frame = Frame(np.random.default_rng(0).standard_normal((3, 7)))
+    matrix = NonnegMatrix(np.eye(7) + 0.1)
+    ones = np.ones(7)
+    q = orthonormal_factor(frame, ones)
+    # Scaled up on [0, 1, 2], those columns carry nearly all the leverage:
+    # the spectrum is gapped, as approx_small_eigen_sum requires.
+    gapped = np.array([1e6, 1e6, 1e6, 1.0, 1.0, 1.0, 1.0])
+    return {
+        "det_local_opt": lambda T: det_local_opt(frame, ones, T, 1),
+        "matrix_proxy_gain": lambda T: matrix_proxy_gain(matrix, ones, ones, T, 2.0),
+        "neighborhood": lambda T: neighborhood(matrix, T),
+        "matrix_update": lambda T: matrix_update(matrix, ones, ones, T, 0.05,
+                                                 matrix.matrix @ ones),
+        "infeasibility_certificate": lambda T: infeasibility_certificate(frame, ones * 3 / 7, T),
+        "compute_update": lambda T: compute_update(frame, ones, T, 0.1, q),
+        "proxy_at": lambda T: proxy_at(frame, ones, T, 1.5),
+        "approx_small_eigen_sum": lambda T: approx_small_eigen_sum(frame, gapped, T),
+        "rho_overestimate": lambda T: rho_overestimate(frame, T, q),
+    }
 
 
 class TestScaleFrame:
