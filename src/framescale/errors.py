@@ -18,7 +18,7 @@ class FactorizationFailure(ScalingError):
     """A factorization failed: a QR factor collapsed (a scaled frame or projector block
     is numerically singular) or LAPACK reported an error; or a measurement of the
     iterate came out non-finite, so the margin loop's error^2 is NaN or infinite; or
-    a step's alpha times the largest entry of z on T overflows binary64."""
+    the margin loop met a floating-point fault (overflow, invalid or divide by zero)."""
 
 
 class NotSymmetric(ScalingError):

@@ -34,13 +34,15 @@ def rho_overestimate(frame: Frame, T, q0: np.ndarray) -> float:
     values s of q0[T] (``linalg._singular_values``) above
     ``max(|T|, d) * eps * s_max``. Eigenvalues far
     below eps times the largest are resolved, which forming the matrix
-    itself would round away. T is checked as a column set, else ValueError,
+    itself would round away; a kept s below 1.5e-154 gives inf, which caps
+    no gap, without a fault. T is checked as a column set, else ValueError,
     and read as ``linalg._column_mask`` returns it: intp, in the caller's order.
     """
     T = _column_mask(T, frame.n)[0]
     s = _singular_values(q0[T])  # descending, so s[0] is the largest
     keep = s > max(T.size, frame.d) * _EPS * s[0]
-    return float(np.sum(1.0 / s[keep] ** 2))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.sum(1.0 / s[keep] ** 2))
 
 
 class RhoCache:
@@ -89,7 +91,7 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
     Thresholds are Python floats: past binary64 one saturates to inf,
     without a warning, and caps nothing. A z that is not positive and
     finite, or whose max/min overflows binary64, or does so once divided by
-    delta for the grid, raises ValueError.
+    delta for the grid, raises ValueError, the last from an OverflowError.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
@@ -112,12 +114,12 @@ def prefix_gap_shrink(z: np.ndarray, delta: float, rhos, floor: float) -> np.nda
                 threshold = max(float(rho), floor) / delta
                 if ratios[k] > threshold * headroom:
                     zs[order[:k + 1]] *= threshold / ratios[k]
-    # The caps only lower entries, so max zs <= span, and the snap's zs / delta
-    # can overflow only when span / delta does; only then is max zs read. As
-    # Python floats, the quotients overflow to inf without a warning.
+    # The caps only lower entries, so zs / delta can overflow only when span /
+    # delta does, and only then is max zs read; Python floats saturate silently.
     grid = float(delta)
     if not span / grid < np.inf and not float(zs[zs.argmax()]) / grid < np.inf:
-        raise ValueError("scaling max/min overflows binary64 on the delta grid")
+        raise ValueError("scaling max/min overflows binary64 on the delta grid") \
+            from OverflowError("max z / delta")
     _snap(zs, delta)
     zs /= zs[lo]
     return zs

@@ -282,6 +282,7 @@ def step_gain(mu: np.ndarray, w: np.ndarray, alpha: float) -> float:
     return float(np.add.reduce(s * w / (1.0 + s * mu)))
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certificate,
                  step, shrink) -> ScalingResult:
     """The margin loop shared by the frame and the matrix solver.
@@ -297,8 +298,10 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     from; the loop never reads it. The trace records ||log z||_inf, which
     for min z = 1 is log max z; it stores max z and takes the log on read.
     A measurement whose error^2 is not finite (NaN marginals read as
-    converged otherwise) raises FactorizationFailure, and so does a finite
-    alpha whose product with max z on T overflows binary64. The next
+    converged otherwise) raises FactorizationFailure, and so does any
+    ArithmeticError, or ValueError raised from one, naming the step or z = 1:
+    the loop runs under ``np.errstate`` with overflow, invalid and divide
+    faults raising, and a callee that saturates on purpose ignores them. The next
     iterate is a pure function of z, so a shrink output equal byte for byte
     to an earlier one means the loop cycles: Brent's method spots it, and
     it raises IterateCycle with the period. An iteration that raises
@@ -319,19 +322,18 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     eps_sq = eps * eps
     cap = config.iteration_cap(n, eps)
     z = np.ones(n)
-    marginals, factor = measure(z)
-    x = marginals - c
-    err_sq = float(np.add.reduce(x * x))
-    m_total, c_total = float(np.add.reduce(marginals)), float(np.add.reduce(c))
-    least = (m_total - c_total) ** 2 / n
     trace = Trace()
     decided: dict[bytes, np.ndarray | None] = {}
     it = 0
-    z_max = 1.0
     # Brent's cycle detection: the shrink output compared with one saved
     # iterate, saved again each time the lap reaches the next power of two.
     saved, lap, power = z.tobytes(), 0, 1
     try:
+        marginals, factor = measure(z)
+        x = marginals - c
+        err_sq = float(np.add.reduce(x * x))
+        m_total, c_total = float(np.add.reduce(marginals)), float(np.add.reduce(c))
+        least = (m_total - c_total) ** 2 / n
         if not err_sq < math.inf:
             raise FactorizationFailure(
                 f"error^2 at z = 1 is {err_sq!r}: the measurement is not finite"
@@ -367,16 +369,6 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                     status=INFEASIBLE, scaling=None, certificate=cert,
                     iterations=it, final_error_sq=err_sq, trace=trace,
                 )
-            # As Python floats the products overflow to inf without a warning;
-            # the max over T is read only when the max over all of z overflows.
-            if upd.alpha < math.inf and upd.alpha * z_max == math.inf:
-                zt = z[T]
-                top = float(zt[zt.argmax()])
-                if upd.alpha * top == math.inf:
-                    raise FactorizationFailure(
-                        f"step {it} overflows binary64: alpha {upd.alpha!r} times "
-                        f"max z on T {top!r}"
-                    )
             z[T] *= upd.alpha
             z = shrink(z, ms.gamma)
             tag, lap = z.tobytes(), lap + 1
@@ -394,14 +386,18 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
                 raise FactorizationFailure(
                     f"error^2 after step {it} is {new_err_sq!r}: the measurement is not finite"
                 )
-            z_max = float(z[z.argmax()])
             trace._write(err_sq, ms.gamma, upd.alpha, upd.h_gain, upd.nd_iters, upd.hp_one,
-                         z_max, new_err_sq)
+                         float(z[z.argmax()]), new_err_sq)
             err_sq = new_err_sq
     except ScalingError as exc:
         if exc.trace is None:
             exc.trace = trace
         raise
+    except (ArithmeticError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not isinstance(exc.__cause__, ArithmeticError):
+            raise
+        where = f"step {it}" if it else "the measurement at z = 1"
+        raise FactorizationFailure(f"{where} fails in binary64: {exc}", trace=trace) from exc
     return ScalingResult(
         status=SCALED, scaling=z, certificate=None,
         iterations=it, final_error_sq=err_sq, trace=trace,

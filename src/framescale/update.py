@@ -302,9 +302,10 @@ def compute_update(frame: Frame, z, T, gamma: float, q: np.ndarray) -> UpdateRes
             "small-eigenvalue sum estimate is 0; T should have certified infeasibility"
         )
     # Roundoff in mu_tilde can push the seed just past the band; Newton's
-    # pull-back brings it toward 1 (the clean seed never overshoots).
+    # pull-back brings it toward 1 (the clean seed never overshoots). Past
+    # binary64, a numpy scalar's quotient faults where a float's saturates.
     res = newton_dinkelbach(functools.partial(proxy_at, frame, z, T),
-                            1.0 + gamma / (2.0 * est.mu_tilde), h1 + gamma / 5.0, h1 + gamma,
-                            nd_iteration_cap(frame.n, frame.d))
+                            float(1.0 + gamma / (2.0 * np.float64(est.mu_tilde))),
+                            h1 + gamma / 5.0, h1 + gamma, nd_iteration_cap(frame.n, frame.d))
     return UpdateResult(alpha=res.alpha, h_gain=res.value - h1, nd_iters=res.n_iters,
                         hp_one=hp1, seeded=True)

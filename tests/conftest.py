@@ -150,6 +150,35 @@ def gibbs_kernel(n, eta, seed):
     return A, np.ones(n), np.ones(n)
 
 
+def spread_matrix(seed):
+    """(A, r, c): an m x n matrix, 2 <= m, n <= 7, whose nonzeros (60 %)
+    spread over 600 decades, 1e-300 to 1e300, plus 1 on the leading
+    diagonal; an empty row gets a 1 in column 0, then an empty column one in
+    row 0. r = n and c = m, so both total m n."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(2, 8, size=2)
+    A = (rng.random((m, n)) < 0.6) * 10.0 ** rng.uniform(-300, 300, (m, n))
+    k = min(m, n)
+    A[np.arange(k), np.arange(k)] += 1.0
+    A[~A.any(axis=1), 0] = 1.0
+    A[0, ~A.any(axis=0)] = 1.0
+    return A, n * np.ones(m), m * np.ones(n)
+
+
+def spread_frame(seed, decades):
+    """(U, c): sizes and marginals drawn as in ``fuzz_recipe``, column norms
+    spread over 2 * decades decades; None when a marginal exceeds 1."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 5)
+    n = rng.integers(d + 1, 10)
+    U = rng.standard_normal((d, n)) * 10.0 ** rng.uniform(-decades, decades, size=n)
+    c = rng.uniform(0.05, 1, size=n)
+    c = c / c.sum() * d
+    if np.any(c > 1):
+        return None
+    return U, c
+
+
 def sequential_regularize(frame, z, delta, cache, floor=1.0):
     """Reference: the gap-by-gap prefix shrink, visiting every gap in order.
 

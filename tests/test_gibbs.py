@@ -63,11 +63,12 @@ def test_band_loop_scales_past_the_step_overflow():
 
 
 def test_step_overflow_raises_with_its_trace():
-    # Step 223's alpha of 1.8e25 meets a z of 3.2e294 on T: the loop names
-    # the overflow before the multiply, and the error carries the 222 records
+    # Step 223's alpha of 1.8e25 meets a z of 3.2e294 on T: the multiply
+    # raises under the loop's errstate, and the error carries the 222 records
     # of the steps that did not overflow.
     A, r, c = gibbs_kernel(N, 0.0003, 0)
-    with pytest.raises(FactorizationFailure, match="step 223 overflows binary64") as info:
+    with pytest.raises(FactorizationFailure, match=r"^step 223 fails in binary64: "
+                                                   r"overflow encountered in multiply$") as info:
         scale_matrix(NonnegMatrix(A), MatrixMarginals(r, c), EPS)
     trace = info.value.trace
     assert len(trace) == 222
