@@ -18,7 +18,9 @@ class FactorizationFailure(ScalingError):
     """A factorization failed: a QR factor collapsed (a scaled frame or projector block
     is numerically singular) or LAPACK reported an error; or a measurement of the
     iterate came out non-finite, so the margin loop's error^2 is NaN or infinite; or
-    the margin loop met a floating-point fault (overflow, invalid or divide by zero)."""
+    the margin loop met a floating-point fault (overflow, invalid or divide by zero);
+    or an equilibrated frame solve scaled, but its z, mapped back to the frame's
+    columns, passes binary64."""
 
 
 class NotSymmetric(ScalingError):

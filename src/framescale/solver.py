@@ -42,6 +42,10 @@ INFEASIBLE = "infeasible"
 # Integer rank vs float mass comparison guard.
 CERTIFICATE_TOL = 1e-7
 
+# scale_frame equilibrates a frame whose nonzero columns' binary exponents
+# span more than this; at 2^26 the balancing z spans about 1/eps.
+EQUILIBRATE_SPREAD = 26
+
 
 @dataclass(frozen=True)
 class Marginals:
@@ -248,7 +252,12 @@ class Trace(Sequence):
 
 @dataclass
 class ScalingResult:
-    """Outcome of a scaling run: a scaling vector or a certificate set."""
+    """Outcome of a scaling run: a scaling vector or a certificate set.
+
+    ``scaling`` has min exactly 1, except from a frame solve that
+    ``scale_frame`` equilibrated, where its min lies in [1, 4) and the
+    trace's records hold the equilibrated frame's iterates.
+    """
 
     status: str
     scaling: np.ndarray | None
@@ -404,9 +413,35 @@ def _margin_loop(c: np.ndarray, eps: float, config: SolverConfig, measure, certi
     )
 
 
+def _unequilibrate(z: np.ndarray, e: np.ndarray, trace: Trace) -> np.ndarray:
+    """z_j 4^-e_j times the even power of two that puts min z in [1, 4), exactly.
+
+    Raises FactorizationFailure, with the trace, when that z passes binary64.
+    """
+    ex = np.frexp(z)[1] - 2 * e  # z_j 4^-e_j = m_j 2^ex_j with m_j in [1/2, 1)
+    low, high = int(ex[ex.argmin()]), int(ex[ex.argmax()])
+    shift = 2 - low - (low & 1)  # even, with low + shift 1 or 2
+    if high + shift > 1024:
+        raise FactorizationFailure(
+            f"the scaling leaves binary64: mapped back to the frame's columns, max z / min z "
+            f"is about 2^{high - low}", trace=trace)
+    return np.ldexp(z, shift - 2 * e)
+
+
 def scale_frame(frame: Frame, marginals: Marginals, eps: float,
                 config: SolverConfig | None = None) -> ScalingResult:
     """Scale a frame to eps-approximate (I_d, c)-position, or certify.
+
+    Leverage scores do not change under u_j -> 2^k u_j with z_j -> 4^-k z_j,
+    so a frame whose column sizes are far apart is solved equilibrated.
+    Column j's exponent e_j is the binary exponent (``np.frexp``) of its
+    largest |entry|, and zero columns are left out of the spread. When the
+    exponents span more than ``EQUILIBRATE_SPREAD``, the loop runs on
+    ``Frame(np.ldexp(U, -e))``, every column scaled exactly, and its z'
+    maps back without rounding: z_j = z'_j 4^-e_j, times the one even power
+    of two that puts min z in [1, 4). The trace then holds the equilibrated
+    iterates, and a certificate, a set of columns, is returned as it is.
+    Every other frame is solved as given.
 
     Parameters
     ----------
@@ -423,8 +458,8 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     -------
     ScalingResult
         Either status "scaled" with a positive scaling vector normalized to
-        min 1, or status "infeasible" with a column subset T whose marginal
-        mass exceeds rk(U_T).
+        min 1 (min in [1, 4) when equilibrated), or status "infeasible"
+        with a column subset T whose marginal mass exceeds rk(U_T).
 
     Raises
     ------
@@ -439,12 +474,21 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
         ScalingError raised inside the loop, it carries the trace so far.
     IterateCycle
         If an iterate repeats an earlier one, so the solve would cycle.
+    FactorizationFailure
+        Among its other causes, if an equilibrated solve scales but its
+        z, mapped back, does not fit binary64; it carries the trace.
     """
     from .regularize import RhoCache, regularize
     from .update import compute_update
 
     if marginals.d != frame.d or marginals.n != frame.n:
         raise ValueError("marginals do not match frame dimensions")
+    top = np.abs(frame.matrix).max(axis=0)
+    e = np.frexp(top)[1]
+    live = e[top > 0.0]  # Frame's rank check leaves at least one nonzero column
+    equilibrated = int(live[live.argmax()] - live[live.argmin()]) > EQUILIBRATE_SPREAD
+    if equilibrated:
+        frame = Frame(np.ldexp(frame.matrix, -e))
     n = frame.n
     c = marginals.values
     rho_cache = RhoCache(frame)
@@ -463,5 +507,8 @@ def scale_frame(frame: Frame, marginals: Marginals, eps: float,
     def shrink(z, gamma):
         return regularize(frame, z, gamma / (15.0 * n**2.5 * frame.d), cache=rho_cache)
 
-    return _margin_loop(c, eps, config or SolverConfig(), measure, certificate,
-                        functools.partial(compute_update, frame), shrink)
+    res = _margin_loop(c, eps, config or SolverConfig(), measure, certificate,
+                       functools.partial(compute_update, frame), shrink)
+    if equilibrated and res.scaled:
+        res.scaling = _unequilibrate(res.scaling, e, res.trace)
+    return res

@@ -163,7 +163,7 @@ def test_determinant_search_singular_block_fails_by_name(rng, monkeypatch):
 
 def test_singular_block_inside_a_solve_keeps_the_trace(monkeypatch):
     monkeypatch.setattr(framescale.update, "_thin_qr", singular_thin_qr)
-    U, c = fuzz_recipe(226)  # runs the guess branch
+    U, c = fuzz_recipe(18)  # runs the guess branch
     with pytest.raises(FactorizationFailure, match="singular triangle") as info:
         scale_frame(Frame(U), Marginals(c, d=U.shape[0]), 1e-6, SolverConfig(max_iters=1000))
     assert info.value.trace is not None
@@ -208,7 +208,7 @@ def test_guess_branch_skips_the_wrappers(wrappers_raise, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(framescale.update, "_det_local_opt_columns", counting)
-    U, c = fuzz_recipe(226)
+    U, c = fuzz_recipe(18)  # five guess steps, three of them searching
     res = scale_frame(Frame(U), Marginals(c, d=U.shape[0]), 1e-6, SolverConfig(max_iters=1000))
     assert res.scaled
     assert len(searches) == 3

@@ -217,6 +217,15 @@ class TestNumericalRank:
         assert numerical_rank(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])) == 2
         assert numerical_rank(np.zeros((3, 2))) == 0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 8: dgeqp3 leaves R[1, 1] = "
+                                           "-3.1e-16 above the cutoff 2.76e-16")
+    def test_bit_identical_columns_have_rank_one(self):
+        # The rank defect behind fuzz recipe seed 813, whose columns 0 and 1
+        # are identical: that instance is exactly infeasible but raises
+        # DerivativeVanished.
+        col = [-0.1875, 0.591796875]
+        assert numerical_rank(np.array([col, col]).T) == 1
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # A non-finite entry used to give rank 0.

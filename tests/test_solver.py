@@ -719,7 +719,9 @@ class TestBitIdentity:
             U, c = gen_gaussian(4, 12, 0)
             eps = 1e-8
         elif case == "spread-norms":
-            U, c = fuzz_recipe(226)  # runs the guess branch and fires two shrinks
+            # Column exponents span 2^26, the most scale_frame solves as
+            # given; six of its steps take the guess branch.
+            U, c = fuzz_recipe(350)
         else:
             U, c = gen_infeasible(4, 9, 0)
         frame, marginals = Frame(U), Marginals(c, d=U.shape[0])
@@ -737,6 +739,24 @@ class TestBitIdentity:
         if case == "gaussian":
             assert got.iterations == 821
         assert got.trace == want.trace
+
+    def test_equilibrated_solve_matches_reference_driver(self):
+        # Column exponents span 2^40: scale_frame solves the frame with each
+        # column scaled by 2^-e_j, and maps z back by powers of two alone.
+        U, c = fuzz_recipe(226)
+        e = np.frexp(np.abs(U).max(axis=0))[1]
+        assert e.max() - e.min() == 40
+        marginals = Marginals(c, d=U.shape[0])
+        got = scale_frame(Frame(U), marginals, 1e-6)
+        want = reference_scale_frame(Frame(np.ldexp(U, -e)), marginals, 1e-6)
+        assert got.status == want.status == SCALED
+        assert got.iterations == want.iterations
+        assert got.final_error_sq == want.final_error_sq
+        assert got.trace == want.trace
+        z = want.scaling * 4.0 ** -e.astype(float)
+        z = z * 4.0 ** -math.floor(math.log(z.min(), 4))
+        assert 1.0 <= z.min() < 4.0
+        assert np.array_equal(got.scaling, z)
 
 
 def tight_pair():

@@ -218,7 +218,10 @@ class TestComputeUpdate:
 
         monkeypatch.setattr(framescale.update, "newton_dinkelbach", recording_newton)
         monkeypatch.setattr(framescale.update, "compute_update", recording)
-        for seed in range(40):
+        # Seeds 0-39 and the spread-norm recipe seeds whose column exponents
+        # span at most 2^26, so scale_frame solves them as given, and whose
+        # solves take guess steps.
+        for seed in (*range(40), 70, 222, 246, 334, 350, 734, 758, 802, 842):
             recipe = fuzz_recipe(seed)
             if recipe is None:
                 continue
